@@ -5,7 +5,7 @@ normalized or custom weights, compute spectra and exact homology, and run
 the self-verifying suite of spectral identities over a fixture corpus.
 """
 
-from ._kernels import KERNEL_BACKEND, exact_rank, exhaustive_balance
+from ._kernels import exact_rank, exhaustive_balance
 from .constructions import (
     FamilySpec,
     cartesian_product,
@@ -67,7 +67,6 @@ __all__ = [
     "CoboundaryMatrix",
     "DualGraph",
     "FamilySpec",
-    "KERNEL_BACKEND",
     "LaplacianMatrix",
     "Motif",
     "SUITES",

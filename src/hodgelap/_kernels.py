@@ -1,151 +1,71 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Exact integer rank by fraction-free elimination, and the balance oracle.
 
-Two inner loops in this package are genuine Python-level hotspots and are
-worth compiling: exact integer rank (fraction-free Gaussian elimination on
-coboundary matrices, used for Betti numbers) and the brute-force orientation
-search over all ``2**n`` sign assignments (the oracle that cross-checks the
-BFS balance test).  Everything else that is numerically heavy already runs
-inside LAPACK.
+Betti numbers come from the ranks of integer coboundary matrices, so the
+rank must be exact: no floating point and no tolerance.  ``exact_rank``
+runs Bareiss's fraction-free Gaussian elimination (Bareiss 1968), in which
+every intermediate entry is a minor of the input and every division is
+exact.  Each pivot step updates the whole remaining block with one numpy
+expression.
 
-Backend selection: numba is used when importable unless the environment
-variable ``HODGELAP_DISABLE_NUMBA`` is set to a truthy value, in which case
-the pure-Python fallbacks run.  ``KERNEL_BACKEND`` records the active path;
-``benchmarks/bench_kernels.py`` compares the two.
+The elimination loop is written once and runs on two dtypes.  ``int64`` is
+the fast path; entries are minors and can grow, so before each pivot step
+the active block is checked against an overflow guard, and if the guard
+trips the matrix is eliminated again on an ``object`` array of Python ints
+(``bareiss_rank_pyint``), which cannot overflow.  The rank is exact on
+either path.
 
-The int64 Bareiss path guards against overflow (intermediate entries are
-determinants of submatrices and can in principle grow); when any entry
-exceeds the guard the kernel bails out and the arbitrary-precision Python
-fallback finishes the job exactly.
+``exhaustive_balance`` is the brute-force reference for the BFS balance
+test in :mod:`hodgelap.core`; the tests compare the two.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("HODGELAP_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
 
 # Magnitudes up to 2**30 keep every Bareiss product below 2**60, so the
 # difference of two products fits comfortably in int64.
 _OVERFLOW_GUARD = 1 << 30
 
-if not _DISABLED:
-    try:
-        from numba import njit
 
-        KERNEL_BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-        KERNEL_BACKEND = "python"
-else:
-    njit = None
-    KERNEL_BACKEND = "python"
+def _bareiss_rank(a: np.ndarray, guard: int | None = None) -> int:
+    """Rank of the 2-D integer array ``a``, which is overwritten.
 
-
-def _bareiss_rank_i64_impl(a):
+    Returns -1 as soon as an entry of the active block exceeds ``guard``.
+    Every row below the pivot is updated, including rows whose entry in the
+    pivot column is zero: Sylvester's identity makes the division by the
+    previous pivot exact only when all rows carry the same scale.
+    """
+    if a.size == 0:
+        return 0
     m, n = a.shape
-    row = 0
-    prev = np.int64(1)
+    row, prev = 0, 1
     for col in range(n):
-        if row >= m:
+        if row == m:
             break
-        piv_row = -1
-        for r in range(row, m):
-            if a[r, col] != 0:
-                piv_row = r
-                break
-        if piv_row < 0:
+        nonzero = np.flatnonzero(a[row:, col])
+        if nonzero.size == 0:
             continue
-        if piv_row != row:
-            for c in range(col, n):
-                tmp = a[row, c]
-                a[row, c] = a[piv_row, c]
-                a[piv_row, c] = tmp
-        piv = a[row, col]
-        # Overflow guard: inspect the active submatrix before multiplying.
-        biggest = np.int64(0)
-        for r in range(row, m):
-            for c in range(col, n):
-                v = a[r, c]
-                if v < 0:
-                    v = -v
-                if v > biggest:
-                    biggest = v
-        if biggest > _OVERFLOW_GUARD:
+        if nonzero[0]:
+            p = row + nonzero[0]
+            a[[row, p], col:] = a[[p, row], col:]
+        if guard is not None and np.abs(a[row:, col:]).max() > guard:
             return -1
-        for r in range(row + 1, m):
-            f = a[r, col]
-            for c in range(col + 1, n):
-                a[r, c] = (piv * a[r, c] - f * a[row, c]) // prev
-            a[r, col] = 0
+        piv = a[row, col]
+        a[row + 1 :, col + 1 :] = (
+            piv * a[row + 1 :, col + 1 :] - a[row + 1 :, col : col + 1] * a[row, col + 1 :]
+        ) // prev
         prev = piv
         row += 1
     return row
 
 
-def _exhaustive_balance_impl(n_nodes, edge_a, edge_b, edge_sign, target):
-    n_edges = edge_a.shape[0]
-    for mask in range(1 << n_nodes):
-        ok = True
-        for e in range(n_edges):
-            xa = 1 - 2 * ((mask >> edge_a[e]) & 1)
-            xb = 1 - 2 * ((mask >> edge_b[e]) & 1)
-            if xa * xb * edge_sign[e] != target:
-                ok = False
-                break
-        if ok:
-            return mask
-    return -1
-
-
-if KERNEL_BACKEND == "numba":
-    _bareiss_rank_i64 = njit(cache=True)(_bareiss_rank_i64_impl)
-    _exhaustive_balance = njit(cache=True)(_exhaustive_balance_impl)
-else:
-    _bareiss_rank_i64 = _bareiss_rank_i64_impl
-    _exhaustive_balance = _exhaustive_balance_impl
-
-
-def bareiss_rank_pyint(rows):
+def bareiss_rank_pyint(matrix) -> int:
     """Exact rank over the rationals with arbitrary-precision integers.
 
-    ``rows`` is a list of lists of Python ints; it is consumed destructively.
+    ``matrix`` is any 2-D integer array-like (an array, or a list of equal
+    length lists of ints); it is not modified.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    row = 0
-    prev = 1
-    for col in range(n):
-        if row >= m:
-            break
-        piv_row = -1
-        for r in range(row, m):
-            if rows[r][col] != 0:
-                piv_row = r
-                break
-        if piv_row < 0:
-            continue
-        if piv_row != row:
-            rows[row], rows[piv_row] = rows[piv_row], rows[row]
-        piv = rows[row][col]
-        for r in range(row + 1, m):
-            f = rows[r][col]
-            if f == 0:
-                continue
-            cur = rows[r]
-            top = rows[row]
-            for c in range(col + 1, n):
-                cur[c] = (piv * cur[c] - f * top[c]) // prev
-            cur[col] = 0
-        prev = piv
-        row += 1
-    return row
+    return _bareiss_rank(np.array(matrix, dtype=object))
 
 
 def exact_rank(matrix) -> int:
@@ -155,13 +75,12 @@ def exact_rank(matrix) -> int:
     integers, so the result carries no tolerance.  The int64 fast path falls
     back to arbitrary precision if entries grow past the overflow guard.
     """
-    a = np.ascontiguousarray(np.asarray(matrix, dtype=np.int64))
-    if a.size == 0:
-        return 0
-    r = _bareiss_rank_i64(a.copy())
+    r = _bareiss_rank(np.array(matrix, dtype=np.int64), _OVERFLOW_GUARD)
     if r >= 0:
-        return int(r)
-    return bareiss_rank_pyint([[int(v) for v in row] for row in np.asarray(matrix)])
+        return r
+    # The int64 copy holds a half-finished elimination, so reread the input;
+    # a float input must reach the Python-int path as the same integers.
+    return bareiss_rank_pyint(np.asarray(matrix, dtype=np.int64))
 
 
 def exhaustive_balance(n_nodes, edges, target):
@@ -173,10 +92,8 @@ def exhaustive_balance(n_nodes, edges, target):
     intended as a test oracle for small instances.
     """
     edges = list(edges)
-    ea = np.array([e[0] for e in edges], dtype=np.int64)
-    eb = np.array([e[1] for e in edges], dtype=np.int64)
-    es = np.array([e[2] for e in edges], dtype=np.int64)
-    mask = _exhaustive_balance(n_nodes, ea, eb, es, target)
-    if mask < 0:
-        return None
-    return [1 - 2 * ((int(mask) >> k) & 1) for k in range(n_nodes)]
+    for mask in range(1 << n_nodes):
+        signs = [1 - 2 * ((mask >> k) & 1) for k in range(n_nodes)]
+        if all(signs[a] * signs[b] * s == target for a, b, s in edges):
+            return signs
+    return None

@@ -132,18 +132,7 @@ class SimplicialComplex:
 
     def facets(self) -> list[Face]:
         """Inclusion-maximal faces (empty face only for the void complex)."""
-        maximal = []
-        for d in range(self.dim, -1, -1):
-            for f in self.faces_by_dim[d]:
-                fs = set(f)
-                has_coface = any(
-                    fs < set(g) for dd in range(d + 1, self.dim + 1) for g in self.faces_by_dim[dd]
-                )
-                if not has_coface:
-                    maximal.append(f)
-        if not maximal:
-            return [()]
-        return sorted(maximal, key=lambda f: (len(f), f))
+        return [f for f in self.all_faces() if not self.cofaces(f)]
 
     def is_pure(self) -> bool:
         return all(len(f) - 1 == self.dim for f in self.facets())

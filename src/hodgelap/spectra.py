@@ -327,12 +327,13 @@ def bounds_report(
     else:
         upper = (i + 2) * big_d / float(w_i.min())
 
-    profile = betti(part)
-    n_nonzero = profile.dim_c(i + 1) - profile[i + 1]
+    # On the pure (i+1)-complex D_{i+1} = 0, so the number of nonzero
+    # eigenvalues, dim C^{i+1} - b~_{i+1}, is rank D_i.
+    n_nonzero = exact_rank(coboundary_matrix(part, i).matrix.toarray())
     trace_lower = degree_lower = norm_lower = None
     if n_nonzero > 0:
         if scheme.kind == NORMALIZED:
-            trace_lower = profile.dim_c(i) / n_nonzero
+            trace_lower = part.n_faces(i) / n_nonzero
         elif scheme.kind == COMBINATORIAL:
             trace_lower = vol_i / n_nonzero
         else:

@@ -37,10 +37,16 @@ def test_from_facets_sizes():
     assert two.n_faces(0) == 4 and two.n_faces(1) == 5 and two.n_faces(2) == 2
 
 
-def test_from_facets_idempotent():
+def test_from_facets_idempotent(random_complexes):
     k = from_facets([[0, 1, 2], [1, 2, 3], [1, 2]])  # redundant face allowed
     assert sorted(k.facets()) == [(0, 1, 2), (1, 2, 3)]
-    assert from_facets([list(f) for f in k.facets()]) == k
+    for c in [k, *random_complexes]:
+        facets = c.facets()
+        assert from_facets([list(f) for f in facets]) == c
+        assert not any(set(f) < set(g) for f in facets for g in facets)
+    void = closure_of([])
+    assert void.facets() == [()]
+    assert closure_of(void.facets()) == void
 
 
 def test_from_facets_rejects_malformed():

@@ -1,18 +1,15 @@
-"""Exact-rank and exhaustive-balance kernels, both backends."""
+"""Exact-rank and exhaustive-balance kernels."""
 
 import numpy as np
+import sympy
 
 from hodgelap._kernels import (
-    KERNEL_BACKEND,
-    _bareiss_rank_i64_impl,
+    _OVERFLOW_GUARD,
+    _bareiss_rank,
     bareiss_rank_pyint,
     exact_rank,
     exhaustive_balance,
 )
-
-
-def test_backend_is_recorded():
-    assert KERNEL_BACKEND in ("numba", "python")
 
 
 def test_exact_rank_known_cases():
@@ -36,7 +33,7 @@ def test_exact_rank_overflow_falls_back_to_pyint():
     # arbitrary-precision path
     big = 1 << 40
     a = np.array([[big, 0], [0, big]], dtype=np.int64)
-    assert _bareiss_rank_i64_impl(a.copy()) == -1
+    assert _bareiss_rank(a.copy(), _OVERFLOW_GUARD) == -1
     assert exact_rank(a) == 2
 
 
@@ -48,6 +45,31 @@ def test_pyint_rank_agrees_with_fast_path():
         fast = exact_rank(a)
         slow = bareiss_rank_pyint([[int(v) for v in row] for row in a])
         assert fast == slow
+
+
+def test_pyint_rank_scales_rows_with_zero_in_pivot_column():
+    # Row 3 has a zero under the first pivot; unless it is still scaled by
+    # that pivot, the next exact division goes wrong and the rank reads 3.
+    a = [[-4, 4, 0, -2], [4, 3, -2, 1], [0, 0, -2, 0], [0, 0, 4, 3]]
+    assert bareiss_rank_pyint(a) == 4
+    assert exact_rank(a) == 4
+
+
+def test_exact_rank_matches_sympy():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        kind = trial % 3
+        if kind == 0:  # sparse
+            a = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.3)
+        elif kind == 1:  # rank-deficient: a product through a narrow middle
+            r = int(rng.integers(1, min(m, n) + 1))
+            a = rng.integers(-5, 6, size=(m, r)) @ rng.integers(-5, 6, size=(r, n))
+        else:  # entries past the overflow guard
+            a = rng.integers(-(1 << 40), 1 << 40, size=(m, n))
+        expected = sympy.Matrix(a.tolist()).rank()
+        assert exact_rank(a) == expected
+        assert bareiss_rank_pyint(a.tolist()) == expected
 
 
 def test_exhaustive_balance_simple():
