@@ -36,13 +36,10 @@ from .operators import (
     CoboundaryMatrix,
     LaplacianMatrix,
     WeightScheme,
-    WeightVector,
     coboundary_matrix,
     laplacian,
     normalized_weight_map,
-    symmetrize,
     weight_map,
-    weight_vector,
 )
 from .spectra import (
     BettiProfile,
@@ -73,7 +70,6 @@ __all__ = [
     "SimplicialComplex",
     "Spectrum",
     "WeightScheme",
-    "WeightVector",
     "betti",
     "boundary_sign",
     "bounds_report",
@@ -101,8 +97,6 @@ __all__ = [
     "run_suites",
     "signed_balance",
     "spectrum",
-    "symmetrize",
     "wedge",
     "weight_map",
-    "weight_vector",
 ]

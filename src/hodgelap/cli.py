@@ -65,8 +65,11 @@ class ComplexDocument:
                 if key not in known:
                     raise DocumentError(f"weight key {key!r} is not a face of the complex")
                 face = tuple(int(v) for v in key.split(","))
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise DocumentError(f"weight for {key!r} must be a positive number")
+            # NaN fails every comparison; an integer too large for a float
+            # fails the bound instead of overflowing in float().
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value <= sys.float_info.max):
+                raise DocumentError(f"weight for {key!r} must be a finite positive number")
             mapping[face] = float(value)
         missing = known - {face_key(f) for f in mapping if f}
         if missing:
@@ -262,9 +265,8 @@ def cmd_construct(operation, files, faces, motif, output):
               type=click.Choice(("all",) + SUITES), help="which suite to run")
 @click.option("--seed", type=int, default=0, help="seed for the random fixtures")
 @click.option("--tol", type=float, default=None, help="override the eigenvalue tolerance")
-@click.option("--zero-tol", type=float, default=None, help="accepted for interface parity")
 @click.option("--random-count", type=int, default=None, help="number of random fixtures")
-def cmd_verify(files, suite, seed, tol, zero_tol, random_count):
+def cmd_verify(files, suite, seed, tol, random_count):
     """Run theorem suites; one CheckReport JSON per line, exit 0 iff all pass."""
     extra = {}
     for path in files:

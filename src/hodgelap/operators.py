@@ -1,12 +1,18 @@
 """Weight schemes, coboundary matrices, and Laplacian assembly.
 
-The up, down and full Laplacians acting on i-cochains are assembled in
-matrix form from the signed coboundary matrices ``D_i`` and the diagonal
-weight matrices ``W_i``::
+The up, down and full Laplacians acting on i-cochains, with the signed
+coboundary matrices ``D_i`` and the diagonal weight matrices ``W_i``::
 
     L_i_up   = W_i^{-1} D_i^T W_{i+1} D_i
     L_i_down = D_{i-1} W_{i-1}^{-1} D_{i-1}^T W_i
     L_i      = L_i_up + L_i_down
+
+are self-adjoint for the weighted inner product.  Their symmetric forms
+``S = W_i^{1/2} L W_i^{-1/2}`` are Gram matrices of the weighted coboundary
+``B_i = W_{i+1}^{1/2} D_i W_i^{-1/2}``: ``B_i^T B_i`` (up),
+``B_{i-1} B_{i-1}^T`` (down) and their sum (full).  :func:`laplacian`
+builds ``S`` this way, symmetric by construction, keeps ``B_i`` sparse, and
+derives ``L`` as ``W_i^{-1/2} S W_i^{1/2}``.
 
 Three weight schemes are supported.  ``combinatorial`` puts weight 1 on
 every face (the classical higher-order Laplacian; at i = 0 up this is the
@@ -14,7 +20,7 @@ graph Laplacian).  ``normalized`` assigns weight 1 to every maximal face
 and the degree -- the sum of the weights of the cofaces -- to every other
 face, computed top-down by dimension; at i = 0 up this is the normalized
 graph Laplacian, and in general the up spectrum lies in [0, i+2].
-``custom`` takes an explicit positive weight per face; the helper
+``custom`` takes an explicit finite positive weight per face; the helper
 :func:`normalized_weight_map` produces the weighted-normalized maps (free
 positive base weights on the facets, degrees below) in custom-map form.
 
@@ -25,13 +31,12 @@ exactly right while avoiding any division by a zero degree.  Under the
 normalized scheme such faces are maximal and therefore carry base weight 1,
 so no weight is ever zero.
 
-Everything here is a pure function of immutable inputs; matrices are
-assembled sparse and densified at the end, which is comfortably fast at
-the intended scale (up to a few thousand faces per dimension).
+Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -126,32 +131,9 @@ def weight_map(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, 
                 out[f] = float(scheme.custom[f])
             except KeyError:
                 raise WeightError(f"custom scheme is missing face {f!r}") from None
-        if out[f] <= 0:
-            raise WeightError(f"weight of face {f!r} must be positive, got {out[f]}")
+        if not (math.isfinite(out[f]) and out[f] > 0):
+            raise WeightError(f"weight of face {f!r} must be finite and positive, got {out[f]}")
     return out
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Diagonal of W_i in the canonical face order of dimension ``dim``.
-
-    ``zero_degree`` marks the i-faces with no (i+1)-coface; under any
-    scheme those faces fall outside the up operator's domain.
-    """
-
-    dim: int
-    values: np.ndarray
-    zero_degree: np.ndarray
-
-
-def weight_vector(complex_: SimplicialComplex, i: int, scheme: WeightScheme) -> WeightVector:
-    if not -1 <= i <= complex_.dim:
-        raise DimensionError(f"weight vector dimension {i} out of range")
-    wmap = weight_map(complex_, scheme)
-    faces = complex_.faces_by_dim[i]
-    values = np.array([wmap[f] for f in faces], dtype=float)
-    zero_degree = np.array([len(complex_.cofaces(f)) == 0 for f in faces], dtype=bool)
-    return WeightVector(i, values, zero_degree)
 
 
 @dataclass(frozen=True)
@@ -186,11 +168,24 @@ def coboundary_matrix(complex_: SimplicialComplex, i: int) -> CoboundaryMatrix:
     return complex_._memo[key]
 
 
+def weighted_coboundary(
+    complex_: SimplicialComplex, i: int, wmap: Mapping[Face, float]
+) -> sp.csr_matrix:
+    """B_i = W_{i+1}^{1/2} D_i W_i^{-1/2}, sparse: rows S_{i+1}, columns S_i."""
+    d = coboundary_matrix(complex_, i).matrix
+    sqrt_lo = np.sqrt([wmap[f] for f in complex_.faces(i)])
+    sqrt_hi = np.sqrt([wmap[g] for g in complex_.faces(i + 1)])
+    rows = np.repeat(np.arange(d.shape[0]), np.diff(d.indptr))
+    data = d.data * (sqrt_hi[rows] / sqrt_lo[d.indices])
+    return sp.csr_matrix((data, d.indices, d.indptr), shape=d.shape)
+
+
 @dataclass(frozen=True)
 class LaplacianMatrix:
     """A Laplacian with the metadata needed to interpret its spectrum.
 
-    ``matrix`` is dense, indexed by the canonical order of the i-faces;
+    ``symmetric`` is the dense form ``S = W^{1/2} L W^{-1/2}``, indexed by
+    the canonical order of the i-faces; it has the spectrum of ``L``.
     ``weights`` is the diagonal of W_i; ``domain_mask`` is False on faces
     excluded from the up domain (no cofaces) -- their rows are zero and
     each contributes one zero eigenvalue.
@@ -199,19 +194,25 @@ class LaplacianMatrix:
     i: int
     direction: str  # up | down | full
     scheme: WeightScheme
-    matrix: np.ndarray
+    symmetric: np.ndarray
     weights: np.ndarray
     domain_mask: np.ndarray
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The operator L itself, ``W^{-1/2} S W^{1/2}``."""
+        s = np.sqrt(self.weights)
+        return self.symmetric / s[:, None] * s[None, :]
+
+    @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.symmetric.shape[0]
 
 
 def laplacian(
     complex_: SimplicialComplex, i: int, direction: str, scheme: WeightScheme
 ) -> LaplacianMatrix:
-    """Assemble L_i^up / L_i^down / L_i in the canonical basis.
+    """Build L_i^up / L_i^down / L_i in the canonical basis.
 
     Degenerate boundary cases are well defined rather than errors: the up
     operator at the top dimension and the down operator at i = -1 are zero
@@ -222,37 +223,21 @@ def laplacian(
     if not -1 <= i <= complex_.dim:
         raise DimensionError(f"laplacian dimension {i} out of range -1..{complex_.dim}")
     wmap = weight_map(complex_, scheme)
-    faces = complex_.faces_by_dim[i]
+    faces = complex_.faces(i)
     n = len(faces)
-    w_i = np.array([wmap[f] for f in faces], dtype=float)
-    mat = np.zeros((n, n))
+    symmetric = np.zeros((n, n))
     if direction in ("up", "full") and complex_.n_faces(i + 1) > 0:
-        d_i = coboundary_matrix(complex_, i).matrix.astype(float)
-        w_up = np.array([wmap[f] for f in complex_.faces_by_dim[i + 1]])
-        up = (d_i.T.multiply(w_up).dot(d_i)).toarray() / w_i[:, None]
-        mat += up
+        b = weighted_coboundary(complex_, i, wmap)
+        symmetric += (b.T @ b).toarray()
     if direction in ("down", "full") and i >= 0:
-        d_im1 = coboundary_matrix(complex_, i - 1).matrix.astype(float)
-        w_dn = np.array([wmap[f] for f in complex_.faces_by_dim[i - 1]])
-        down = (d_im1.multiply(1.0 / w_dn).dot(d_im1.T)).toarray() * w_i[None, :]
-        mat += down
+        b = weighted_coboundary(complex_, i - 1, wmap)
+        symmetric += (b @ b.T).toarray()
     if direction == "up":
         mask = np.array([len(complex_.cofaces(f)) > 0 for f in faces], dtype=bool)
     else:
         mask = np.ones(n, dtype=bool)
-    return LaplacianMatrix(i, direction, scheme, mat, w_i, mask)
-
-
-def symmetrize(lap: LaplacianMatrix) -> np.ndarray:
-    """Conjugate by W^{1/2}: same spectrum, symmetric to 1e-12 entrywise.
-
-    The Laplacians are self-adjoint for the weighted inner product, so
-    ``W^{1/2} L W^{-1/2}`` is symmetric positive semidefinite.
-    """
-    s = np.sqrt(lap.weights)
-    sym = lap.matrix * s[:, None] / s[None, :]
-    assert np.abs(sym - sym.T).max() <= 1e-12, "symmetrization drift exceeds 1e-12"
-    return 0.5 * (sym + sym.T)
+    w_i = np.array([wmap[f] for f in faces], dtype=float)
+    return LaplacianMatrix(i, direction, scheme, symmetric, w_i, mask)
 
 
 def entrywise_laplacian(

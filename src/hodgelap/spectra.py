@@ -1,7 +1,8 @@
 """Spectra, exact homology, zero-multiplicity formulas, and spectral bounds.
 
 Eigenvalues are computed by dense symmetric eigendecomposition of the
-W^{1/2}-conjugated Laplacian, so they are real and sorted; the zero
+Gram form ``S = B^T B`` / ``B B^T`` of the weighted coboundary ``B``
+(see :mod:`hodgelap.operators`), so they are real and sorted; the zero
 threshold defaults to ``1e-8 * max(1, largest magnitude)`` and is the only
 tolerance involved in counting zeros.
 
@@ -47,7 +48,6 @@ from .operators import (
     WeightScheme,
     coboundary_matrix,
     laplacian,
-    symmetrize,
     weight_map,
 )
 
@@ -94,15 +94,18 @@ class Spectrum:
 
 
 def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
-    """Eigenvalues of a Laplacian via its symmetrized form.
+    """Eigenvalues of a Laplacian via its symmetric form.
 
     Length always equals |S_i|: faces outside the up domain carry zero rows
     and contribute their zero eigenvalues directly.
     """
     try:
-        vals = np.linalg.eigvalsh(symmetrize(lap))
+        vals = np.linalg.eigvalsh(lap.symmetric)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigensolver failed: {exc}") from exc
+    if not np.isfinite(vals).all():
+        # Finite weights whose ratios overflow a float reach this point.
+        raise NumericError("eigensolver produced non-finite eigenvalues")
     return Spectrum.from_values(vals, zero_tol)
 
 
@@ -139,16 +142,22 @@ class BettiProfile:
         return chi_c, chi_b
 
 
+def _coboundary_rank(complex_: SimplicialComplex, j: int) -> int:
+    """Exact rank of D_j, memoized on the complex."""
+    key = ("rank", j)
+    if key not in complex_._memo:
+        mat = coboundary_matrix(complex_, j).matrix
+        complex_._memo[key] = exact_rank(mat.toarray()) if mat.nnz else 0
+    return complex_._memo[key]
+
+
 def betti(complex_: SimplicialComplex) -> BettiProfile:
     """Reduced Betti numbers from exact integer ranks of the coboundaries."""
     key = "betti"
     if key in complex_._memo:
         return complex_._memo[key]
     d = complex_.dim
-    ranks = {}
-    for j in range(-1, d + 1):
-        mat = coboundary_matrix(complex_, j).matrix
-        ranks[j] = exact_rank(mat.toarray()) if mat.nnz else 0
+    ranks = {j: _coboundary_rank(complex_, j) for j in range(-1, d + 1)}
     ranks[d + 1] = 0
     ranks[-2] = 0
     reduced = tuple(
@@ -328,8 +337,10 @@ def bounds_report(
         upper = (i + 2) * big_d / float(w_i.min())
 
     # On the pure (i+1)-complex D_{i+1} = 0, so the number of nonzero
-    # eigenvalues, dim C^{i+1} - b~_{i+1}, is rank D_i.
-    n_nonzero = exact_rank(coboundary_matrix(part, i).matrix.toarray())
+    # eigenvalues, dim C^{i+1} - b~_{i+1}, is rank D_i.  D_i of the pure
+    # part is D_i of the whole complex minus the zero columns of the i-faces
+    # that have no coface, so it has the same rank, memoized on complex_.
+    n_nonzero = _coboundary_rank(complex_, i)
     trace_lower = degree_lower = norm_lower = None
     if n_nonzero > 0:
         if scheme.kind == NORMALIZED:

@@ -52,7 +52,6 @@ from .operators import (
     WeightScheme,
     laplacian,
     normalized_weight_map,
-    symmetrize,
     weight_map,
 )
 from .spectra import (
@@ -166,8 +165,7 @@ def _schemes_for(complex_: SimplicialComplex, kinds, seed: int = 0):
 def _eigenpairs(complex_: SimplicialComplex, i: int, scheme: WeightScheme):
     """(eigenvalues, eigenvectors of the operator itself) for the up Laplacian."""
     lap = laplacian(complex_, i, "up", scheme)
-    sym = symmetrize(lap)
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh(lap.symmetric)
     inv_sqrt = 1.0 / np.sqrt(lap.weights)
     return vals, vecs * inv_sqrt[:, None], lap
 
@@ -412,8 +410,10 @@ def check_wedge(
         if vanish and all(abs(lam - p) > tol for p in preserved):
             preserved.append(lam)
     for lam in sorted(preserved):
+        # Name a zero eigenvalue 0, not its rounding noise of either sign.
+        shown = 0.0 if abs(lam) <= tol else lam
         report.add(
-            f"preserved-eigenvalue/{lam:.9g}",
+            f"preserved-eigenvalue/{shown:.9g}",
             lam,
             None,
             subset_deviation([lam], wedge_spec.values, tol),
@@ -589,10 +589,9 @@ def check_duplication(
     scheme = WeightScheme.normalized()
 
     lap_cs = laplacian(closed_star, i, "up", scheme)
-    sym_cs = symmetrize(lap_cs)
     star_ifaces = sorted(f for f in sig.star if len(f) - 1 == i)
     sel = np.array([closed_star.index(f) for f in star_ifaces], dtype=int)
-    sub = sym_cs[np.ix_(sel, sel)]
+    sub = lap_cs.symmetric[np.ix_(sel, sel)]
     lam_restricted, u_restricted = np.linalg.eigh(sub)
 
     lap_dup = laplacian(dup, i, "up", scheme)
@@ -606,6 +605,7 @@ def check_duplication(
     )
 
     weights_sel = lap_cs.weights[sel]
+    l_dup = lap_dup.matrix
     n_dup = dup.n_faces(i)
     worst_residual = 0.0
     link_vertices = set(sig.link.vertices())
@@ -616,11 +616,11 @@ def check_duplication(
             g[dup.index(face)] += f_vec[local]
             image = [primed.get(v, v) for v in face]
             g[dup.index(tuple(sorted(image)))] -= permutation_parity(image) * f_vec[local]
-        residual = np.linalg.norm(lap_dup.matrix @ g - lam_restricted[col] * g)
+        residual = np.linalg.norm(l_dup @ g - lam_restricted[col] * g)
         worst_residual = max(worst_residual, residual / np.linalg.norm(g))
     report.add("antisymmetric-eigenfunction-residual", 0.0, worst_residual, worst_residual, tol)
 
-    mu = np.linalg.eigvalsh(sym_cs)
+    mu = np.linalg.eigvalsh(lap_cs.symmetric)
     gap = len(sig.link.faces_by_dim.get(i, []))
     worst = 0.0
     for j in range(len(lam_restricted)):
@@ -643,8 +643,7 @@ def _component_top_eigenvalue_present(
     """Per (i+1)-path-component: (parallel-balanced, i+2 in component block)."""
     scheme = WeightScheme.normalized()
     lap = laplacian(complex_, i, "up", scheme)
-    sym = symmetrize(lap)
-    spec = Spectrum.from_values(np.linalg.eigvalsh(sym))
+    spec = spectrum(lap)
     results = []
     if complex_.n_faces(i + 1) == 0:
         return results, spec.contains(i + 2, tol), spec
@@ -655,7 +654,7 @@ def _component_top_eigenvalue_present(
         iface_rows = sorted(
             {complex_.index(f[:k] + f[k + 1 :]) for f in comp for k in range(len(f))}
         )
-        block = sym[np.ix_(iface_rows, iface_rows)]
+        block = lap.symmetric[np.ix_(iface_rows, iface_rows)]
         block_spec = Spectrum.from_values(np.linalg.eigvalsh(block))
         results.append((balanced, block_spec.contains(i + 2, tol)))
     return results, spec.contains(i + 2, tol), spec

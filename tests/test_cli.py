@@ -88,6 +88,44 @@ def test_spectrum_custom_scheme(tmp_path, capsys):
     assert len(json.loads(stdout)["eigenvalues"]) == 3
 
 
+def test_spectrum_wide_custom_weights(tmp_path, capsys):
+    k = from_facets([[0, 1, 2, 3], [2, 3, 4], [4, 5]])
+    rng = np.random.default_rng(3)
+    weights = {
+        ",".join(map(str, f)): float(10 ** rng.uniform(-6, 6)) for f in k.all_faces() if f
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"facets": [list(f) for f in k.facets()], "weights": weights}))
+    for dim in range(k.dim + 1):
+        for direction in ("up", "down", "full"):
+            code, stdout, err = run_cli(
+                ["spectrum", str(path), "--dim", str(dim), "--direction", direction,
+                 "--scheme", "custom"],
+                capsys,
+            )
+            assert code == EXIT_OK, err
+            assert len(json.loads(stdout)["eigenvalues"]) == k.n_faces(dim)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["NaN", "Infinity", "true", "1e999", "1" + "0" * 400],
+    ids=["nan", "infinity", "bool", "float-overflow", "int-overflow"],
+)
+def test_non_finite_or_boolean_weight_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text('{"facets": [[0, 1]], "weights": {"0": 1, "1": %s, "0,1": 1}}' % bad)
+    code, _, err = run_cli(["spectrum", str(path), "--dim", "0", "--scheme", "custom"], capsys)
+    assert code == EXIT_BAD_DOCUMENT and "finite positive" in err
+
+
+def test_overflowing_weight_ratio_exits_3(tmp_path, capsys):
+    path = tmp_path / "extreme.json"
+    path.write_text('{"facets": [[0, 1]], "weights": {"0": 1e-300, "1": 1, "0,1": 1e300}}')
+    code, stdout, err = run_cli(["spectrum", str(path), "--dim", "0", "--scheme", "custom"], capsys)
+    assert code == EXIT_NUMERIC and stdout == "" and "non-finite" in err
+
+
 def test_betti_subcommand(tmp_path, capsys):
     path = tmp_path / "hollow.json"
     path.write_text(json.dumps({"facets": [[0, 1], [1, 2], [0, 2]]}))

@@ -1,7 +1,8 @@
-"""Coboundaries, weight schemes, Laplacian assembly, symmetrization."""
+"""Coboundaries, weight schemes, Laplacian assembly, symmetric forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgelap.core import from_facets
 from hodgelap.errors import WeightError
@@ -11,10 +12,9 @@ from hodgelap.operators import (
     entrywise_laplacian,
     laplacian,
     normalized_weight_map,
-    symmetrize,
     weight_map,
-    weight_vector,
 )
+from hodgelap.spectra import spectrum
 from hodgelap.theorems import deterministic_custom_scheme
 
 SCHEMES = [WeightScheme.combinatorial(), WeightScheme.normalized()]
@@ -72,10 +72,10 @@ def test_normalized_weight_map_custom_facet_base():
 
 def test_zero_degree_faces_flagged():
     k = from_facets([[0, 1, 2], [3]])
-    wv = weight_vector(k, 0, WeightScheme.normalized())
-    flagged = [f for f, z in zip(k.faces(0), wv.zero_degree) if z]
+    lap = laplacian(k, 0, "up", WeightScheme.normalized())
+    flagged = [f for f, inside in zip(k.faces(0), lap.domain_mask) if not inside]
     assert flagged == [(3,)]
-    assert (wv.values > 0).all()  # isolated vertex is a facet: weight 1
+    assert (lap.weights > 0).all()  # isolated vertex is a facet: weight 1
 
 
 def test_custom_scheme_validation():
@@ -119,7 +119,7 @@ def test_laplacian_degenerate_top_up(fixtures):
 def test_symmetrize_k13():
     k13 = from_facets([[0, 1], [0, 2], [0, 3]])
     lap = laplacian(k13, 0, "up", WeightScheme.normalized())
-    sym = symmetrize(lap)
+    sym = lap.symmetric
     np.testing.assert_allclose(sym, sym.T)
     center = k13.index((0,))
     leaf = k13.index((1,))
@@ -129,7 +129,7 @@ def test_symmetrize_k13():
 def test_symmetrize_combinatorial_identity_weights(fixtures):
     k = fixtures["two-triangles-shared-edge"]
     lap = laplacian(k, 1, "up", WeightScheme.combinatorial())
-    np.testing.assert_allclose(symmetrize(lap), lap.matrix, atol=1e-12)
+    np.testing.assert_allclose(lap.symmetric, lap.matrix, atol=1e-12)
 
 
 def test_entrywise_equals_product_form(fixtures, random_complexes):
@@ -145,8 +145,6 @@ def test_entrywise_equals_product_form(fixtures, random_complexes):
 
 
 def test_spectra_nonnegative(fixtures, random_complexes):
-    from hodgelap.spectra import spectrum
-
     for k in list(fixtures.values()) + random_complexes[:6]:
         for scheme in SCHEMES + [deterministic_custom_scheme(k, 3)]:
             for i in range(-1, k.dim + 1):
@@ -156,9 +154,38 @@ def test_spectra_nonnegative(fixtures, random_complexes):
 
 
 def test_normalized_upper_bound_quick(fixtures):
-    from hodgelap.spectra import spectrum
-
     for k in fixtures.values():
         for i in range(0, k.dim):
             s = spectrum(laplacian(k, i, "up", WeightScheme.normalized()))
             assert s.values.max() <= i + 2 + 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_wide_custom_weights(facets, seed, scale):
+    # Weights spread over 12 decades.  A dense symmetric eigensolver is
+    # accurate to a few ulps of the largest eigenvalue, not of each one, so
+    # the tolerance scales with the spectrum.
+    k = from_facets(facets)
+    rng = np.random.default_rng(seed)
+    w = {f: float(10 ** rng.uniform(-6, 6)) for f in k.all_faces()}
+    scheme = WeightScheme.from_map(w)
+    scaled = WeightScheme.from_map({f: scale * v for f, v in w.items()})
+    for i in range(-1, k.dim + 1):
+        sqrt_w = np.sqrt([w[f] for f in k.faces(i)])
+        for direction in ("up", "down", "full"):
+            got = spectrum(laplacian(k, i, direction, scheme)).values
+            oracle = entrywise_laplacian(k, i, direction, scheme)
+            ref = np.linalg.eigvalsh(oracle * sqrt_w[:, None] / sqrt_w[None, :])
+            tol = 1e-9 * max(1.0, float(np.abs(ref).max()))
+            assert np.abs(got - ref).max() <= tol
+            again = spectrum(laplacian(k, i, direction, scaled)).values
+            assert np.abs(got - again).max() <= tol

@@ -9,6 +9,7 @@ from hodgelap.constructions import FamilySpec
 from hodgelap.core import from_facets
 from hodgelap.operators import WeightScheme, laplacian
 from hodgelap.spectra import spectrum
+from hodgelap.suites import run_suites
 from hodgelap.theorems import (
     check_boundary_eigenvalue,
     check_bounds,
@@ -34,6 +35,12 @@ def test_hodge_and_duality_on_examples(fixtures):
 def test_hodge_on_random_complex(random_complexes):
     report = check_hodge_and_duality(random_complexes[0], "random")
     assert report.passed
+
+
+def test_wedge_item_names_carry_no_rounding_noise():
+    names = [item.name for report in run_suites(["wedge"]) for item in report.items]
+    assert "preserved-eigenvalue/0" in names
+    assert not [name for name in names if "e-" in name]
 
 
 def test_wedge_union_branch(fixtures):
