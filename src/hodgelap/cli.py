@@ -132,8 +132,11 @@ def _load(path: str) -> ComplexDocument:
 
 def _emit(data: str, out: str | None):
     if out:
-        with open(out, "w") as handle:
-            handle.write(data + "\n")
+        try:
+            with open(out, "w") as handle:
+                handle.write(data + "\n")
+        except OSError as exc:
+            raise DocumentError(f"cannot write {out}: {exc}") from exc
     else:
         click.echo(data)
 

@@ -11,8 +11,13 @@ are self-adjoint for the weighted inner product.  Their symmetric forms
 ``S = W_i^{1/2} L W_i^{-1/2}`` are Gram matrices of the weighted coboundary
 ``B_i = W_{i+1}^{1/2} D_i W_i^{-1/2}``: ``B_i^T B_i`` (up),
 ``B_{i-1} B_{i-1}^T`` (down) and their sum (full).  :func:`laplacian`
-builds ``S`` this way, symmetric by construction, keeps ``B_i`` sparse, and
-derives ``L`` as ``W_i^{-1/2} S W_i^{1/2}``.
+stores the sparse terms themselves -- ``B_i`` for the up part, ``B_{i-1}``
+for the down part -- and :class:`LaplacianMatrix` derives the dense ``S``
+from them on first access, symmetric by construction, and ``L`` as
+``W_i^{-1/2} S W_i^{1/2}``.  Keeping the terms lets
+:func:`hodgelap.spectra.spectrum` eigensolve the smaller Gram side of an
+up or down operator.  Both Gram orientations are summed entry pair by entry
+pair in numpy, with no sparse matrix product.
 
 Three weight schemes are supported.  ``combinatorial`` puts weight 1 on
 every face (the classical higher-order Laplacian; at i = 0 up this is the
@@ -36,6 +41,7 @@ Everything here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -180,23 +186,70 @@ def weighted_coboundary(
     return sp.csr_matrix((data, d.indices, d.indptr), shape=d.shape)
 
 
+def _gram(b: sp.csr_matrix, of: str) -> np.ndarray:
+    """Dense Gram matrix of the ``"columns"`` (``B^T B``) or ``"rows"`` (``B B^T``) of ``b``.
+
+    Entry (a, c) of ``B^T B`` is the sum of ``B[r, a] B[r, c]`` over the
+    rows r, so it collects every pair of stored entries that share a row;
+    ``B B^T`` likewise pairs the entries that share a column.  All pairs are
+    formed at once and summed into the dense result by one ``np.bincount``.
+    Products that overflow become inf silently; callers check the
+    eigenvalues for finiteness.
+    """
+    n_rows, n_cols = b.shape
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(b.indptr))
+    cols = b.indices.astype(np.int64)
+    if of == "columns":
+        group, member, size = rows, cols, n_cols
+    else:
+        group, member, size = cols, rows, n_rows
+    order = np.argsort(group, kind="stable")
+    group, member, data = group[order], member[order], b.data[order]
+    # Entry p pairs with the whole run of entries in its group, which starts
+    # at start[group[p]]; pair t of entry p is offset t - first[p] into it.
+    counts = np.bincount(group)
+    start = np.cumsum(counts) - counts
+    reps = counts[group]
+    first = np.cumsum(reps) - reps
+    left = np.repeat(np.arange(len(group)), reps)
+    right = np.repeat(start[group] - first, reps) + np.arange(int(reps.sum()))
+    with np.errstate(over="ignore"):
+        products = data[left] * data[right]
+    flat = member[left] * size + member[right]
+    return np.bincount(flat, weights=products, minlength=size * size).reshape(size, size)
+
+
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """A Laplacian with the metadata needed to interpret its spectrum.
+    """A Laplacian, kept as its sparse coboundary terms, with the metadata
+    needed to interpret its spectrum.
 
-    ``symmetric`` is the dense form ``S = W^{1/2} L W^{-1/2}``, indexed by
-    the canonical order of the i-faces; it has the spectrum of ``L``.
-    ``weights`` is the diagonal of W_i; ``domain_mask`` is False on faces
-    excluded from the up domain (no cofaces) -- their rows are zero and
-    each contributes one zero eigenvalue.
+    ``up`` is ``B_i``, None for the down direction and at the top
+    dimension; ``down`` is ``B_{i-1}``, None for the up direction and at
+    i = -1.  ``symmetric`` is the dense form ``S = W^{1/2} L W^{-1/2}``,
+    indexed by the canonical order of the i-faces; it has the spectrum of
+    ``L``.  ``weights`` is the diagonal of W_i; ``domain_mask`` is False on
+    faces excluded from the up domain (no cofaces) -- their rows are zero
+    and each contributes one zero eigenvalue.
     """
 
     i: int
     direction: str  # up | down | full
     scheme: WeightScheme
-    symmetric: np.ndarray
+    up: sp.csr_matrix | None
+    down: sp.csr_matrix | None
     weights: np.ndarray
     domain_mask: np.ndarray
+
+    @functools.cached_property
+    def symmetric(self) -> np.ndarray:
+        """``B_i^T B_i + B_{i-1} B_{i-1}^T`` over the stored terms, built on first access."""
+        s = np.zeros((self.n, self.n))
+        if self.up is not None:
+            s += _gram(self.up, "columns")
+        if self.down is not None:
+            s += _gram(self.down, "rows")
+        return s
 
     @property
     def matrix(self) -> np.ndarray:
@@ -206,7 +259,7 @@ class LaplacianMatrix:
 
     @property
     def n(self) -> int:
-        return self.symmetric.shape[0]
+        return len(self.weights)
 
 
 def laplacian(
@@ -216,7 +269,7 @@ def laplacian(
 
     Degenerate boundary cases are well defined rather than errors: the up
     operator at the top dimension and the down operator at i = -1 are zero
-    maps, whose spectra are all zeros of length |S_i|.
+    maps, with no stored term, whose spectra are all zeros of length |S_i|.
     """
     if direction not in ("up", "down", "full"):
         raise ValueError(f"direction must be up/down/full, got {direction!r}")
@@ -224,20 +277,17 @@ def laplacian(
         raise DimensionError(f"laplacian dimension {i} out of range -1..{complex_.dim}")
     wmap = weight_map(complex_, scheme)
     faces = complex_.faces(i)
-    n = len(faces)
-    symmetric = np.zeros((n, n))
+    up = down = None
     if direction in ("up", "full") and complex_.n_faces(i + 1) > 0:
-        b = weighted_coboundary(complex_, i, wmap)
-        symmetric += (b.T @ b).toarray()
+        up = weighted_coboundary(complex_, i, wmap)
     if direction in ("down", "full") and i >= 0:
-        b = weighted_coboundary(complex_, i - 1, wmap)
-        symmetric += (b @ b.T).toarray()
+        down = weighted_coboundary(complex_, i - 1, wmap)
     if direction == "up":
         mask = np.array([len(complex_.cofaces(f)) > 0 for f in faces], dtype=bool)
     else:
-        mask = np.ones(n, dtype=bool)
+        mask = np.ones(len(faces), dtype=bool)
     w_i = np.array([wmap[f] for f in faces], dtype=float)
-    return LaplacianMatrix(i, direction, scheme, symmetric, w_i, mask)
+    return LaplacianMatrix(i, direction, scheme, up, down, w_i, mask)
 
 
 def entrywise_laplacian(
@@ -249,7 +299,7 @@ def entrywise_laplacian(
     faces sharing a coface is the product of their boundary signs times
     w(coface)/w(row face).  The down operator mirrors this one dimension
     below, with the asymmetric factor w(col face)/w(shared face).  Used to
-    cross-check the matrix-product assembly.
+    cross-check the Gram assembly.
     """
     wmap = weight_map(complex_, scheme)
     faces = complex_.faces_by_dim[i]

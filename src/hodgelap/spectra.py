@@ -1,8 +1,15 @@
 """Spectra, exact homology, zero-multiplicity formulas, and spectral bounds.
 
-Eigenvalues are computed by dense symmetric eigendecomposition of the
-Gram form ``S = B^T B`` / ``B B^T`` of the weighted coboundary ``B``
-(see :mod:`hodgelap.operators`), so they are real and sorted; the zero
+Eigenvalues are computed by a dense symmetric eigensolver on a Gram
+matrix of the weighted coboundary ``B`` (see :mod:`hodgelap.operators`),
+so they are real and sorted.  An up or down operator has one term: its
+symmetric form is ``B^T B`` (up, ``B = B_i``) or ``B B^T`` (down,
+``B = B_{i-1}``) of size n = |S_i|.  When the other dimension k of ``B`` is
+smaller than n, the spectrum is that of the k x k Gram matrix of the other
+side plus n - k zeros: ``B^T B`` and ``B B^T`` have the same nonzero
+eigenvalues with multiplicity, and the n x n one has rank at most k, so
+those n - k zeros are exact and are written as 0.0, not computed.  The full
+operator, a sum of two terms, is always solved at full size.  The zero
 threshold defaults to ``1e-8 * max(1, largest magnitude)`` and is the only
 tolerance involved in counting zeros.
 
@@ -46,6 +53,7 @@ from .operators import (
     NORMALIZED,
     LaplacianMatrix,
     WeightScheme,
+    _gram,
     coboundary_matrix,
     laplacian,
     weight_map,
@@ -94,19 +102,27 @@ class Spectrum:
 
 
 def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
-    """Eigenvalues of a Laplacian via its symmetric form.
+    """Eigenvalues of a Laplacian via the smaller side of its Gram form.
 
     Length always equals |S_i|: faces outside the up domain carry zero rows
-    and contribute their zero eigenvalues directly.
+    and contribute their zero eigenvalues directly, and an up or down
+    operator solved on the smaller side gets its missing zeros added.
     """
+    n = lap.n
+    if lap.direction == "up" and lap.up is not None and lap.up.shape[0] < n:
+        gram = _gram(lap.up, "rows")
+    elif lap.direction == "down" and lap.down is not None and lap.down.shape[1] < n:
+        gram = _gram(lap.down, "columns")
+    else:
+        gram = lap.symmetric
     try:
-        vals = np.linalg.eigvalsh(lap.symmetric)
+        vals = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigensolver failed: {exc}") from exc
     if not np.isfinite(vals).all():
         # Finite weights whose ratios overflow a float reach this point.
         raise NumericError("eigensolver produced non-finite eigenvalues")
-    return Spectrum.from_values(vals, zero_tol)
+    return Spectrum.from_values(np.concatenate([np.zeros(n - len(vals)), vals]), zero_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,11 @@ def suite_boundary(
     **_,
 ) -> Iterable[CheckReport]:
     fixtures = _corpus(seed, extra, random_count)
-    dup_names = {name for name, _, _ in corpus.duplication_instances()}
+    # Small standard and duplication fixtures also get the duplication checks.
+    dup_names = set(corpus.standard_fixtures())
+    dup_names.update(name for name, _, _ in corpus.duplication_instances())
     for name, k in fixtures.items():
-        run_dup = k.n_faces(0) <= 8 and (name in corpus.standard_fixtures() or name in dup_names)
+        run_dup = k.n_faces(0) <= 8 and name in dup_names
         for i in range(0, k.dim):
             yield check_boundary_eigenvalue(
                 k, i, name, tol=tol, duplication_fixtures=run_dup

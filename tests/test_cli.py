@@ -1,6 +1,7 @@
 """CLI contract: documents, round trips, pipelines, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,26 @@ def test_overflowing_weight_ratio_exits_3(tmp_path, capsys):
     path.write_text('{"facets": [[0, 1]], "weights": {"0": 1e-300, "1": 1, "0,1": 1e300}}')
     code, stdout, err = run_cli(["spectrum", str(path), "--dim", "0", "--scheme", "custom"], capsys)
     assert code == EXIT_NUMERIC and stdout == "" and "non-finite" in err
+
+
+def test_overflowing_weight_ratio_exits_3_without_warnings(tmp_path, capsys):
+    path = tmp_path / "extreme.json"
+    path.write_text('{"facets": [[0, 1]], "weights": {"0": 1e-300, "1": 1, "0,1": 1e300}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(
+            ["spectrum", str(path), "--dim", "0", "--scheme", "custom"], capsys
+        )
+    assert code == EXIT_NUMERIC and "non-finite" in err
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.json"
+    code, stdout, err = run_cli(
+        ["generate", "simplex", "--n", "3", "--output", str(target)], capsys
+    )
+    assert code == EXIT_BAD_DOCUMENT and stdout == ""
+    assert str(target) in err and "Traceback" not in err
 
 
 def test_betti_subcommand(tmp_path, capsys):

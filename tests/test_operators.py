@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hodgelap.core import from_facets
 from hodgelap.errors import WeightError
 from hodgelap.operators import (
     WeightScheme,
+    _gram,
     coboundary_matrix,
     entrywise_laplacian,
     laplacian,
     normalized_weight_map,
     weight_map,
 )
-from hodgelap.spectra import spectrum
+from hodgelap.spectra import predicted_zero_multiplicity, spectrum
 from hodgelap.theorems import deterministic_custom_scheme
 
 SCHEMES = [WeightScheme.combinatorial(), WeightScheme.normalized()]
@@ -130,6 +132,37 @@ def test_symmetrize_combinatorial_identity_weights(fixtures):
     k = fixtures["two-triangles-shared-edge"]
     lap = laplacian(k, 1, "up", WeightScheme.combinatorial())
     np.testing.assert_allclose(lap.symmetric, lap.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (4, 9), (1, 6), (6, 1), (0, 4), (3, 0), (0, 0)])
+def test_gram_matches_sparse_products(shape):
+    rng = np.random.default_rng(sum(shape))
+    dense = rng.normal(size=shape) * (rng.random(shape) < 0.4)
+    if min(shape) > 1:
+        dense[1, :] = 0.0  # an empty row
+        dense[:, -1] = 0.0  # an empty column
+    b = sp.csr_matrix(dense)
+    np.testing.assert_allclose(_gram(b, "columns"), (b.T @ b).toarray(), atol=1e-12)
+    np.testing.assert_allclose(_gram(b, "rows"), (b @ b.T).toarray(), atol=1e-12)
+
+
+def test_spectrum_solves_the_smaller_side_on_k4_skeleton():
+    # Hollow tetrahedron: 4 vertices, 6 edges, 4 triangles.  up_1 is solved
+    # on the 4x4 Gram of B_1's rows, down_1 on the 4x4 Gram of B_0's columns.
+    k = from_facets([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    for scheme in SCHEMES + [deterministic_custom_scheme(k, 0)]:
+        sqrt_w = np.sqrt([weight_map(k, scheme)[f] for f in k.faces(1)])
+        for direction in ("up", "down"):
+            lap = laplacian(k, 1, direction, scheme)
+            term = lap.up if direction == "up" else lap.down.T
+            assert term.shape == (4, 6)
+            got = spectrum(lap)
+            assert "symmetric" not in vars(lap)  # the 6x6 form was never built
+            oracle = entrywise_laplacian(k, 1, direction, scheme)
+            ref = np.linalg.eigvalsh(oracle * sqrt_w[:, None] / sqrt_w[None, :])
+            assert len(got) == 6
+            assert np.abs(got.values - ref).max() <= 1e-12
+            assert got.zero_multiplicity == predicted_zero_multiplicity(k, 1, direction)
 
 
 def test_entrywise_equals_product_form(fixtures, random_complexes):
