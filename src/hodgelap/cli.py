@@ -109,6 +109,10 @@ def parse_document(text: str) -> ComplexDocument:
 
 def document_dict(complex_: SimplicialComplex, name: str | None = None,
                   weights: dict[str, float] | None = None) -> dict:
+    if complex_.dim < 0:
+        # Its only facet is the empty face, and a document's facets must be
+        # non-empty vertex lists, so no document describes it.
+        raise DocumentError("the void complex (no vertices) has no document form")
     out: dict = {"facets": [list(f) for f in complex_.facets()]}
     if name:
         out["name"] = name

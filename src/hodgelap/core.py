@@ -215,19 +215,6 @@ def boundary_sign(coface: Face, face: Face) -> int:
     return -1 if coface.index(omitted) % 2 else 1
 
 
-def boundary_triples(complex_: SimplicialComplex, i: int):
-    """Yield ``(row, col, sign)`` entries of the coboundary matrix D_i.
-
-    Rows run over the (i+1)-faces, columns over the i-faces, both in
-    canonical order; the sign is the canonical boundary sign.
-    """
-    cols = complex_._index.get(i, {})
-    for row, g in enumerate(complex_.faces_by_dim.get(i + 1, [])):
-        for k in range(len(g)):
-            face = g[:k] + g[k + 1 :]
-            yield row, cols[face], (-1 if k % 2 else 1)
-
-
 # ---------------------------------------------------------------------------
 # closure / star / link
 # ---------------------------------------------------------------------------

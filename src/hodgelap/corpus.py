@@ -194,7 +194,11 @@ def product_instances():
 
 
 def full_corpus(seed: int = 0, random_count: int = RANDOM_COUNT) -> dict[str, SimplicialComplex]:
-    """Families + named fixtures + constructions + seeded random complexes."""
+    """Families + named fixtures + constructions + seeded random complexes.
+
+    Entries that are equal complexes share one object, the first built, so
+    they share its memo tables (coboundaries, ranks, Betti numbers, weights).
+    """
     from .constructions import cartesian_product, cone, duplicate_motif, join, wedge
 
     out: dict[str, SimplicialComplex] = {}
@@ -211,4 +215,5 @@ def full_corpus(seed: int = 0, random_count: int = RANDOM_COUNT) -> dict[str, Si
     for name, g1, g2 in product_instances():
         out[f"product-{name}"] = cartesian_product(g1, g2)[0]
     out.update(random_corpus(seed, random_count))
-    return out
+    first: dict[SimplicialComplex, SimplicialComplex] = {}
+    return {name: first.setdefault(k, k) for name, k in out.items()}

@@ -10,14 +10,20 @@ coboundary matrices ``D_i`` and the diagonal weight matrices ``W_i``::
 are self-adjoint for the weighted inner product.  Their symmetric forms
 ``S = W_i^{1/2} L W_i^{-1/2}`` are Gram matrices of the weighted coboundary
 ``B_i = W_{i+1}^{1/2} D_i W_i^{-1/2}``: ``B_i^T B_i`` (up),
-``B_{i-1} B_{i-1}^T`` (down) and their sum (full).  :func:`laplacian`
-stores the sparse terms themselves -- ``B_i`` for the up part, ``B_{i-1}``
-for the down part -- and :class:`LaplacianMatrix` derives the dense ``S``
-from them on first access, symmetric by construction, and ``L`` as
+``B_{i-1} B_{i-1}^T`` (down) and their sum (full).
+
+``D_i`` is an alternating sum: each (i+1)-face has exactly i+2 boundary
+faces, and the k-th one, which omits the k-th vertex, carries the sign
+``(-1)**k``.  So :class:`CoboundaryMatrix` stores ``D_i`` as an
+(|S_{i+1}|, i+2) table of boundary-face indices with the signs as values,
+and ``B_i`` as the same table with the weighted values.  :func:`laplacian`
+stores the terms themselves -- ``B_i`` for the up part, ``B_{i-1}`` for the
+down part -- and :class:`LaplacianMatrix` derives the dense ``S`` from them
+on first access, symmetric by construction, and ``L`` as
 ``W_i^{-1/2} S W_i^{1/2}``.  Keeping the terms lets
 :func:`hodgelap.spectra.spectrum` eigensolve the smaller Gram side of an
 up or down operator.  Both Gram orientations are summed entry pair by entry
-pair in numpy, with no sparse matrix product.
+pair in numpy; no sparse-matrix library is involved.
 
 Three weight schemes are supported.  ``combinatorial`` puts weight 1 on
 every face (the classical higher-order Laplacian; at i = 0 up this is the
@@ -47,9 +53,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core import Face, SimplicialComplex, boundary_sign, boundary_triples
+from .core import Face, SimplicialComplex, boundary_sign
 from .errors import DimensionError, WeightError
 
 COMBINATORIAL = "combinatorial"
@@ -144,49 +149,84 @@ def weight_map(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, 
 
 @dataclass(frozen=True)
 class CoboundaryMatrix:
-    """Signed incidence matrix of delta_i: rows S_{i+1}, columns S_i."""
+    """A coboundary matrix, rows S_{i+1} and columns S_i, as a boundary-index table.
+
+    Every (i+1)-face has exactly i+2 boundary faces, so row r has exactly
+    i+2 stored entries: column ``index[r, k]`` -- the face that omits the
+    k-th vertex of the row's face -- with value ``values[r, k]``.  For
+    ``D_i`` the values are the boundary signs ``(-1)**k``; for the weighted
+    ``B_i`` they are those signs times ``sqrt(w_{i+1}[r] / w_i[index[r, k]])``.
+    """
 
     i: int
-    matrix: sp.csr_matrix  # integer entries in {-1, 0, +1}
+    index: np.ndarray  # (|S_{i+1}|, i+2) int64 column indices
+    n_cols: int
+    values: np.ndarray  # same shape as index
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.index), self.n_cols)
+
+    def dense(self) -> np.ndarray:
+        """The matrix as a dense array of the values' dtype."""
+        out = np.zeros(self.shape, dtype=self.values.dtype)
+        out[np.arange(len(self.index))[:, None], self.index] = self.values
+        return out
+
+    @functools.cached_property
+    def matrix(self):
+        """The matrix in compressed sparse row form, built on first access.
+
+        It is the only place the sparse-matrix library is imported; the
+        package itself never reads it.
+        """
+        import scipy.sparse as sp
+
+        rows = np.repeat(np.arange(len(self.index)), self.index.shape[1])
+        return sp.csr_matrix(
+            (self.values.ravel(), (rows, self.index.ravel())),
+            shape=self.shape,
+            dtype=self.values.dtype,
+        )
 
 
 def coboundary_matrix(complex_: SimplicialComplex, i: int) -> CoboundaryMatrix:
     """D_i under the canonical ascending-vertex orientation.
 
     ``i = -1`` gives the all-ones column over the vertices; ``i = dim``
-    gives a matrix with zero rows.  ``D_i @ D_{i-1} == 0`` holds in exact
+    gives a table with zero rows.  ``D_i @ D_{i-1} == 0`` holds in exact
     integer arithmetic.
     """
     if not -1 <= i <= complex_.dim:
         raise DimensionError(f"coboundary index {i} out of range -1..{complex_.dim}")
     key = ("cobound", i)
     if key not in complex_._memo:
-        rows, cols, vals = [], [], []
-        for r, c, s in boundary_triples(complex_, i):
-            rows.append(r)
-            cols.append(c)
-            vals.append(s)
-        shape = (complex_.n_faces(i + 1), complex_.n_faces(i))
-        mat = sp.csr_matrix(
-            (np.array(vals, dtype=np.int64), (rows, cols)), shape=shape, dtype=np.int64
-        )
-        complex_._memo[key] = CoboundaryMatrix(i, mat)
+        cols = complex_._index[i]
+        faces = complex_.faces(i + 1)
+        width = i + 2
+        index = np.fromiter(
+            (cols[g[:k] + g[k + 1 :]] for g in faces for k in range(width)),
+            dtype=np.int64,
+            count=len(faces) * width,
+        ).reshape(len(faces), width)
+        signs = np.where(np.arange(width) % 2, -1, 1)
+        values = np.broadcast_to(signs, index.shape)
+        complex_._memo[key] = CoboundaryMatrix(i, index, len(cols), values)
     return complex_._memo[key]
 
 
 def weighted_coboundary(
     complex_: SimplicialComplex, i: int, wmap: Mapping[Face, float]
-) -> sp.csr_matrix:
-    """B_i = W_{i+1}^{1/2} D_i W_i^{-1/2}, sparse: rows S_{i+1}, columns S_i."""
-    d = coboundary_matrix(complex_, i).matrix
+) -> CoboundaryMatrix:
+    """B_i = W_{i+1}^{1/2} D_i W_i^{-1/2}: the table of D_i with float values."""
+    d = coboundary_matrix(complex_, i)
     sqrt_lo = np.sqrt([wmap[f] for f in complex_.faces(i)])
     sqrt_hi = np.sqrt([wmap[g] for g in complex_.faces(i + 1)])
-    rows = np.repeat(np.arange(d.shape[0]), np.diff(d.indptr))
-    data = d.data * (sqrt_hi[rows] / sqrt_lo[d.indices])
-    return sp.csr_matrix((data, d.indices, d.indptr), shape=d.shape)
+    values = d.values * (sqrt_hi[:, None] / sqrt_lo[d.index])
+    return CoboundaryMatrix(i, d.index, d.n_cols, values)
 
 
-def _gram(b: sp.csr_matrix, of: str) -> np.ndarray:
+def _gram(b: CoboundaryMatrix, of: str) -> np.ndarray:
     """Dense Gram matrix of the ``"columns"`` (``B^T B``) or ``"rows"`` (``B B^T``) of ``b``.
 
     Entry (a, c) of ``B^T B`` is the sum of ``B[r, a] B[r, c]`` over the
@@ -197,14 +237,14 @@ def _gram(b: sp.csr_matrix, of: str) -> np.ndarray:
     eigenvalues for finiteness.
     """
     n_rows, n_cols = b.shape
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(b.indptr))
-    cols = b.indices.astype(np.int64)
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), b.index.shape[1])
+    cols = b.index.ravel()
     if of == "columns":
         group, member, size = rows, cols, n_cols
     else:
         group, member, size = cols, rows, n_rows
     order = np.argsort(group, kind="stable")
-    group, member, data = group[order], member[order], b.data[order]
+    group, member, data = group[order], member[order], b.values.ravel()[order]
     # Entry p pairs with the whole run of entries in its group, which starts
     # at start[group[p]]; pair t of entry p is offset t - first[p] into it.
     counts = np.bincount(group)
@@ -221,7 +261,7 @@ def _gram(b: sp.csr_matrix, of: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """A Laplacian, kept as its sparse coboundary terms, with the metadata
+    """A Laplacian, kept as its weighted coboundary terms, with the metadata
     needed to interpret its spectrum.
 
     ``up`` is ``B_i``, None for the down direction and at the top
@@ -236,8 +276,8 @@ class LaplacianMatrix:
     i: int
     direction: str  # up | down | full
     scheme: WeightScheme
-    up: sp.csr_matrix | None
-    down: sp.csr_matrix | None
+    up: CoboundaryMatrix | None
+    down: CoboundaryMatrix | None
     weights: np.ndarray
     domain_mask: np.ndarray
 

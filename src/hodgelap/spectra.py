@@ -2,7 +2,9 @@
 
 Eigenvalues are computed by a dense symmetric eigensolver on a Gram
 matrix of the weighted coboundary ``B`` (see :mod:`hodgelap.operators`),
-so they are real and sorted.  An up or down operator has one term: its
+so they are real and sorted.  ``B`` is kept as a boundary-index table --
+row r holds its i+2 columns and their values -- and the Gram matrix is
+summed from the table's entry pairs.  An up or down operator has one term: its
 symmetric form is ``B^T B`` (up, ``B = B_i``) or ``B B^T`` (down,
 ``B = B_{i-1}``) of size n = |S_i|.  When the other dimension k of ``B`` is
 smaller than n, the spectrum is that of the k x k Gram matrix of the other
@@ -14,8 +16,9 @@ threshold defaults to ``1e-8 * max(1, largest magnitude)`` and is the only
 tolerance involved in counting zeros.
 
 Reduced Betti numbers are computed exactly: the coboundary matrices have
-integer entries, their ranks are obtained by fraction-free elimination over
-the integers (no floating threshold anywhere), and
+integer entries, each is expanded from its table into a dense int64 array,
+its rank is obtained by fraction-free elimination over the integers (no
+floating threshold anywhere), and
 
     b~_j = dim C^j - rank D_j - rank D_{j-1}.
 
@@ -162,8 +165,8 @@ def _coboundary_rank(complex_: SimplicialComplex, j: int) -> int:
     """Exact rank of D_j, memoized on the complex."""
     key = ("rank", j)
     if key not in complex_._memo:
-        mat = coboundary_matrix(complex_, j).matrix
-        complex_._memo[key] = exact_rank(mat.toarray()) if mat.nnz else 0
+        d = coboundary_matrix(complex_, j)
+        complex_._memo[key] = exact_rank(d.dense()) if d.index.size else 0
     return complex_._memo[key]
 
 

@@ -1,11 +1,17 @@
 """CLI contract: documents, round trips, pipelines, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hodgelap
+from hodgelap import cli
 from hodgelap.cli import (
     ComplexDocument,
     EXIT_BAD_DOCUMENT,
@@ -16,7 +22,7 @@ from hodgelap.cli import (
     parse_document,
     serialize_complex,
 )
-from hodgelap.core import from_facets
+from hodgelap.core import closure_of, from_facets
 from hodgelap.errors import DocumentError
 
 
@@ -145,6 +151,35 @@ def test_output_into_missing_directory_exits_2(tmp_path, capsys):
     )
     assert code == EXIT_BAD_DOCUMENT and stdout == ""
     assert str(target) in err and "Traceback" not in err
+
+
+def test_void_complex_has_no_document(capsys, monkeypatch):
+    # Its only facet is the empty face, which no document may hold.
+    void = closure_of([])
+    with pytest.raises(DocumentError, match="void complex"):
+        serialize_complex(void)
+    monkeypatch.setattr(cli, "generate", lambda spec: void)
+    code, stdout, err = run_cli(["generate", "simplex", "--n", "1"], capsys)
+    assert code == EXIT_BAD_DOCUMENT and stdout == ""
+    assert "void complex" in err and "Traceback" not in err
+
+
+def test_import_and_verify_leave_scipy_unloaded():
+    script = (
+        "import contextlib, io, sys\n"
+        "import hodgelap\n"
+        "from hodgelap.cli import cli_main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli_main(['verify', '--suite', 'join'])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(hodgelap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["0", "False"]
 
 
 def test_betti_subcommand(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from hodgelap.core import (
     boundary_sign,
-    boundary_triples,
     chain_centers,
     chromatic_number_1skel,
     closure_of,
@@ -26,6 +25,7 @@ from hodgelap.errors import (
     ResourceError,
     UnknownFaceError,
 )
+from hodgelap.operators import coboundary_matrix
 
 
 def test_from_facets_sizes():
@@ -249,13 +249,14 @@ def test_motif_and_links():
         motif(g, (9,))
 
 
-def test_boundary_triples_consistency(random_complexes):
+def test_boundary_table_consistency(random_complexes):
     for k in random_complexes:
         for i in range(-1, k.dim + 1):
-            for row, col, sign in boundary_triples(k, i):
-                g = k.faces(i + 1)[row]
-                f = k.faces(i)[col]
-                assert boundary_sign(g, f) == sign
+            d = coboundary_matrix(k, i)
+            assert d.index.shape == (k.n_faces(i + 1), i + 2)
+            for g, cols, signs in zip(k.faces(i + 1), d.index, d.values):
+                for col, sign in zip(cols, signs):
+                    assert boundary_sign(g, k.faces(i)[col]) == sign
 
 
 def test_every_constructor_output_is_closed_and_canonical():

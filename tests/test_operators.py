@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hodgelap.core import from_facets
 from hodgelap.errors import WeightError
 from hodgelap.operators import (
+    CoboundaryMatrix,
     WeightScheme,
     _gram,
     coboundary_matrix,
@@ -15,6 +15,7 @@ from hodgelap.operators import (
     laplacian,
     normalized_weight_map,
     weight_map,
+    weighted_coboundary,
 )
 from hodgelap.spectra import predicted_zero_multiplicity, spectrum
 from hodgelap.theorems import deterministic_custom_scheme
@@ -134,16 +135,51 @@ def test_symmetrize_combinatorial_identity_weights(fixtures):
     np.testing.assert_allclose(lap.symmetric, lap.matrix, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(7, 5), (4, 9), (1, 6), (6, 1), (0, 4), (3, 0), (0, 0)])
+@pytest.mark.parametrize(
+    "shape", [(7, 5, 3), (4, 9, 2), (1, 6, 4), (6, 1, 1), (0, 4, 3), (9, 4, 4), (0, 0, 1)]
+)
 def test_gram_matches_sparse_products(shape):
+    # A random table of (rows, columns, width): each row holds `width`
+    # distinct columns, drawn so that the last column stays empty whenever
+    # the width leaves room.
+    n_rows, n_cols, width = shape
     rng = np.random.default_rng(sum(shape))
-    dense = rng.normal(size=shape) * (rng.random(shape) < 0.4)
-    if min(shape) > 1:
-        dense[1, :] = 0.0  # an empty row
-        dense[:, -1] = 0.0  # an empty column
-    b = sp.csr_matrix(dense)
-    np.testing.assert_allclose(_gram(b, "columns"), (b.T @ b).toarray(), atol=1e-12)
-    np.testing.assert_allclose(_gram(b, "rows"), (b @ b.T).toarray(), atol=1e-12)
+    pool = max(n_cols - 1, width)
+    index = np.array(
+        [rng.choice(pool, size=width, replace=False) for _ in range(n_rows)], dtype=np.int64
+    ).reshape(n_rows, width)
+    b = CoboundaryMatrix(width - 2, index, n_cols, rng.normal(size=(n_rows, width)))
+    dense = b.dense()
+    assert dense.shape == (n_rows, n_cols)
+    np.testing.assert_allclose(_gram(b, "columns"), dense.T @ dense, atol=1e-12)
+    np.testing.assert_allclose(_gram(b, "rows"), dense @ dense.T, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+        min_size=1,
+        max_size=7,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coboundary_table_properties(facets, seed):
+    k = from_facets(facets)
+    rng = np.random.default_rng(seed)
+    wmap = {f: float(10 ** rng.uniform(-3, 3)) for f in k.all_faces()}
+    for i in range(-1, k.dim + 1):
+        d = coboundary_matrix(k, i)
+        dense = d.dense()
+        assert dense.dtype == np.int64
+        if i >= 0:
+            assert not (dense @ coboundary_matrix(k, i - 1).dense()).any()
+        np.testing.assert_array_equal(d.matrix.toarray(), dense)
+        b = weighted_coboundary(k, i, wmap)
+        bd = b.dense()
+        for of, ref in (("columns", bd.T @ bd), ("rows", bd @ bd.T)):
+            tol = 1e-12 * max(1.0, float(np.linalg.norm(ref)))
+            assert np.abs(_gram(b, of) - ref).max(initial=0.0) <= tol
 
 
 def test_spectrum_solves_the_smaller_side_on_k4_skeleton():
@@ -154,14 +190,16 @@ def test_spectrum_solves_the_smaller_side_on_k4_skeleton():
         sqrt_w = np.sqrt([weight_map(k, scheme)[f] for f in k.faces(1)])
         for direction in ("up", "down"):
             lap = laplacian(k, 1, direction, scheme)
-            term = lap.up if direction == "up" else lap.down.T
-            assert term.shape == (4, 6)
+            b = (lap.up if direction == "up" else lap.down).dense()
+            small = b @ b.T if direction == "up" else b.T @ b
+            assert small.shape == (4, 4)
             got = spectrum(lap)
             assert "symmetric" not in vars(lap)  # the 6x6 form was never built
             oracle = entrywise_laplacian(k, 1, direction, scheme)
             ref = np.linalg.eigvalsh(oracle * sqrt_w[:, None] / sqrt_w[None, :])
             assert len(got) == 6
             assert np.abs(got.values - ref).max() <= 1e-12
+            assert np.abs(got.values[2:] - np.linalg.eigvalsh(small)).max() <= 1e-12
             assert got.zero_multiplicity == predicted_zero_multiplicity(k, 1, direction)
 
 
