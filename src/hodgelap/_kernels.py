@@ -1,24 +1,38 @@
-"""Exact integer rank by fraction-free elimination, and the balance oracle.
+"""Exact integer rank by unit-pivot and fraction-free elimination, and the balance oracle.
 
 Betti numbers come from the ranks of integer coboundary matrices, so the
 rank must be exact: no floating point and no tolerance.  ``exact_rank``
-runs Bareiss's fraction-free Gaussian elimination (Bareiss 1968), in which
-every intermediate entry is a minor of the input and every division is
-exact.  Each pivot step updates the whole remaining block with one numpy
-expression.
+takes a dense integer array or a boundary-index table and runs in two
+phases on one sparse copy of the entries, each row a ``{column: value}``
+dict.
 
-The elimination loop is written once and runs on two dtypes.  ``int64`` is
-the fast path; entries are minors and can grow, so before each pivot step
-the active block is checked against an overflow guard, and if the guard
-trips the matrix is eliminated again on an ``object`` array of Python ints
-(``bareiss_rank_pyint``), which cannot overflow.  The rank is exact on
-either path.
+The sparse phase eliminates +/-1 pivots.  Every coboundary entry is +/-1,
+and such a matrix almost always has a +/-1 entry in a short column;
+subtracting a multiple of a unit-pivot row divides by nothing, so the
+entries stay integers.  Pivots are taken in Markowitz order (fewest rows in
+the column, then the shortest row), which keeps the fill-in small.  This is
+the coreduction idea of Mrozek and Batko (2009) and the sparse elimination
+of Dumas, Heckenbach, Saunders and Welker (2003).  On simplicial
+coboundaries it usually eliminates every row.
+
+The rows that are left, if any, form a residual with no unit entry, which
+goes to Bareiss's fraction-free Gaussian elimination (Bareiss 1968): every
+intermediate entry is a minor of the input and every division is exact.
+Each pivot step updates the whole remaining block with one numpy
+expression.  The Bareiss loop is written once and runs on two dtypes.
+``int64`` is the fast path; entries are minors and can grow, so before each
+pivot step the active block is checked against an overflow guard, and if
+the guard trips the residual is eliminated again on an ``object`` array of
+Python ints (``bareiss_rank_pyint``), which cannot overflow.  A residual
+whose entries already exceed the guard goes straight there.
 
 ``exhaustive_balance`` is the brute-force reference for the BFS balance
 test in :mod:`hodgelap.core`; the tests compare the two.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -68,19 +82,110 @@ def bareiss_rank_pyint(matrix) -> int:
     return _bareiss_rank(np.array(matrix, dtype=object))
 
 
+def _row_dicts(matrix) -> dict[int, dict[int, int]]:
+    """The nonzero entries of ``matrix`` as ``{row: {column: value}}``.
+
+    A boundary-index table (anything with ``index`` and ``values`` arrays,
+    such as :class:`hodgelap.operators.CoboundaryMatrix`) lists its entries
+    directly, each row's in distinct columns; anything else is read as a
+    dense integer array.
+    """
+    if hasattr(matrix, "index") and hasattr(matrix, "values"):
+        index = np.asarray(matrix.index, dtype=np.int64)
+        rows = np.repeat(np.arange(len(index)), index.shape[1])
+        cols = index.ravel()
+        vals = np.asarray(matrix.values, dtype=np.int64).ravel()
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    else:
+        a = np.array(matrix, dtype=np.int64)
+        rows, cols = np.nonzero(a)
+        vals = a[rows, cols]
+    out: dict[int, dict[int, int]] = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out.setdefault(r, {})[c] = v
+    return out
+
+
+def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
+    """Eliminate +/-1 pivots from ``rows`` in place; return how many.
+
+    Markowitz order: the column with the fewest rows goes first, and its
+    pivot is the shortest row holding +/-1 there, ties broken by index.  A
+    column with no +/-1 entry waits until one of its entries changes.  With
+    a unit pivot ``pv`` the update ``row -= row[c] * pv * pivot_row`` needs
+    no division, so the elimination stays exact over the integers.
+    """
+    cols: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    heap = [(len(members), c) for c, members in cols.items()]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        count, c = heapq.heappop(heap)
+        members = cols.get(c)
+        if members is None or len(members) != count:
+            continue  # stale entry: the column was eliminated or changed
+        pivot = min(
+            ((len(rows[r]), r) for r in members if rows[r][c] in (1, -1)), default=None
+        )
+        if pivot is None:
+            continue
+        p = pivot[1]
+        prow = rows.pop(p)
+        pv = prow.pop(c)
+        del cols[c]
+        members.discard(p)
+        for cc in prow:
+            cols[cc].discard(p)
+        for r in members:
+            row = rows[r]
+            f = row.pop(c) * pv
+            for cc, v in prow.items():
+                nv = row.get(cc, 0) - f * v
+                if nv:
+                    row[cc] = nv
+                    cols[cc].add(r)
+                else:
+                    del row[cc]
+                    cols[cc].discard(r)
+            if not row:
+                del rows[r]
+        for cc in prow:
+            if cols[cc]:
+                heapq.heappush(heap, (len(cols[cc]), cc))
+            else:
+                del cols[cc]
+        rank += 1
+    return rank
+
+
 def exact_rank(matrix) -> int:
     """Rank of an integer matrix, computed exactly (no floating point).
 
-    Uses fraction-free (Bareiss) elimination: all intermediate entries are
-    integers, so the result carries no tolerance.  The int64 fast path falls
-    back to arbitrary precision if entries grow past the overflow guard.
+    ``matrix`` is a dense integer array-like or a boundary-index table with
+    ``index`` and ``values`` fields.  Unit pivots are eliminated sparsely
+    first; the rows left over, if any, go to Bareiss elimination on int64
+    under the overflow guard, or on Python ints when their entries are too
+    large for it.
     """
-    r = _bareiss_rank(np.array(matrix, dtype=np.int64), _OVERFLOW_GUARD)
-    if r >= 0:
-        return r
-    # The int64 copy holds a half-finished elimination, so reread the input;
-    # a float input must reach the Python-int path as the same integers.
-    return bareiss_rank_pyint(np.asarray(matrix, dtype=np.int64))
+    rows = _row_dicts(matrix)
+    rank = _eliminate_unit_pivots(rows)
+    if not rows:
+        return rank
+    cols = sorted({c for row in rows.values() for c in row})
+    pos = {c: k for k, c in enumerate(cols)}
+    residual = [[0] * len(cols) for _ in rows]
+    for dense_row, row in zip(residual, rows.values()):
+        for c, v in row.items():
+            dense_row[pos[c]] = v
+    if max(abs(v) for row in rows.values() for v in row.values()) <= _OVERFLOW_GUARD:
+        r = _bareiss_rank(np.array(residual, dtype=np.int64), _OVERFLOW_GUARD)
+        if r >= 0:
+            return rank + r
+    return rank + bareiss_rank_pyint(residual)
 
 
 def exhaustive_balance(n_nodes, edges, target):

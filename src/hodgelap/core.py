@@ -159,8 +159,19 @@ class SimplicialComplex:
         )
 
     def pure_part(self, q: int) -> "SimplicialComplex":
-        """Closure of the q-faces: the pure q-dimensional part of the complex."""
-        return closure_of(self.faces_by_dim.get(q, []))
+        """Closure of the q-faces: the pure q-dimensional part of the complex.
+
+        Memoized; a complex that is its own pure q-part returns itself.
+        """
+        key = ("pure", q)
+        if key not in self._memo:
+            part = closure_of(self.faces_by_dim.get(q, []))
+            # The part is a subcomplex, so equal face counts mean equal
+            # complexes.  That case is stored as None: a reference to self
+            # would form a cycle, which only the cyclic collector frees.
+            same = all(part.n_faces(d) == self.n_faces(d) for d in self.faces_by_dim)
+            self._memo[key] = None if same else part
+        return self._memo[key] or self
 
     # -- dunder -------------------------------------------------------------
 

@@ -167,12 +167,6 @@ class CoboundaryMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.index), self.n_cols)
 
-    def dense(self) -> np.ndarray:
-        """The matrix as a dense array of the values' dtype."""
-        out = np.zeros(self.shape, dtype=self.values.dtype)
-        out[np.arange(len(self.index))[:, None], self.index] = self.values
-        return out
-
     @functools.cached_property
     def matrix(self):
         """The matrix in compressed sparse row form, built on first access.

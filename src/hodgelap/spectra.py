@@ -16,9 +16,10 @@ threshold defaults to ``1e-8 * max(1, largest magnitude)`` and is the only
 tolerance involved in counting zeros.
 
 Reduced Betti numbers are computed exactly: the coboundary matrices have
-integer entries, each is expanded from its table into a dense int64 array,
-its rank is obtained by fraction-free elimination over the integers (no
-floating threshold anywhere), and
+integer entries, and each rank is computed from the boundary-index table
+itself, by sparse elimination of +/-1 pivots and fraction-free elimination
+of whatever is left (see :mod:`hodgelap._kernels`), with no floating
+threshold anywhere and no dense copy of the whole matrix.  Then
 
     b~_j = dim C^j - rank D_j - rank D_{j-1}.
 
@@ -166,7 +167,7 @@ def _coboundary_rank(complex_: SimplicialComplex, j: int) -> int:
     key = ("rank", j)
     if key not in complex_._memo:
         d = coboundary_matrix(complex_, j)
-        complex_._memo[key] = exact_rank(d.dense()) if d.index.size else 0
+        complex_._memo[key] = exact_rank(d) if d.index.size else 0
     return complex_._memo[key]
 
 

@@ -50,10 +50,17 @@ def suite_families(tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]
 
 
 def _corpus(seed: int, extra: dict[str, SimplicialComplex] | None, random_count: int):
+    """Yield the corpus entries in order, dropping each from the corpus.
+
+    Equal entries share one object, so a complex and its memo tables
+    (coboundaries, ranks, pure parts) are freed once its last entry has been
+    checked instead of living until the suite ends.
+    """
     fixtures = corpus.full_corpus(seed, random_count)
     if extra:
         fixtures.update(extra)
-    return fixtures
+    for name in list(fixtures):
+        yield name, fixtures.pop(name)
 
 
 def suite_hodge(
@@ -63,7 +70,7 @@ def suite_hodge(
     random_count: int = corpus.RANDOM_COUNT,
     **_,
 ) -> Iterable[CheckReport]:
-    for name, k in _corpus(seed, extra, random_count).items():
+    for name, k in _corpus(seed, extra, random_count):
         yield check_hodge_and_duality(k, name, tol=tol, seed=seed)
 
 
@@ -73,7 +80,7 @@ def suite_bounds(
     random_count: int = corpus.RANDOM_COUNT,
     **_,
 ) -> Iterable[CheckReport]:
-    for name, k in _corpus(seed, extra, random_count).items():
+    for name, k in _corpus(seed, extra, random_count):
         for i in range(0, k.dim):
             for kind in ("combinatorial", "normalized", "custom"):
                 yield check_bounds(k, i, kind, name, seed=seed)
@@ -105,11 +112,10 @@ def suite_boundary(
     random_count: int = corpus.RANDOM_COUNT,
     **_,
 ) -> Iterable[CheckReport]:
-    fixtures = _corpus(seed, extra, random_count)
     # Small standard and duplication fixtures also get the duplication checks.
     dup_names = set(corpus.standard_fixtures())
     dup_names.update(name for name, _, _ in corpus.duplication_instances())
-    for name, k in fixtures.items():
+    for name, k in _corpus(seed, extra, random_count):
         run_dup = k.n_faces(0) <= 8 and name in dup_names
         for i in range(0, k.dim):
             yield check_boundary_eigenvalue(

@@ -813,8 +813,8 @@ def check_regular_dual(
     if up_spec.contains(i + 2, tol):
         updual = dual_graph(part, i, "up").to_complex()
         dual_spec = spectrum(laplacian(updual, 0, "up", scheme))
-        m_k = up_spec.multiplicity_at(1.0, up_spec.zero_tol)
-        m_g = dual_spec.multiplicity_at(1.0, dual_spec.zero_tol)
+        m_k = up_spec.multiplicity_at(1.0, tol)
+        m_g = dual_spec.multiplicity_at(1.0, tol)
         report.add_bool("eigenvalue-1-iff-dual", m_g > 0, m_k > 0)
         report.add("eigenvalue-1-multiplicity", m_g, m_k, abs(m_k - m_g), 0)
     elif not ran_regular_branch:

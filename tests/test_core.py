@@ -259,6 +259,19 @@ def test_boundary_table_consistency(random_complexes):
                     assert boundary_sign(g, k.faces(i)[col]) == sign
 
 
+def test_pure_part_is_memoized():
+    k = from_facets([[0, 1, 2], [2, 3], [4]])
+    part = k.pure_part(2)
+    assert part == from_facets([[0, 1, 2]])
+    assert k.pure_part(2) is part
+    assert k.pure_part(1) == from_facets([[0, 1], [0, 2], [1, 2], [2, 3]])
+    # A complex that is its own pure part keeps no second copy.
+    pure = from_facets([[0, 1, 2], [1, 2, 3]])
+    assert pure.pure_part(2) is pure
+    assert pure.pure_part(1) is not pure
+    assert pure.pure_part(1) == pure.skeleton(1)
+
+
 def test_every_constructor_output_is_closed_and_canonical():
     # wedges, joins, cones, duplications, products, families, randoms
     from hodgelap.corpus import full_corpus

@@ -2,14 +2,28 @@
 
 import numpy as np
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from hodgelap import _kernels
 from hodgelap._kernels import (
     _OVERFLOW_GUARD,
     _bareiss_rank,
+    _eliminate_unit_pivots,
+    _row_dicts,
     bareiss_rank_pyint,
     exact_rank,
     exhaustive_balance,
 )
+from hodgelap.core import from_facets
+from hodgelap.operators import CoboundaryMatrix, coboundary_matrix
+from hodgelap.spectra import betti
+
+# The 6-vertex real projective plane: H_1 over Z is Z/2, so D_1 has a
+# non-unit invariant factor that no +/-1 pivot can remove.
+RP2_FACETS = [
+    [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+    [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5],
+]
 
 
 def test_exact_rank_known_cases():
@@ -70,6 +84,92 @@ def test_exact_rank_matches_sympy():
         expected = sympy.Matrix(a.tolist()).rank()
         assert exact_rank(a) == expected
         assert bareiss_rank_pyint(a.tolist()) == expected
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+
+    def counting(a, guard=None):
+        calls.append(a.shape)
+        return _bareiss_rank(a, guard)
+
+    monkeypatch.setattr(_kernels, "_bareiss_rank", counting)
+    return calls
+
+
+def test_rp2_rank_reaches_the_residual_phase(monkeypatch):
+    rp2 = from_facets(RP2_FACETS)
+    assert betti(rp2).reduced == (0, 0, 0, 0)
+    d1 = coboundary_matrix(rp2, 1)
+    rows = _row_dicts(d1)
+    unit = _eliminate_unit_pivots(rows)
+    assert rows and unit < 10  # a residual with no unit entry is left over
+    assert all(abs(v) != 1 for row in rows.values() for v in row.values())
+    calls = _count_bareiss(monkeypatch)
+    assert exact_rank(d1) == 10
+    assert calls
+
+
+def test_non_unit_inputs_go_to_bareiss(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    assert exact_rank([[2, 4], [4, 2]]) == 2
+    assert calls == [(2, 2)]
+    # A hollow triangle whose coboundary signs are all doubled: rank 2, and
+    # no entry is a unit, so the whole table is the residual.
+    index = np.array([[0, 1], [0, 2], [1, 2]])
+    table = CoboundaryMatrix(0, index, 3, np.array([[-2, 2]] * 3))
+    assert exact_rank(table) == 2
+    assert calls[-1] == (3, 3)
+
+
+def test_residual_past_the_guard_uses_python_ints(monkeypatch):
+    traced = []
+    monkeypatch.setattr(
+        _kernels, "bareiss_rank_pyint", lambda m: traced.append(m) or bareiss_rank_pyint(m)
+    )
+    big = 1 << 40
+    # After the unit pivot at (0, 0) the residual is [[big]]: past the
+    # guard, inside int64.
+    assert exact_rank([[1, 0], [0, big]]) == 2
+    assert len(traced) == 1
+    # Here it is [[3*big - big**2]], which does not fit in int64 at all.
+    assert exact_rank([[1, big], [big, 3 * big]]) == 2
+    assert len(traced) == 2
+
+
+def test_table_and_dense_inputs_agree():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n_rows, width, n_cols = (int(v) for v in rng.integers(1, 7, size=3))
+        width = min(width, n_cols)
+        index = np.array([rng.choice(n_cols, width, replace=False) for _ in range(n_rows)])
+        values = rng.integers(-3, 4, size=(n_rows, width))
+        table = CoboundaryMatrix(width - 2, index, n_cols, values)
+        assert exact_rank(table) == exact_rank(table.matrix.toarray())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+        min_size=1,
+        max_size=7,
+    ),
+    scale=st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+)
+def test_table_rank_matches_dense_bareiss(facets, scale):
+    k = from_facets(facets)
+    for i in range(-1, k.dim + 1):
+        d = coboundary_matrix(k, i)
+        # The coboundary itself, and its table with each row scaled by an
+        # integer, which leaves non-unit entries for the residual phase.
+        factors = np.resize(np.array(scale, dtype=np.int64), len(d.index))[:, None]
+        scaled = CoboundaryMatrix(i, d.index, d.n_cols, d.values * factors)
+        for table in (d, scaled):
+            expected = _bareiss_rank(table.matrix.toarray(), None)
+            assert exact_rank(table) == expected
+            if max(table.shape) <= 12:
+                assert sympy.Matrix(table.matrix.toarray().tolist()).rank() == expected
 
 
 def test_exhaustive_balance_simple():
