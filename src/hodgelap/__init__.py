@@ -18,6 +18,7 @@ from .constructions import (
 )
 from .core import (
     BalanceResult,
+    CoboundaryMatrix,
     DualGraph,
     Motif,
     SimplicialComplex,
@@ -25,6 +26,7 @@ from .core import (
     chromatic_number_1skel,
     closure_of,
     closure_star_link,
+    coboundary_matrix,
     dual_graph,
     from_facets,
     is_regular,
@@ -33,10 +35,8 @@ from .core import (
     signed_balance,
 )
 from .operators import (
-    CoboundaryMatrix,
     LaplacianMatrix,
     WeightScheme,
-    coboundary_matrix,
     laplacian,
     normalized_weight_map,
     weight_map,

@@ -86,7 +86,7 @@ def _row_dicts(matrix) -> dict[int, dict[int, int]]:
     """The nonzero entries of ``matrix`` as ``{row: {column: value}}``.
 
     A boundary-index table (anything with ``index`` and ``values`` arrays,
-    such as :class:`hodgelap.operators.CoboundaryMatrix`) lists its entries
+    such as :class:`hodgelap.core.CoboundaryMatrix`) lists its entries
     directly, each row's in distinct columns; anything else is read as a
     dense integer array.
     """

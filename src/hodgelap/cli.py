@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import click
 
@@ -44,12 +44,16 @@ class ComplexDocument:
     facets: list[list[int]]
     weights: dict[str, float] | None = None
     name: str | None = None
+    _complex: SimplicialComplex | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_complex(self) -> SimplicialComplex:
-        try:
-            return from_facets(self.facets)
-        except HodgelapError as exc:
-            raise DocumentError(str(exc)) from exc
+        """The complex generated by the facets, built on the first call."""
+        if self._complex is None:
+            try:
+                self._complex = from_facets(self.facets)
+            except HodgelapError as exc:
+                raise DocumentError(str(exc)) from exc
+        return self._complex
 
     def weight_scheme(self) -> WeightScheme | None:
         """Custom scheme from the document weights; validates coverage."""
@@ -102,8 +106,7 @@ def parse_document(text: str) -> ComplexDocument:
         raise DocumentError("'name' must be a string")
     doc = ComplexDocument(facets, weights, name)
     doc.to_complex()
-    if weights is not None:
-        doc.weight_scheme()
+    doc.weight_scheme()
     return doc
 
 

@@ -136,7 +136,7 @@ def reference_spectrum(spec: FamilySpec) -> Spectrum:
             values += [n / (n - i - 1)] * mult
         return Spectrum.from_values(values)
     if spec.family == "moebius-circuit":
-        return Spectrum.from_values([2.0 + cos(2 * pi * j / 5) for j in range(5)])
+        return nonorientable_circuit_spectrum(2, 5)
     i, m = spec.i, spec.m
     if spec.family == "circuit":
         values = [i - cos(2 * pi * j / m) for j in range(m)]
@@ -233,26 +233,6 @@ def product_weight_map(
         a, b = split_join_face(f, shift)
         out[f] = w1[a] * w2[b]
     return out
-
-
-@dataclass(frozen=True)
-class JoinWeighting:
-    """Dimension-graded scale factors (p, q) for tensor-product weights.
-
-    The join of two normalized operators stays normalized exactly when
-    p(i+1)/p(i) + q(j+1)/q(j) = 1 for all valid i, j.
-    """
-
-    p: Mapping[int, float]
-    q: Mapping[int, float]
-
-    def is_normalized_for(self, d1: int, d2: int, tol: float = 1e-12) -> bool:
-        for i in range(-1, d1):
-            for j in range(-1, d2):
-                lhs = self.p[i + 1] / self.p[i] + self.q[j + 1] / self.q[j]
-                if abs(lhs - 1.0) > tol:
-                    return False
-        return True
 
 
 # ---------------------------------------------------------------------------

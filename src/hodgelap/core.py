@@ -7,14 +7,21 @@ ascending vertex order is the canonical orientation of every face, and the
 lexicographic order of the face tuples fixes the basis used by every matrix
 in the package, which makes all outputs reproducible bit for bit.
 
-Besides the face lattice itself this module provides the combinatorial
-machinery the spectral theory is phrased in: boundary signs, closure / star
-/ link of a face set, the signed dual graphs at each dimension (down flavor
-joins faces that intersect in a codimension-one face, up flavor joins faces
-that lie in a common coface), path-connectivity at a dimension, signed
-balance (which encodes both orientability and the top-eigenvalue
-orientation condition), exact chromatic number of the 1-skeleton, face
-regularity, and motifs.
+The signed incidence of i-faces in (i+1)-faces lives in one place, the
+boundary-index table of the coboundary ``D_i`` (:class:`CoboundaryMatrix`):
+each (i+1)-face has exactly i+2 boundary faces, and the k-th one, which
+omits the k-th vertex, carries the sign ``(-1)**k``.  Everything else that
+needs incidence reads that table with numpy: the signed dual graphs at each
+dimension (down flavor joins faces that intersect in a codimension-one face,
+up flavor joins faces that lie in a common coface), face degrees and
+regularity, and, in :mod:`hodgelap.operators`, the weighted coboundaries,
+normalized weights and Gram matrices.  :func:`boundary_sign` gives one sign
+from two face tuples.
+
+Besides these, the module provides closure / star / link of a face set,
+path-connectivity at a dimension, signed balance (which encodes both
+orientability and the top-eigenvalue orientation condition), exact
+chromatic number of the 1-skeleton, and motifs.
 
 All objects are immutable after construction; operations may be called
 concurrently on shared complexes (internal memo tables are populated with
@@ -23,10 +30,13 @@ single assignments only).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionError,
@@ -227,6 +237,115 @@ def boundary_sign(coface: Face, face: Face) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the boundary-index table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoboundaryMatrix:
+    """A coboundary matrix, rows S_{i+1} and columns S_i, as a boundary-index table.
+
+    Every (i+1)-face has exactly i+2 boundary faces, so row r has exactly
+    i+2 stored entries: column ``index[r, k]`` -- the face that omits the
+    k-th vertex of the row's face -- with value ``values[r, k]``.  For
+    ``D_i`` the values are the boundary signs ``(-1)**k``; for the weighted
+    ``B_i`` they are those signs times ``sqrt(w_{i+1}[r] / w_i[index[r, k]])``.
+    """
+
+    i: int
+    index: np.ndarray  # (|S_{i+1}|, i+2) int64 column indices
+    n_cols: int
+    values: np.ndarray  # same shape as index
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.index), self.n_cols)
+
+    @functools.cached_property
+    def matrix(self):
+        """The matrix in compressed sparse row form, built on first access.
+
+        It is the only place the sparse-matrix library is imported; the
+        package itself never reads it.
+        """
+        import scipy.sparse as sp
+
+        rows = np.repeat(np.arange(len(self.index)), self.index.shape[1])
+        return sp.csr_matrix(
+            (self.values.ravel(), (rows, self.index.ravel())),
+            shape=self.shape,
+            dtype=self.values.dtype,
+        )
+
+
+def coboundary_matrix(complex_: SimplicialComplex, i: int) -> CoboundaryMatrix:
+    """D_i under the canonical ascending-vertex orientation.
+
+    ``i = -1`` gives the all-ones column over the vertices; ``i = dim``
+    gives a table with zero rows.  ``D_i @ D_{i-1} == 0`` holds in exact
+    integer arithmetic.
+    """
+    if not -1 <= i <= complex_.dim:
+        raise DimensionError(f"coboundary index {i} out of range -1..{complex_.dim}")
+    key = ("cobound", i)
+    if key not in complex_._memo:
+        cols = complex_._index[i]
+        faces = complex_.faces(i + 1)
+        width = i + 2
+        index = np.fromiter(
+            (cols[g[:k] + g[k + 1 :]] for g in faces for k in range(width)),
+            dtype=np.int64,
+            count=len(faces) * width,
+        ).reshape(len(faces), width)
+        values = np.ones(index.shape, dtype=np.int64)
+        values[:, 1::2] = -1  # the face that omits vertex k has sign (-1)**k
+        complex_._memo[key] = CoboundaryMatrix(i, index, len(cols), values)
+    return complex_._memo[key]
+
+
+def _entry_pairs(table: CoboundaryMatrix, of: str):
+    """Every ordered pair of stored entries that share a row or a column.
+
+    ``of="columns"`` pairs the entries within each row and returns their
+    columns; ``of="rows"`` pairs the entries within each column and returns
+    their rows.  Returns ``(left, right, products)``: the two members of
+    each pair and the product of their values.  The pairs come grouped by
+    the shared row or column in ascending order; each entry also pairs with
+    itself.
+    """
+    rows = np.arange(len(table.index), dtype=np.int64).repeat(table.index.shape[1])
+    cols = table.index.ravel()
+    data = table.values.ravel()
+    if of == "columns":  # the entries are stored row by row already
+        group, member = rows, cols
+    else:
+        order = cols.argsort(kind="stable")
+        group, member, data = cols[order], rows[order], data[order]
+    # Entry p pairs with the whole run of entries in its group, which starts
+    # at start[group[p]]; pair t of entry p is offset t - first[p] into it.
+    counts = np.bincount(group)
+    start = counts.cumsum() - counts
+    reps = counts[group]
+    first = reps.cumsum() - reps
+    left = np.arange(len(group)).repeat(reps)
+    right = (start[group] - first).repeat(reps) + np.arange(len(left))
+    return member[left], member[right], data[left] * data[right]
+
+
+def _degrees(complex_: SimplicialComplex, i: int, weights=None) -> np.ndarray:
+    """Degree of every i-face: the sum of the weights of its (i+1)-cofaces.
+
+    Without a ``weights`` map each coface counts 1, giving the integer
+    coface counts.  The cofaces of a face are added one at a time in
+    canonical order, so every float sum is the same on any interpreter.
+    """
+    d = coboundary_matrix(complex_, i)
+    if weights is not None:
+        weights = np.array([weights[g] for g in complex_.faces(i + 1)]).repeat(i + 2)
+    return np.bincount(d.index.ravel(), weights=weights, minlength=d.n_cols)
+
+
+# ---------------------------------------------------------------------------
 # closure / star / link
 # ---------------------------------------------------------------------------
 
@@ -297,28 +416,19 @@ class DualGraph:
 def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
     if not 0 <= i <= complex_.dim:
         raise DimensionError(f"dual graph dimension {i} out of range 0..{complex_.dim}")
-    nodes = complex_.faces_by_dim[i]
-    idx = complex_._index[i]
-    edges = []
+    # Two i-faces share at most one (i-1)-face and lie in at most one common
+    # (i+1)-face, so each edge comes from exactly one pair of entries.
     if flavor == "down":
-        by_subface: dict[Face, list[Face]] = {}
-        for f in nodes:
-            for k in range(len(f)):
-                by_subface.setdefault(f[:k] + f[k + 1 :], []).append(f)
-        for e, shared in sorted(by_subface.items()):
-            for fa, fb in combinations(shared, 2):
-                sign = boundary_sign(fa, e) * boundary_sign(fb, e)
-                edges.append((idx[fa], idx[fb], sign))
+        a, b, sign = _entry_pairs(coboundary_matrix(complex_, i - 1), "rows")
     elif flavor == "up":
-        for g in complex_.faces_by_dim.get(i + 1, []):
-            subs = [g[:k] + g[k + 1 :] for k in range(len(g))]
-            signs = [(-1 if k % 2 else 1) for k in range(len(g))]
-            for (fa, sa), (fb, sb) in combinations(zip(subs, signs), 2):
-                edges.append((idx[fa], idx[fb], sa * sb))
+        a, b, sign = _entry_pairs(coboundary_matrix(complex_, i), "columns")
     else:
         raise ValueError(f"flavor must be 'down' or 'up', got {flavor!r}")
-    edges = sorted((min(a, b), max(a, b), s) for a, b, s in edges)
-    return DualGraph(tuple(nodes), tuple(edges), flavor)
+    keep = a < b
+    a, b, sign = a[keep], b[keep], sign[keep]
+    order = np.lexsort((b, a))
+    edges = zip(a[order].tolist(), b[order].tolist(), sign[order].tolist())
+    return DualGraph(tuple(complex_.faces_by_dim[i]), tuple(edges), flavor)
 
 
 def path_connected_components(complex_: SimplicialComplex, i: int) -> list[list[Face]]:
@@ -494,7 +604,7 @@ def chromatic_number_1skel(complex_: SimplicialComplex, max_steps: int = 5_000_0
 
 
 # ---------------------------------------------------------------------------
-# regularity, centers, motifs
+# regularity, motifs
 # ---------------------------------------------------------------------------
 
 
@@ -513,30 +623,14 @@ def is_regular(
     if not 0 <= i < max(complex_.dim, 1):
         raise DimensionError(f"regularity dimension {i} out of range")
     faces = complex_.faces_by_dim.get(i, [])
-    degs = []
-    for f in faces:
-        cofs = complex_.cofaces(f)
-        if coface_weights is None:
-            degs.append(float(len(cofs)))
-        else:
-            degs.append(float(sum(coface_weights[g] for g in cofs)))
     if not faces:
         return True, 0.0
-    r = degs[0]
-    scale = max(1.0, abs(r))
-    for f, d in zip(faces, degs):
-        if abs(d - r) > rel_tol * scale:
-            return False, (faces[0], f)
+    degs = _degrees(complex_, i, coface_weights).astype(float)
+    r = float(degs[0])
+    off = np.flatnonzero(np.abs(degs - r) > rel_tol * max(1.0, abs(r)))
+    if off.size:
+        return False, (faces[0], faces[off[0]])
     return True, r
-
-
-def chain_centers(faces: Iterable[Face]) -> Face:
-    """Vertices common to every face of a chain (the centers of a circuit)."""
-    faces = [set(f) for f in faces]
-    if not faces:
-        return ()
-    common = set.intersection(*faces)
-    return tuple(sorted(common))
 
 
 @dataclass(frozen=True)

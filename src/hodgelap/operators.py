@@ -1,4 +1,4 @@
-"""Weight schemes, coboundary matrices, and Laplacian assembly.
+"""Weight schemes, weighted coboundaries, and Laplacian assembly.
 
 The up, down and full Laplacians acting on i-cochains, with the signed
 coboundary matrices ``D_i`` and the diagonal weight matrices ``W_i``::
@@ -12,35 +12,36 @@ are self-adjoint for the weighted inner product.  Their symmetric forms
 ``B_i = W_{i+1}^{1/2} D_i W_i^{-1/2}``: ``B_i^T B_i`` (up),
 ``B_{i-1} B_{i-1}^T`` (down) and their sum (full).
 
-``D_i`` is an alternating sum: each (i+1)-face has exactly i+2 boundary
-faces, and the k-th one, which omits the k-th vertex, carries the sign
-``(-1)**k``.  So :class:`CoboundaryMatrix` stores ``D_i`` as an
-(|S_{i+1}|, i+2) table of boundary-face indices with the signs as values,
-and ``B_i`` as the same table with the weighted values.  :func:`laplacian`
-stores the terms themselves -- ``B_i`` for the up part, ``B_{i-1}`` for the
-down part -- and :class:`LaplacianMatrix` derives the dense ``S`` from them
-on first access, symmetric by construction, and ``L`` as
-``W_i^{-1/2} S W_i^{1/2}``.  Keeping the terms lets
-:func:`hodgelap.spectra.spectrum` eigensolve the smaller Gram side of an
-up or down operator.  Both Gram orientations are summed entry pair by entry
-pair in numpy; no sparse-matrix library is involved.
+The signed incidence itself lives in :mod:`hodgelap.core`: ``D_i`` is the
+boundary-index table of :class:`~hodgelap.core.CoboundaryMatrix`, an
+(|S_{i+1}|, i+2) table of boundary-face indices with the signs
+``(-1)**k`` as values; :func:`coboundary_matrix` and the table class are
+re-exported here.  This module weights it: ``B_i`` is the same table with
+the weighted values.  :func:`laplacian` stores the terms themselves --
+``B_i`` for the up part, ``B_{i-1}`` for the down part -- and
+:class:`LaplacianMatrix` derives the dense ``S`` from them on first access,
+symmetric by construction, and ``L`` as ``W_i^{-1/2} S W_i^{1/2}``.
+Keeping the terms lets :func:`hodgelap.spectra.spectrum` eigensolve the
+smaller Gram side of an up or down operator.  Both Gram orientations are
+summed from the table's entry pairs in numpy; no sparse-matrix library is
+involved.
 
 Three weight schemes are supported.  ``combinatorial`` puts weight 1 on
 every face (the classical higher-order Laplacian; at i = 0 up this is the
 graph Laplacian).  ``normalized`` assigns weight 1 to every maximal face
 and the degree -- the sum of the weights of the cofaces -- to every other
-face, computed top-down by dimension; at i = 0 up this is the normalized
-graph Laplacian, and in general the up spectrum lies in [0, i+2].
+face, computed top-down by dimension from the table; at i = 0 up this is
+the normalized graph Laplacian, and in general the up spectrum lies in
+[0, i+2].
 ``custom`` takes an explicit finite positive weight per face; the helper
 :func:`normalized_weight_map` produces the weighted-normalized maps (free
 positive base weights on the facets, degrees below) in custom-map form.
 
-i-faces with no coface have degree zero: they are excluded from the up
-operator's domain (zero row, marked in ``domain_mask``) and each
-contributes one zero eigenvalue, which keeps the zero-multiplicity counting
-exactly right while avoiding any division by a zero degree.  Under the
-normalized scheme such faces are maximal and therefore carry base weight 1,
-so no weight is ever zero.
+i-faces with no coface have degree zero: their rows of the up operator
+are zero and each contributes one zero eigenvalue, which keeps the
+zero-multiplicity counting exactly right while avoiding any division by a
+zero degree.  Under the normalized scheme such faces are maximal and
+therefore carry base weight 1, so no weight is ever zero.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -54,7 +55,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Face, SimplicialComplex, boundary_sign
+from .core import (
+    CoboundaryMatrix,
+    Face,
+    SimplicialComplex,
+    _degrees,
+    _entry_pairs,
+    boundary_sign,
+    coboundary_matrix,
+)
 from .errors import DimensionError, WeightError
 
 COMBINATORIAL = "combinatorial"
@@ -112,12 +121,10 @@ def normalized_weight_map(
             base[f] = float(w)
     weights: dict[Face, float] = {}
     for d in range(complex_.dim, -2, -1):
-        for f in complex_.faces_by_dim[d]:
-            cofs = complex_.cofaces(f)
-            if not cofs:
-                weights[f] = base.get(f, 1.0)
-            else:
-                weights[f] = sum(weights[g] for g in cofs)
+        faces = complex_.faces_by_dim[d]
+        own = np.array([base.get(f, 1.0) for f in faces])
+        w = np.where(_degrees(complex_, d) > 0, _degrees(complex_, d, weights), own)
+        weights.update(zip(faces, w.tolist()))
     return weights
 
 
@@ -147,68 +154,6 @@ def weight_map(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, 
     return out
 
 
-@dataclass(frozen=True)
-class CoboundaryMatrix:
-    """A coboundary matrix, rows S_{i+1} and columns S_i, as a boundary-index table.
-
-    Every (i+1)-face has exactly i+2 boundary faces, so row r has exactly
-    i+2 stored entries: column ``index[r, k]`` -- the face that omits the
-    k-th vertex of the row's face -- with value ``values[r, k]``.  For
-    ``D_i`` the values are the boundary signs ``(-1)**k``; for the weighted
-    ``B_i`` they are those signs times ``sqrt(w_{i+1}[r] / w_i[index[r, k]])``.
-    """
-
-    i: int
-    index: np.ndarray  # (|S_{i+1}|, i+2) int64 column indices
-    n_cols: int
-    values: np.ndarray  # same shape as index
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.index), self.n_cols)
-
-    @functools.cached_property
-    def matrix(self):
-        """The matrix in compressed sparse row form, built on first access.
-
-        It is the only place the sparse-matrix library is imported; the
-        package itself never reads it.
-        """
-        import scipy.sparse as sp
-
-        rows = np.repeat(np.arange(len(self.index)), self.index.shape[1])
-        return sp.csr_matrix(
-            (self.values.ravel(), (rows, self.index.ravel())),
-            shape=self.shape,
-            dtype=self.values.dtype,
-        )
-
-
-def coboundary_matrix(complex_: SimplicialComplex, i: int) -> CoboundaryMatrix:
-    """D_i under the canonical ascending-vertex orientation.
-
-    ``i = -1`` gives the all-ones column over the vertices; ``i = dim``
-    gives a table with zero rows.  ``D_i @ D_{i-1} == 0`` holds in exact
-    integer arithmetic.
-    """
-    if not -1 <= i <= complex_.dim:
-        raise DimensionError(f"coboundary index {i} out of range -1..{complex_.dim}")
-    key = ("cobound", i)
-    if key not in complex_._memo:
-        cols = complex_._index[i]
-        faces = complex_.faces(i + 1)
-        width = i + 2
-        index = np.fromiter(
-            (cols[g[:k] + g[k + 1 :]] for g in faces for k in range(width)),
-            dtype=np.int64,
-            count=len(faces) * width,
-        ).reshape(len(faces), width)
-        signs = np.where(np.arange(width) % 2, -1, 1)
-        values = np.broadcast_to(signs, index.shape)
-        complex_._memo[key] = CoboundaryMatrix(i, index, len(cols), values)
-    return complex_._memo[key]
-
-
 def weighted_coboundary(
     complex_: SimplicialComplex, i: int, wmap: Mapping[Face, float]
 ) -> CoboundaryMatrix:
@@ -230,27 +175,12 @@ def _gram(b: CoboundaryMatrix, of: str) -> np.ndarray:
     Products that overflow become inf silently; callers check the
     eigenvalues for finiteness.
     """
-    n_rows, n_cols = b.shape
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), b.index.shape[1])
-    cols = b.index.ravel()
-    if of == "columns":
-        group, member, size = rows, cols, n_cols
-    else:
-        group, member, size = cols, rows, n_rows
-    order = np.argsort(group, kind="stable")
-    group, member, data = group[order], member[order], b.values.ravel()[order]
-    # Entry p pairs with the whole run of entries in its group, which starts
-    # at start[group[p]]; pair t of entry p is offset t - first[p] into it.
-    counts = np.bincount(group)
-    start = np.cumsum(counts) - counts
-    reps = counts[group]
-    first = np.cumsum(reps) - reps
-    left = np.repeat(np.arange(len(group)), reps)
-    right = np.repeat(start[group] - first, reps) + np.arange(int(reps.sum()))
+    size = b.shape[1] if of == "columns" else b.shape[0]
     with np.errstate(over="ignore"):
-        products = data[left] * data[right]
-    flat = member[left] * size + member[right]
-    return np.bincount(flat, weights=products, minlength=size * size).reshape(size, size)
+        left, right, products = _entry_pairs(b, of)
+    return np.bincount(
+        left * size + right, weights=products, minlength=size * size
+    ).reshape(size, size)
 
 
 @dataclass(frozen=True)
@@ -262,9 +192,8 @@ class LaplacianMatrix:
     dimension; ``down`` is ``B_{i-1}``, None for the up direction and at
     i = -1.  ``symmetric`` is the dense form ``S = W^{1/2} L W^{-1/2}``,
     indexed by the canonical order of the i-faces; it has the spectrum of
-    ``L``.  ``weights`` is the diagonal of W_i; ``domain_mask`` is False on
-    faces excluded from the up domain (no cofaces) -- their rows are zero
-    and each contributes one zero eigenvalue.
+    ``L``.  ``weights`` is the diagonal of W_i.  Faces with no coface have
+    zero rows in the up operator, and each contributes one zero eigenvalue.
     """
 
     i: int
@@ -273,7 +202,6 @@ class LaplacianMatrix:
     up: CoboundaryMatrix | None
     down: CoboundaryMatrix | None
     weights: np.ndarray
-    domain_mask: np.ndarray
 
     @functools.cached_property
     def symmetric(self) -> np.ndarray:
@@ -310,18 +238,13 @@ def laplacian(
     if not -1 <= i <= complex_.dim:
         raise DimensionError(f"laplacian dimension {i} out of range -1..{complex_.dim}")
     wmap = weight_map(complex_, scheme)
-    faces = complex_.faces(i)
     up = down = None
     if direction in ("up", "full") and complex_.n_faces(i + 1) > 0:
         up = weighted_coboundary(complex_, i, wmap)
     if direction in ("down", "full") and i >= 0:
         down = weighted_coboundary(complex_, i - 1, wmap)
-    if direction == "up":
-        mask = np.array([len(complex_.cofaces(f)) > 0 for f in faces], dtype=bool)
-    else:
-        mask = np.ones(len(faces), dtype=bool)
-    w_i = np.array([wmap[f] for f in faces], dtype=float)
-    return LaplacianMatrix(i, direction, scheme, up, down, w_i, mask)
+    w_i = np.array([wmap[f] for f in complex_.faces(i)], dtype=float)
+    return LaplacianMatrix(i, direction, scheme, up, down, w_i)
 
 
 def entrywise_laplacian(

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import exact_rank
-from .core import SimplicialComplex
+from .core import SimplicialComplex, _degrees
 from .errors import DimensionError, NumericError
 from .operators import (
     COMBINATORIAL,
@@ -342,10 +342,9 @@ def bounds_report(
     spec = spectrum(lap)
     lam_max = float(spec.values[-1]) if len(spec) else 0.0
 
-    faces = part.faces_by_dim[i]
-    degrees = np.array([sum(wmap[g] for g in part.cofaces(f)) for f in faces])
-    coface_counts = np.array([len(part.cofaces(f)) for f in faces])
-    w_i = np.array([wmap[f] for f in faces])
+    degrees = _degrees(part, i, wmap)
+    coface_counts = _degrees(part, i)
+    w_i = np.array([wmap[f] for f in part.faces(i)])
     big_d = float(degrees.max())
     vol_i = float(degrees.sum())
 

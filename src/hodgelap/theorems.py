@@ -60,7 +60,6 @@ from .spectra import (
     Spectrum,
     betti,
     bounds_report,
-    eq_mod_zeros,  # noqa: F401  (re-exported convenience for suite authors)
     multiset_deviation,
     predicted_zero_multiplicity,
     predicted_zero_multiplicity_formulas,
@@ -145,7 +144,11 @@ def _json_ready(values) -> list[float]:
 
 
 def deterministic_custom_scheme(complex_: SimplicialComplex, seed: int = 0) -> WeightScheme:
-    """A reproducible positive custom weight map (used as the third scheme)."""
+    """A reproducible positive custom weight map (used as the third scheme).
+
+    Its seed uses ``hash(complex_)``, which 64-bit CPython computes for int
+    tuples without the ``PYTHONHASHSEED`` salt.
+    """
     rng = np.random.default_rng(seed + (hash(complex_) & 0xFFFF))
     faces = complex_.all_faces()
     draws = rng.uniform(0.5, 2.0, len(faces))

@@ -95,6 +95,28 @@ def test_spectrum_custom_scheme(tmp_path, capsys):
     assert len(json.loads(stdout)["eigenvalues"]) == 3
 
 
+@pytest.mark.parametrize(
+    "args", [["betti"], ["spectrum", "--dim", "0", "--scheme", "custom"]]
+)
+def test_each_command_builds_the_document_complex_once(tmp_path, capsys, monkeypatch, args):
+    doc = {
+        "facets": [[0, 1], [1, 2]],
+        "weights": {"0": 1.0, "1": 2.0, "2": 1.0, "0,1": 1.0, "1,2": 1.0},
+    }
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+
+    def counting_from_facets(facets):
+        calls.append(facets)
+        return from_facets(facets)
+
+    monkeypatch.setattr(cli, "from_facets", counting_from_facets)
+    code, _, _ = run_cli([args[0], str(path)] + args[1:], capsys)
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_spectrum_wide_custom_weights(tmp_path, capsys):
     k = from_facets([[0, 1, 2, 3], [2, 3, 4], [4, 5]])
     rng = np.random.default_rng(3)

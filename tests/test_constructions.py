@@ -5,7 +5,6 @@ import pytest
 
 from hodgelap.constructions import (
     FamilySpec,
-    JoinWeighting,
     cartesian_product,
     cone,
     duplicate_motif,
@@ -190,13 +189,6 @@ def test_cartesian_product_rejects_high_dim():
     filled = from_facets([[0, 1, 2]])
     with pytest.raises(DimensionError):
         cartesian_product(filled, filled)
-
-
-def test_join_weighting_condition():
-    jw = JoinWeighting({-1: 1.0, 0: 0.5, 1: 0.25}, {-1: 1.0, 0: 0.5, 1: 0.25})
-    assert jw.is_normalized_for(1, 1)
-    bad = JoinWeighting({-1: 1.0, 0: 1.0, 1: 1.0}, {-1: 1.0, 0: 1.0, 1: 1.0})
-    assert not bad.is_normalized_for(1, 1)
 
 
 def test_wedge_spectral_union_quick():

@@ -4,10 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgelap.core import (
     boundary_sign,
-    chain_centers,
     chromatic_number_1skel,
     closure_of,
     closure_star_link,
@@ -25,7 +25,7 @@ from hodgelap.errors import (
     ResourceError,
     UnknownFaceError,
 )
-from hodgelap.operators import coboundary_matrix
+from hodgelap.operators import coboundary_matrix, normalized_weight_map
 
 
 def test_from_facets_sizes():
@@ -233,11 +233,6 @@ def test_is_regular():
     assert ok and r == 1
 
 
-def test_chain_centers():
-    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4)]
-    assert chain_centers(faces) == (0,)
-
-
 def test_motif_and_links():
     k = from_facets([[0, 1, 2]])
     sig = motif(k, (0,))
@@ -317,3 +312,63 @@ def test_component_splitting_spectral_union(fixtures):
                 assert len(comps) == len(
                     path_connected_components(ambient, i + 1)
                 )
+
+
+def _reference_dual_edges(k, i, flavor):
+    """Dual-graph edges from face tuples and boundary_sign alone."""
+    faces = k.faces(i)
+    edges = []
+    for a, b in combinations(range(len(faces)), 2):
+        fa, fb = faces[a], faces[b]
+        if flavor == "down":
+            shared = tuple(sorted(set(fa) & set(fb)))
+            if len(shared) == i:
+                edges.append((a, b, boundary_sign(fa, shared) * boundary_sign(fb, shared)))
+        else:
+            union = tuple(sorted(set(fa) | set(fb)))
+            if len(union) == i + 2 and union in k:
+                edges.append((a, b, boundary_sign(union, fa) * boundary_sign(union, fb)))
+    return edges
+
+
+def _reference_normalized_weights(k, base):
+    """The recursive definition: base weight on facets, else the coface sum."""
+    weights = {}
+    for d in range(k.dim, -2, -1):
+        for f in k.faces(d):
+            cofaces = k.cofaces(f)
+            if not cofaces:
+                weights[f] = base.get(f, 1.0)
+            else:
+                total = 0.0  # left to right, as the definition reads
+                for g in cofaces:
+                    total += weights[g]
+                weights[f] = total
+    return weights
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+        min_size=1,
+        max_size=7,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_incidence_consumers_match_face_tuple_references(facets, seed):
+    k = from_facets(facets)
+    for i in range(0, k.dim + 1):
+        for flavor in ("down", "up"):
+            dual = dual_graph(k, i, flavor)
+            assert dual.nodes == tuple(k.faces(i))
+            assert list(dual.edges) == _reference_dual_edges(k, i, flavor), (i, flavor)
+            assert all(type(x) is int for edge in dual.edges for x in edge)
+    rng = np.random.default_rng(seed)
+    base = {f: float(10 ** rng.uniform(-3, 3)) for f in k.facets()}
+    for facet_base in (None, base):
+        got = normalized_weight_map(k, facet_base)
+        ref = _reference_normalized_weights(k, facet_base or {})
+        assert got == ref
+        assert list(got) == list(ref)
+        assert all(type(w) is float for w in got.values())

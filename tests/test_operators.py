@@ -76,8 +76,8 @@ def test_normalized_weight_map_custom_facet_base():
 def test_zero_degree_faces_flagged():
     k = from_facets([[0, 1, 2], [3]])
     lap = laplacian(k, 0, "up", WeightScheme.normalized())
-    flagged = [f for f, inside in zip(k.faces(0), lap.domain_mask) if not inside]
-    assert flagged == [(3,)]
+    zero_rows = [f for f, row in zip(k.faces(0), lap.symmetric) if not row.any()]
+    assert zero_rows == [(3,)]
     assert (lap.weights > 0).all()  # isolated vertex is a facet: weight 1
 
 
@@ -116,7 +116,7 @@ def test_laplacian_degenerate_top_up(fixtures):
     k = fixtures["filled-triangle"]
     lap = laplacian(k, 2, "up", WeightScheme.normalized())
     assert lap.matrix.shape == (1, 1) and lap.matrix[0, 0] == 0
-    assert not lap.domain_mask.any()
+    assert not lap.symmetric.any()  # the triangle has no coface: a zero row
 
 
 def test_symmetrize_k13():

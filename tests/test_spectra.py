@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 
-from hodgelap.core import from_facets
+from hodgelap.core import from_facets, is_regular
 from hodgelap.operators import WeightScheme, coboundary_matrix, laplacian
 from hodgelap.spectra import (
     Spectrum,
@@ -178,3 +178,16 @@ def test_bounds_hold_on_random_complexes(random_complexes):
                 rep = bounds_report(k, i, scheme)
                 if rep.applicable:
                     assert rep.all_satisfied, (i, scheme.kind, rep)
+
+
+def test_degrees_add_cofaces_in_canonical_order():
+    # K_{1,3} with edge weights 1, 1e-16, 1e-16 on the center's edges.  Left
+    # to right the center's degree is 1.0; a compensated sum (Python's
+    # sum() of floats from 3.12 on) would give 1.0000000000000002.
+    k = from_facets([[0, 1], [0, 2], [0, 3]])
+    edges = {(0, 1): 1.0, (0, 2): 1e-16, (0, 3): 1e-16}
+    scheme = WeightScheme.from_map({**edges, (0,): 1.0, (1,): 1.0, (2,): 1.0, (3,): 1.0})
+    assert bounds_report(k, 0, scheme).max_degree == 1.0
+    # is_regular sees the same degrees: with no tolerance the center (1.0)
+    # first differs from leaf 2 (1e-16), not from leaf 1 (1.0).
+    assert is_regular(k, 0, edges, rel_tol=0.0) == (False, ((0,), (2,)))

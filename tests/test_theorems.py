@@ -1,10 +1,15 @@
 """Theorem checks on their defining examples, plus report integrity."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hodgelap
 from hodgelap.constructions import FamilySpec
 from hodgelap.core import from_facets
 from hodgelap.operators import WeightScheme, laplacian
@@ -202,3 +207,33 @@ def test_report_json_roundtrip(fixtures):
     assert set(parsed) >= {"theorem_id", "inputs", "expected", "observed", "tol", "pass", "certificates"}
     for row in parsed["checks"]:
         assert row["pass"] == (row["deviation"] <= row["tol"])
+
+
+def test_custom_scheme_seeds_ignore_the_hash_seed():
+    """The custom-scheme seed of a complex does not depend on ``PYTHONHASHSEED``.
+
+    ``deterministic_custom_scheme`` seeds from ``hash(complex_)``, a hash of
+    tuples of int face tuples.  On 64-bit CPython (3.8 and later) the hash of
+    such a tuple is a fixed function of the ints; only str and bytes hashes
+    are salted.  A 32-bit build hashes differently, so the custom-scheme
+    reports would differ there, though still not between runs.
+    """
+    script = (
+        "from hodgelap.corpus import full_corpus\n"
+        "from hodgelap.theorems import deterministic_custom_scheme\n"
+        "for name, k in full_corpus(0).items():\n"
+        "    w = deterministic_custom_scheme(k, 0).custom\n"
+        "    print(name, hash(k) & 0xFFFF, repr(sum(w.values())))\n"
+    )
+    src = str(Path(hodgelap.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert run.returncode == 0, run.stderr[-2000:]
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 220
