@@ -45,6 +45,7 @@ class ComplexDocument:
     weights: dict[str, float] | None = None
     name: str | None = None
     _complex: SimplicialComplex | None = field(default=None, init=False, repr=False, compare=False)
+    _scheme: WeightScheme | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_complex(self) -> SimplicialComplex:
         """The complex generated by the facets, built on the first call."""
@@ -56,9 +57,9 @@ class ComplexDocument:
         return self._complex
 
     def weight_scheme(self) -> WeightScheme | None:
-        """Custom scheme from the document weights; validates coverage."""
-        if self.weights is None:
-            return None
+        """Custom scheme from the document weights; validates coverage on the first call."""
+        if self.weights is None or self._scheme is not None:
+            return self._scheme
         complex_ = self.to_complex()
         known = {face_key(f) for f in complex_.all_faces() if f}
         mapping = {}
@@ -80,7 +81,8 @@ class ComplexDocument:
             raise DocumentError(
                 f"weights must cover every face; missing {sorted(missing)[:5]}"
             )
-        return WeightScheme.from_map(mapping)
+        self._scheme = WeightScheme.from_map(mapping)
+        return self._scheme
 
 
 def parse_document(text: str) -> ComplexDocument:

@@ -332,6 +332,44 @@ def _entry_pairs(table: CoboundaryMatrix, of: str):
     return member[left], member[right], data[left] * data[right]
 
 
+def _components(*tables: CoboundaryMatrix) -> np.ndarray:
+    """Connected-component labels of the faces joined by a chain of tables.
+
+    ``tables`` are coboundaries of consecutive dimensions, ``D_j``,
+    ``D_{j+1}``, ...  Their graph has a node for every j-face, then every
+    (j+1)-face, and so on, each dimension in canonical order, and one edge
+    per stored entry, from a face to one of its boundary faces.  Every node
+    is labelled with the smallest node of its component.
+
+    Each round hooks the larger root of every edge whose ends still have
+    different roots onto the smaller one, then jumps pointers until every
+    node points at a root.  A round costs O(nnz) numpy work, and it merges
+    every tree that has an edge to another tree, so it at least halves the
+    number of trees in each component: O(log n) rounds.
+    """
+    offsets = np.cumsum([0, tables[0].n_cols] + [len(t.index) for t in tables])
+    face = np.concatenate([
+        np.arange(offsets[k + 1], offsets[k + 2]).repeat(t.index.shape[1])
+        for k, t in enumerate(tables)
+    ])
+    boundary = np.concatenate([offsets[k] + t.index.ravel() for k, t in enumerate(tables)])
+    parent = np.arange(offsets[-1])
+    while True:
+        a, b = parent[face], parent[boundary]
+        apart = a != b
+        if not apart.any():
+            return parent
+        face, boundary = face[apart], boundary[apart]
+        a, b = a[apart], b[apart]
+        # Every pointer goes to a smaller node, so no cycle can form.
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+
+
 def _degrees(complex_: SimplicialComplex, i: int, weights=None) -> np.ndarray:
     """Degree of every i-face: the sum of the weights of its (i+1)-cofaces.
 
@@ -432,32 +470,23 @@ def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
 
 
 def path_connected_components(complex_: SimplicialComplex, i: int) -> list[list[Face]]:
-    """Connected components of the down dual graph at dimension ``i``."""
+    """Connected components of the down dual graph at dimension ``i``.
+
+    Each component is a sorted list of i-faces, and the components are
+    ordered by their first face.
+    """
     if not 1 <= i <= complex_.dim:
         raise DimensionError(f"path connectivity needs 1 <= i <= dim, got {i}")
-    dual = dual_graph(complex_, i, "down")
-    n = len(dual.nodes)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b, _ in dual.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        components.append(sorted(dual.nodes[v] for v in comp))
-    return sorted(components, key=lambda c: c[0])
+    # Two i-faces are joined in the down dual graph exactly when they reach
+    # each other through shared (i-1)-faces in the graph of D_{i-1}.
+    d = coboundary_matrix(complex_, i - 1)
+    components: dict[int, list[Face]] = {}
+    for face, label in zip(complex_.faces(i), _components(d)[d.n_cols :].tolist()):
+        components.setdefault(label, []).append(face)
+    # A label is the smallest (i-1)-face of its component, which is the
+    # component's first i-face without its last vertex, so the labels order
+    # the components by their first face.
+    return [components[label] for label in sorted(components)]
 
 
 @dataclass(frozen=True)

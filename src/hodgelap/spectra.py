@@ -11,9 +11,27 @@ smaller than n, the spectrum is that of the k x k Gram matrix of the other
 side plus n - k zeros: ``B^T B`` and ``B B^T`` have the same nonzero
 eigenvalues with multiplicity, and the n x n one has rank at most k, so
 those n - k zeros are exact and are written as 0.0, not computed.  The full
-operator, a sum of two terms, is always solved at full size.  The zero
+operator, a sum of two terms, is always solved on its n x n form.  The zero
 threshold defaults to ``1e-8 * max(1, largest magnitude)`` and is the only
 tolerance involved in counting zeros.
+
+A Gram matrix is a direct sum over the connected components of the graph
+of its stored terms, in which every face is joined to its boundary faces:
+an entry pairs two rows or two columns through a shared stored entry, so
+between two components there is no pair to sum and the entry is zero by
+structure, not by rounding.  For L_i^up this is the paper's split over the
+(i+1)-path-connected components.  So a side of at least ``BLOCK_MIN_ROWS``
+rows is solved block by block: the components are labelled from the tables
+(:func:`hodgelap.core._components`, O(nnz) numpy work per round), the
+dense Gram is permuted into its diagonal blocks, all blocks of one size go
+to one stacked ``eigvalsh`` call, and the spectrum is the union.  A single
+component is solved directly.  The threshold is a measured crossover, with
+BLAS on one thread: on random sparse 2-complexes the blocked up side of
+L_1 is as fast as one solve at about 100 rows (0.34 ms both) and 2.7 times
+faster at 192 (0.58 ms against 1.57 ms), while on a side that is one
+component the labelling costs about 0.1 ms, over 5% of the solve below
+about 200 rows.  Below the threshold, which the verify corpus (70 rows at
+most) never reaches, one solve runs as before.
 
 Reduced Betti numbers are computed exactly: the coboundary matrices have
 integer entries, and each rank is computed from the boundary-index table
@@ -50,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import exact_rank
-from .core import SimplicialComplex, _degrees
+from .core import SimplicialComplex, _components, _degrees
 from .errors import DimensionError, NumericError
 from .operators import (
     COMBINATORIAL,
@@ -59,12 +77,14 @@ from .operators import (
     WeightScheme,
     _gram,
     coboundary_matrix,
-    laplacian,
     weight_map,
+    weighted_coboundary,
 )
 
 DEFAULT_VALUE_TOL = 1e-7
 DEFAULT_BOUND_SLACK = 1e-9
+# Smallest Gram side solved block by block (see the module docstring).
+BLOCK_MIN_ROWS = 200
 
 
 def _sign(k: int) -> int:
@@ -105,24 +125,56 @@ class Spectrum:
         return len(self.values)
 
 
+def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of each in a stack of them."""
+    try:
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+
+
+def _block_eigvalsh(gram: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``gram`` solved one connected block at a time.
+
+    ``labels`` gives the component of every row; entries between rows of
+    different components are zero.  All blocks of one size are solved by
+    one stacked call.  The values come unsorted.
+    """
+    _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if len(sizes) == 1:
+        return _eigvalsh(gram)
+    order = np.argsort(comp, kind="stable")
+    starts = sizes.cumsum() - sizes
+    parts = []
+    for size in np.unique(sizes):
+        rows = order[starts[sizes == size][:, None] + np.arange(size)]
+        parts.append(_eigvalsh(gram[rows[:, :, None], rows[:, None, :]]).ravel())
+    return np.concatenate(parts)
+
+
 def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
     """Eigenvalues of a Laplacian via the smaller side of its Gram form.
 
     Length always equals |S_i|: faces outside the up domain carry zero rows
     and contribute their zero eigenvalues directly, and an up or down
-    operator solved on the smaller side gets its missing zeros added.
+    operator solved on the smaller side gets its missing zeros added.  A
+    side of at least ``BLOCK_MIN_ROWS`` rows is solved block by block over
+    the connected components of its stored terms.
     """
-    n = lap.n
-    if lap.direction == "up" and lap.up is not None and lap.up.shape[0] < n:
-        gram = _gram(lap.up, "rows")
-    elif lap.direction == "down" and lap.down is not None and lap.down.shape[1] < n:
-        gram = _gram(lap.down, "columns")
+    n, up, down = lap.n, lap.up, lap.down
+    # The solved side's faces are nodes start .. start + m of the graph of
+    # `tables` (see core._components).
+    if lap.direction == "up" and up is not None and up.shape[0] < n:
+        gram, tables, start = _gram(up, "rows"), (up,), up.n_cols
+    elif lap.direction == "down" and down is not None and down.shape[1] < n:
+        gram, tables, start = _gram(down, "columns"), (down,), 0
     else:
-        gram = lap.symmetric
-    try:
-        vals = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"eigensolver failed: {exc}") from exc
+        tables = tuple(t for t in (down, up) if t is not None)
+        gram, start = lap.symmetric, down.n_cols if down is not None else 0
+    if len(gram) >= BLOCK_MIN_ROWS and tables:
+        vals = _block_eigvalsh(gram, _components(*tables)[start : start + len(gram)])
+    else:
+        vals = _eigvalsh(gram)
     if not np.isfinite(vals).all():
         # Finite weights whose ratios overflow a float reach this point.
         raise NumericError("eigensolver produced non-finite eigenvalues")
@@ -337,14 +389,15 @@ def bounds_report(
     if complex_.n_faces(i + 1) == 0:
         return BoundsReport(i, scheme.kind, applicable=False)
     part = complex_.pure_part(i + 1)
+    # The up Laplacian is assembled here from the one weight map: a custom
+    # map is not memoized, and laplacian() would build it again.
     wmap = weight_map(part, scheme)
-    lap = laplacian(part, i, "up", scheme)
-    spec = spectrum(lap)
+    w_i = np.array([wmap[f] for f in part.faces(i)])
+    spec = spectrum(LaplacianMatrix(i, "up", scheme, weighted_coboundary(part, i, wmap), None, w_i))
     lam_max = float(spec.values[-1]) if len(spec) else 0.0
 
     degrees = _degrees(part, i, wmap)
     coface_counts = _degrees(part, i)
-    w_i = np.array([wmap[f] for f in part.faces(i)])
     big_d = float(degrees.max())
     vol_i = float(degrees.sum())
 

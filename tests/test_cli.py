@@ -24,6 +24,7 @@ from hodgelap.cli import (
 )
 from hodgelap.core import closure_of, from_facets
 from hodgelap.errors import DocumentError
+from hodgelap.operators import WeightScheme
 
 
 def run_cli(args, capsys):
@@ -98,23 +99,32 @@ def test_spectrum_custom_scheme(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args", [["betti"], ["spectrum", "--dim", "0", "--scheme", "custom"]]
 )
-def test_each_command_builds_the_document_complex_once(tmp_path, capsys, monkeypatch, args):
+def test_each_command_builds_the_document_complex_and_scheme_once(
+    tmp_path, capsys, monkeypatch, args
+):
     doc = {
         "facets": [[0, 1], [1, 2]],
         "weights": {"0": 1.0, "1": 2.0, "2": 1.0, "0,1": 1.0, "1,2": 1.0},
     }
     path = tmp_path / "weighted.json"
     path.write_text(json.dumps(doc))
-    calls = []
+    complexes, schemes = [], []
+    build_scheme = WeightScheme.from_map
 
     def counting_from_facets(facets):
-        calls.append(facets)
+        complexes.append(facets)
         return from_facets(facets)
 
+    def counting_from_map(mapping):
+        schemes.append(mapping)
+        return build_scheme(mapping)
+
     monkeypatch.setattr(cli, "from_facets", counting_from_facets)
+    monkeypatch.setattr(WeightScheme, "from_map", staticmethod(counting_from_map))
     code, _, _ = run_cli([args[0], str(path)] + args[1:], capsys)
     assert code == EXIT_OK
-    assert len(calls) == 1
+    assert len(complexes) == 1
+    assert len(schemes) == 1
 
 
 def test_spectrum_wide_custom_weights(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,6 +281,28 @@ def test_every_constructor_output_is_closed_and_canonical():
                 assert list(f) == sorted(set(f)), name
                 for sub in combinations(f, d):
                     assert tuple(sub) in k, name
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 11), min_size=1, max_size=5, unique=True),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_path_connected_components_match_networkx(facets):
+    k = from_facets(facets)
+    for i in range(1, k.dim + 1):
+        dual = dual_graph(k, i, "down")
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(dual.nodes)))
+        graph.add_edges_from((a, b) for a, b, _ in dual.edges)
+        expected = sorted(
+            (sorted(dual.nodes[v] for v in comp) for comp in nx.connected_components(graph)),
+            key=lambda comp: comp[0],
+        )
+        assert path_connected_components(k, i) == expected, i
 
 
 def test_component_splitting_spectral_union(fixtures):

@@ -4,10 +4,13 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgelap.core import from_facets, is_regular
 from hodgelap.operators import WeightScheme, coboundary_matrix, laplacian
 from hodgelap.spectra import (
+    BLOCK_MIN_ROWS,
     Spectrum,
     betti,
     bounds_report,
@@ -191,3 +194,95 @@ def test_degrees_add_cofaces_in_canonical_order():
     # is_regular sees the same degrees: with no tolerance the center (1.0)
     # first differs from leaf 2 (1e-16), not from leaf 1 (1.0).
     assert is_regular(k, 0, edges, rel_tol=0.0) == (False, ((0,), (2,)))
+
+
+def _random_part(seed, n_vertices, n_triangles, n_edges):
+    """Facets of a random 2-complex: distinct triangles plus edges, drawn uniformly."""
+    rng = np.random.default_rng(seed)
+    triangles = list(combinations(range(n_vertices), 3))
+    facets = {triangles[t] for t in rng.choice(len(triangles), n_triangles, replace=False)}
+    facets |= {tuple(sorted(rng.choice(n_vertices, 2, replace=False).tolist())) for _ in range(n_edges)}
+    return sorted(facets)
+
+
+def _scheme(kind, k):
+    if kind == "custom":
+        return deterministic_custom_scheme(k, 3)
+    return WeightScheme(kind)
+
+
+def _check_spectra(k, scheme):
+    """Every spectrum against the whole-matrix eigensolve and the zero counts."""
+    profile = betti(k)
+    out = {}
+    for i in range(-1, k.dim + 1):
+        for direction in ("up", "down", "full"):
+            lap = laplacian(k, i, direction, scheme)
+            s = spectrum(lap)
+            whole = np.linalg.eigvalsh(lap.symmetric)
+            assert len(s) == lap.n
+            scale = max(1.0, float(np.abs(whole).max(initial=0.0)))
+            assert np.abs(s.values - whole).max(initial=0.0) <= 1e-12 * scale, (i, direction)
+            assert s.zero_multiplicity == predicted_zero_multiplicity(k, i, direction, profile)
+            out[i, direction] = s.values
+    return out
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    parts=st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(12, 40), st.integers(70, 100),
+                  st.integers(0, 20)),
+        min_size=3,
+        max_size=3,
+    ),
+    kind=st.sampled_from(["normalized", "combinatorial", "custom"]),
+)
+def test_block_spectra_of_disjoint_unions(parts, kind):
+    # The parts sit on disjoint vertex ranges, so each part is a union of
+    # components of the whole, and the up side of L_1 is solved in blocks.
+    pieces, facets, offset = [], [], 0
+    for seed, n_vertices, n_triangles, n_edges in parts:
+        part = _random_part(seed, n_vertices, n_triangles, n_edges)
+        pieces.append((from_facets([list(f) for f in part]), offset))
+        facets += [[v + offset for v in f] for f in part]
+        offset += n_vertices
+    k = from_facets(facets)
+    assert k.n_faces(2) >= BLOCK_MIN_ROWS
+    if kind == "custom":
+        # The union carries each part's own custom weights.
+        weights = {(): 1.0}
+        for part, shift in pieces:
+            for f, w in _scheme(kind, part).custom.items():
+                if f:
+                    weights[tuple(v + shift for v in f)] = w
+        scheme = WeightScheme.from_map(weights)
+    else:
+        scheme = WeightScheme(kind)
+    whole = _check_spectra(k, scheme)
+    # L_i^up for i >= 0 and L_i^down, L_i for i >= 1 see no face of
+    # dimension below 0, the only faces the parts share, so the spectrum
+    # of the union is the union of the parts' spectra.
+    by_part = [_check_spectra(part, _scheme(kind, part)) for part, _ in pieces]
+    for (i, direction), values in whole.items():
+        if i >= (0 if direction == "up" else 1):
+            union = np.sort(np.concatenate([p.get((i, direction), []) for p in by_part]))
+            np.testing.assert_allclose(values, union, rtol=0, atol=1e-12 * max(1.0, values.max()))
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        # one component: a strip of 248 triangles, each sharing an edge
+        # with the next
+        [[j, j + 1, j + 2] for j in range(248)],
+        # all singletons: 210 disjoint triangles
+        [[3 * j, 3 * j + 1, 3 * j + 2] for j in range(210)],
+    ],
+    ids=["one-component", "all-singletons"],
+)
+@pytest.mark.parametrize("kind", ["normalized", "combinatorial", "custom"])
+def test_block_spectra_extreme_splits(facets, kind):
+    k = from_facets(facets)
+    assert k.n_faces(2) >= BLOCK_MIN_ROWS
+    _check_spectra(k, _scheme(kind, k))
