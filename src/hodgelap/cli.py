@@ -11,6 +11,7 @@ diagnostic when the JSON layer is at fault), 3 numeric failure.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -180,13 +181,20 @@ def cmd_generate(family, i, m, n, output):
     _emit(json.dumps(document_dict(complex_, label), indent=2), output)
 
 
+def _check_zero_tol(ctx, param, value):
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+    return value
+
+
 @main_group.command("spectrum")
 @click.argument("file", type=str)
 @click.option("--dim", "dim", type=int, required=True)
 @click.option("--direction", type=click.Choice(["up", "down", "full"]), default="up")
 @click.option("--scheme", type=click.Choice(["normalized", "combinatorial", "custom"]),
               default="normalized")
-@click.option("--zero-tol", type=float, default=None, help="override the zero threshold")
+@click.option("--zero-tol", type=float, default=None, callback=_check_zero_tol,
+              help="override the zero threshold")
 def cmd_spectrum(file, dim, direction, scheme, zero_tol):
     """Eigenvalues plus zero counts, Betti numbers and the bounds report."""
     doc = _load(file)

@@ -332,14 +332,13 @@ def _entry_pairs(table: CoboundaryMatrix, of: str):
     return member[left], member[right], data[left] * data[right]
 
 
-def _components(*tables: CoboundaryMatrix) -> np.ndarray:
-    """Connected-component labels of the faces joined by a chain of tables.
+def _components(table: CoboundaryMatrix) -> np.ndarray:
+    """Connected-component labels of the faces joined by one table ``D_j``.
 
-    ``tables`` are coboundaries of consecutive dimensions, ``D_j``,
-    ``D_{j+1}``, ...  Their graph has a node for every j-face, then every
-    (j+1)-face, and so on, each dimension in canonical order, and one edge
-    per stored entry, from a face to one of its boundary faces.  Every node
-    is labelled with the smallest node of its component.
+    The graph has a node for every j-face, then one for every (j+1)-face,
+    each dimension in canonical order, and one edge per stored entry, from
+    a face to one of its boundary faces.  Every node is labelled with the
+    smallest node of its component.
 
     Each round hooks the larger root of every edge whose ends still have
     different roots onto the smaller one, then jumps pointers until every
@@ -348,13 +347,10 @@ def _components(*tables: CoboundaryMatrix) -> np.ndarray:
     Few rounds are needed in practice: at most 6 on random 2-complexes of
     3000 triangles, and 2 on long strips, paths and simplex skeleta.
     """
-    offsets = np.cumsum([0, tables[0].n_cols] + [len(t.index) for t in tables])
-    face = np.concatenate([
-        np.arange(offsets[k + 1], offsets[k + 2]).repeat(t.index.shape[1])
-        for k, t in enumerate(tables)
-    ])
-    boundary = np.concatenate([offsets[k] + t.index.ravel() for k, t in enumerate(tables)])
-    parent = np.arange(offsets[-1])
+    rows, width = table.index.shape
+    face = np.arange(table.n_cols, table.n_cols + rows).repeat(width)
+    boundary = table.index.ravel()
+    parent = np.arange(table.n_cols + rows)
     while True:
         a, b = parent[face], parent[boundary]
         apart = a != b

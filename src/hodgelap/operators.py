@@ -18,13 +18,14 @@ boundary-index table of :class:`~hodgelap.core.CoboundaryMatrix`, an
 ``(-1)**k`` as values; :func:`coboundary_matrix` and the table class are
 re-exported here.  This module weights it: ``B_i`` is the same table with
 the weighted values.  :func:`laplacian` stores the terms themselves --
-``B_i`` for the up part, ``B_{i-1}`` for the down part -- and
+``B_i`` for the up part, ``B_{i-1}`` for the down part, both for the full
+operator -- with the weights of the i-faces, and nothing else;
 :class:`LaplacianMatrix` derives the dense ``S`` from them on first access,
 symmetric by construction, and ``L`` as ``W_i^{-1/2} S W_i^{1/2}``.
-Keeping the terms lets :func:`hodgelap.spectra.spectrum` eigensolve the
-smaller Gram side of an up or down operator.  Both Gram orientations are
-summed from the table's entry pairs in numpy; no sparse-matrix library is
-involved.
+Keeping the terms lets :func:`hodgelap.spectra.spectrum` eigensolve each
+term on its smaller Gram side, for every direction.  Both Gram
+orientations are summed from the table's entry pairs in numpy; no
+sparse-matrix library is involved.
 
 Three weight schemes are supported.  ``combinatorial`` puts weight 1 on
 every face (the classical higher-order Laplacian; at i = 0 up this is the
@@ -185,20 +186,19 @@ def _gram(b: CoboundaryMatrix, of: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """A Laplacian, kept as its weighted coboundary terms, with the metadata
-    needed to interpret its spectrum.
+    """A Laplacian on i-cochains, kept as its weighted coboundary terms.
 
     ``up`` is ``B_i``, None for the down direction and at the top
     dimension; ``down`` is ``B_{i-1}``, None for the up direction and at
-    i = -1.  ``symmetric`` is the dense form ``S = W^{1/2} L W^{-1/2}``,
-    indexed by the canonical order of the i-faces; it has the spectrum of
-    ``L``.  ``weights`` is the diagonal of W_i.  Faces with no coface have
-    zero rows in the up operator, and each contributes one zero eigenvalue.
+    i = -1; a full operator stores each one that exists.  ``weights`` is
+    the diagonal of W_i, so its length is n = |S_i|.  ``symmetric`` is the
+    dense form ``S = W^{1/2} L W^{-1/2}``, indexed by the canonical order of
+    the i-faces; it has the spectrum of ``L``, but
+    :func:`hodgelap.spectra.spectrum` never builds it: it solves each term
+    on its own, smaller Gram side.  Faces with no coface have zero rows in
+    the up operator, and each contributes one zero eigenvalue.
     """
 
-    i: int
-    direction: str  # up | down | full
-    scheme: WeightScheme
     up: CoboundaryMatrix | None
     down: CoboundaryMatrix | None
     weights: np.ndarray
@@ -244,7 +244,7 @@ def laplacian(
     if direction in ("down", "full") and i >= 0:
         down = weighted_coboundary(complex_, i - 1, wmap)
     w_i = np.array([wmap[f] for f in complex_.faces(i)], dtype=float)
-    return LaplacianMatrix(i, direction, scheme, up, down, w_i)
+    return LaplacianMatrix(up, down, w_i)
 
 
 def entrywise_laplacian(

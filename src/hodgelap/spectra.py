@@ -4,24 +4,31 @@ Eigenvalues are computed by a dense symmetric eigensolver on a Gram
 matrix of the weighted coboundary ``B`` (see :mod:`hodgelap.operators`),
 so they are real and sorted.  ``B`` is kept as a boundary-index table --
 row r holds its i+2 columns and their values -- and the Gram matrix is
-summed from the table's entry pairs.  An up or down operator has one term: its
-symmetric form is ``B^T B`` (up, ``B = B_i``) or ``B B^T`` (down,
-``B = B_{i-1}``) of size n = |S_i|.  When the other dimension k of ``B`` is
-smaller than n, the spectrum is that of the k x k Gram matrix of the other
-side plus n - k zeros: ``B^T B`` and ``B B^T`` have the same nonzero
-eigenvalues with multiplicity, and the n x n one has rank at most k, so
-those n - k zeros are exact and are written as 0.0, not computed.  The full
-operator, a sum of two terms, is always solved on its n x n form.  The zero
-threshold defaults to ``1e-8 * max(1, largest magnitude)`` and is the only
-tolerance involved in counting zeros.
+summed from the table's entry pairs.  A Laplacian stores up to two terms,
+``B_i`` (up) and ``B_{i-1}`` (down); its symmetric form of size n = |S_i|
+is ``B_i^T B_i + B_{i-1} B_{i-1}^T``, or the one stored term.  ``spectrum``
+follows one rule for every operator.  Each stored term is solved on its
+side of size n, or on its other side (``B_i B_i^T``, ``B_{i-1}^T B_{i-1}``)
+when that is strictly smaller: both sides of a Gram form have the same
+nonzero eigenvalues with multiplicity.  The terms' k values are joined.
+When k < n, n - k exact zeros are added, written as 0.0, not computed:
+the n x n form has rank at most k.  When k > n, the n largest values are
+kept.  That is exact for a full operator: ``D_i D_{i-1} = 0``
+gives ``B_i B_{i-1} = 0``, so the ranges of the two terms are orthogonal,
+the nonzero spectrum of the sum is the union of the terms' nonzero
+spectra, at most n values are nonzero, and the values dropped are
+numerical zeros.  No rank and no threshold enters.  An operator with no
+stored term gets n zeros and no eigensolve.  The zero threshold defaults
+to ``1e-8 * max(1, largest magnitude)`` and is the only tolerance involved
+in counting zeros.
 
-A Gram matrix is a direct sum over the connected components of the graph
-of its stored terms, in which every face is joined to its boundary faces:
+A Gram side is a direct sum over the connected components of the graph
+of its table, in which every face is joined to its boundary faces:
 an entry pairs two rows or two columns through a shared stored entry, so
 between two components there is no pair to sum and the entry is zero by
 structure, not by rounding.  For L_i^up this is the paper's split over the
 (i+1)-path-connected components.  So a side of at least ``BLOCK_MIN_ROWS``
-rows is solved block by block: the components are labelled from the tables
+rows is solved block by block: the components are labelled from the table
 (:func:`hodgelap.core._components`, O(nnz) numpy work per round), the
 dense Gram is permuted into its diagonal blocks, all blocks of one size go
 to one stacked ``eigvalsh`` call, and the spectrum is the union.  A single
@@ -153,31 +160,37 @@ def _block_eigvalsh(gram: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
-    """Eigenvalues of a Laplacian via the smaller side of its Gram form.
+    """Eigenvalues of a Laplacian, solved term by term on smaller Gram sides.
 
-    Length always equals |S_i|: faces outside the up domain carry zero rows
-    and contribute their zero eigenvalues directly, and an up or down
-    operator solved on the smaller side gets its missing zeros added.  A
-    side of at least ``BLOCK_MIN_ROWS`` rows is solved block by block over
-    the connected components of its stored terms.
+    Each stored term is solved on its side of size |S_i| = n, or on its
+    other side when that is strictly smaller; a side of at least
+    ``BLOCK_MIN_ROWS`` rows is solved block by block over the connected
+    components of its table.  Fewer than n values are padded with exact
+    zeros; of more than n, the n largest are kept.  Length always equals n.
     """
     n, up, down = lap.n, lap.up, lap.down
-    # The solved side's faces are nodes start .. start + m of the graph of
-    # `tables` (see core._components).
-    if lap.direction == "up" and up is not None and up.shape[0] < n:
-        gram, tables, start = _gram(up, "rows"), (up,), up.n_cols
-    elif lap.direction == "down" and down is not None and down.shape[1] < n:
-        gram, tables, start = _gram(down, "columns"), (down,), 0
-    else:
-        tables = tuple(t for t in (down, up) if t is not None)
-        gram, start = lap.symmetric, down.n_cols if down is not None else 0
-    if len(gram) >= BLOCK_MIN_ROWS and tables:
-        vals = _block_eigvalsh(gram, _components(*tables)[start : start + len(gram)])
-    else:
-        vals = _eigvalsh(gram)
+    sides = []  # each stored term with the side of it to solve
+    if up is not None:
+        sides.append((up, "rows" if up.shape[0] < n else "columns"))
+    if down is not None:
+        sides.append((down, "columns" if down.shape[1] < n else "rows"))
+    parts = []
+    for table, of in sides:
+        gram = _gram(table, of)
+        if len(gram) >= BLOCK_MIN_ROWS:
+            # The graph of one table numbers its columns first, then its rows.
+            labels = _components(table)
+            labels = labels[: table.n_cols] if of == "columns" else labels[table.n_cols :]
+            parts.append(_block_eigvalsh(gram, labels))
+        else:
+            parts.append(_eigvalsh(gram))
+    vals = np.concatenate(parts) if parts else np.zeros(0)
     if not np.isfinite(vals).all():
         # Finite weights whose ratios overflow a float reach this point.
         raise NumericError("eigensolver produced non-finite eigenvalues")
+    if len(vals) > n:
+        # The terms' ranges are orthogonal, so at most n values are nonzero.
+        vals = np.sort(vals)[len(vals) - n :]
     return Spectrum.from_values(np.concatenate([np.zeros(n - len(vals)), vals]), zero_tol)
 
 
@@ -393,7 +406,7 @@ def bounds_report(
     # map is not memoized, and laplacian() would build it again.
     wmap = weight_map(part, scheme)
     w_i = np.array([wmap[f] for f in part.faces(i)])
-    spec = spectrum(LaplacianMatrix(i, "up", scheme, weighted_coboundary(part, i, wmap), None, w_i))
+    spec = spectrum(LaplacianMatrix(weighted_coboundary(part, i, wmap), None, w_i))
     lam_max = float(spec.values[-1]) if len(spec) else 0.0
 
     degrees = _degrees(part, i, wmap)

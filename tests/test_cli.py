@@ -330,3 +330,12 @@ def test_cli_spectrum_matches_library(tmp_path, capsys):
     )
     lib_vals = [float(f"{v:.12g}") for v in lib.values]
     assert cli_vals == lib_vals
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_spectrum_rejects_a_bad_zero_tol(tmp_path, capsys, value):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"facets": [[0, 1, 2], [2, 3, 4]]}))
+    code, stdout, err = run_cli(["spectrum", str(path), "--dim", "0", "--zero-tol", value], capsys)
+    assert code == EXIT_BAD_DOCUMENT and stdout == ""
+    assert "--zero-tol" in err and "Traceback" not in err

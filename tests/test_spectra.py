@@ -286,3 +286,52 @@ def test_block_spectra_extreme_splits(facets, kind):
     k = from_facets(facets)
     assert k.n_faces(2) >= BLOCK_MIN_ROWS
     _check_spectra(k, _scheme(kind, k))
+
+
+def test_each_term_is_solved_on_its_smaller_side(monkeypatch):
+    # The strip has 250 vertices, 497 edges and 248 triangles.
+    k = from_facets([[j, j + 1, j + 2] for j in range(248)])
+    solve = np.linalg.eigvalsh
+    shapes = []
+
+    def recording(matrix):
+        shapes.append(np.shape(matrix)[-2:])
+        return solve(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    # L_2^up stores no term: its spectrum is all exact zeros, solved by nothing.
+    s = spectrum(laplacian(k, 2, "up", NORM))
+    assert shapes == [] and len(s) == 248 and not s.values.any()
+    # Full L_1: the 248-row side of B_1 and the 250-column side of B_0,
+    # never the 497 x 497 sum.
+    s = spectrum(laplacian(k, 1, "full", NORM))
+    assert len(s) == 497 and max(rows for rows, _ in shapes) <= 250
+    # Full L_0: the down term B_{-1} is the all-ones column, a 1 x 1 side.
+    shapes.clear()
+    s = spectrum(laplacian(k, 0, "full", NORM))
+    assert len(s) == 250 and (1, 1) in shapes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=7,
+    ),
+    relabel=st.permutations(range(8)),
+)
+def test_spectra_and_betti_numbers_ignore_vertex_labels(facets, relabel):
+    k = from_facets(facets)
+    moved = from_facets([[relabel[v] for v in f] for f in facets])
+    profile = betti(k)
+    assert betti(moved) == profile
+    for scheme in (NORM, WeightScheme.combinatorial()):
+        for i in range(-1, k.dim + 1):
+            for direction in ("up", "down", "full"):
+                a = spectrum(laplacian(k, i, direction, scheme))
+                b = spectrum(laplacian(moved, i, direction, scheme))
+                tol = 1e-12 * max(1.0, float(a.values.max()))
+                assert np.abs(a.values - b.values).max() <= tol, (i, direction)
+            # Hodge: the full operator's kernel is the i-th reduced homology.
+            assert a.zero_multiplicity == profile[i], i
