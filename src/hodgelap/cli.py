@@ -181,7 +181,7 @@ def cmd_generate(family, i, m, n, output):
     _emit(json.dumps(document_dict(complex_, label), indent=2), output)
 
 
-def _check_zero_tol(ctx, param, value):
+def _check_tolerance(ctx, param, value):
     if value is not None and not (math.isfinite(value) and value >= 0):
         raise click.BadParameter(f"must be a finite number >= 0, got {value}")
     return value
@@ -193,7 +193,7 @@ def _check_zero_tol(ctx, param, value):
 @click.option("--direction", type=click.Choice(["up", "down", "full"]), default="up")
 @click.option("--scheme", type=click.Choice(["normalized", "combinatorial", "custom"]),
               default="normalized")
-@click.option("--zero-tol", type=float, default=None, callback=_check_zero_tol,
+@click.option("--zero-tol", type=float, default=None, callback=_check_tolerance,
               help="override the zero threshold")
 def cmd_spectrum(file, dim, direction, scheme, zero_tol):
     """Eigenvalues plus zero counts, Betti numbers and the bounds report."""
@@ -240,6 +240,14 @@ def cmd_betti(file):
     click.echo(json.dumps({f"b~{j}": profile[j] for j in range(-1, profile.top_dim + 1)}))
 
 
+def _vertices(option: str, text: str) -> tuple[int, ...]:
+    """The vertices of a comma-joined ``--face`` or ``--motif`` value."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise DocumentError(f"{option} must be comma-joined integers, got {text!r}") from None
+
+
 @main_group.command("construct")
 @click.argument("operation", type=click.Choice(["wedge", "join", "cone", "duplicate", "product"]))
 @click.argument("files", nargs=-1, type=str)
@@ -256,7 +264,7 @@ def cmd_construct(operation, files, faces, motif, output):
     if operation == "wedge":
         if not faces:
             raise DocumentError("wedge needs --face (once or twice)")
-        parsed = [tuple(int(v) for v in f.split(",")) for f in faces]
+        parsed = [_vertices("--face", f) for f in faces]
         f1 = parsed[0]
         f2 = parsed[1] if len(parsed) > 1 else parsed[0]
         result, _ = wedge(complexes[0], complexes[1], f1, f2)
@@ -270,7 +278,7 @@ def cmd_construct(operation, files, faces, motif, output):
     elif operation == "duplicate":
         if motif is None:
             raise DocumentError("duplicate needs --motif v1,v2,...")
-        verts = tuple(int(v) for v in motif.split(","))
+        verts = _vertices("--motif", motif)
         result, _ = duplicate_motif(complexes[0], verts)
         label = "duplicate"
     else:
@@ -284,8 +292,10 @@ def cmd_construct(operation, files, faces, motif, output):
 @click.option("--suite", default="all",
               type=click.Choice(("all",) + SUITES), help="which suite to run")
 @click.option("--seed", type=int, default=0, help="seed for the random fixtures")
-@click.option("--tol", type=float, default=None, help="override the eigenvalue tolerance")
-@click.option("--random-count", type=int, default=None, help="number of random fixtures")
+@click.option("--tol", type=float, default=None, callback=_check_tolerance,
+              help="override the eigenvalue tolerance")
+@click.option("--random-count", type=click.IntRange(min=0), default=None,
+              help="number of random fixtures")
 def cmd_verify(files, suite, seed, tol, random_count):
     """Run theorem suites; one CheckReport JSON per line, exit 0 iff all pass."""
     extra = {}

@@ -29,16 +29,21 @@ between two components there is no pair to sum and the entry is zero by
 structure, not by rounding.  For L_i^up this is the paper's split over the
 (i+1)-path-connected components.  So a side of at least ``BLOCK_MIN_ROWS``
 rows is solved block by block: the components are labelled from the table
-(:func:`hodgelap.core._components`, O(nnz) numpy work per round), the
-dense Gram is permuted into its diagonal blocks, all blocks of one size go
-to one stacked ``eigvalsh`` call, and the spectrum is the union.  A single
-component is solved directly.  The threshold is a measured crossover, with
-BLAS on one thread: on random sparse 2-complexes the blocked up side of
-L_1 is as fast as one solve at about 100 rows (0.34 ms both) and 2.7 times
-faster at 192 (0.58 ms against 1.57 ms), while on a side that is one
-component the labelling costs about 0.1 ms, over 5% of the solve below
-about 200 rows.  Below the threshold, which the verify corpus (70 rows at
-most) never reaches, one solve runs as before.
+(:func:`hodgelap.core._components`, O(nnz) numpy work per round), every
+block is summed straight from the table's entry pairs into the stack of
+its size, all blocks of one size go to one stacked ``eigvalsh`` call, and
+the spectrum is the union.  The whole side is never built, so memory
+grows with the squared block sizes and the stored entries, not with the
+square of the side; a single component is one block of the full size.
+Each block entry sums the same pairs in the same order as the whole side
+would, so every block is bit-identical to that block of the whole side.
+The threshold is a measured crossover, with BLAS on one thread: on random
+sparse 2-complexes the blocked up side of L_1 is as fast as one solve at
+about 100 rows (0.34 ms both) and 2.7 times faster at 192 (0.58 ms
+against 1.57 ms), while on a side that is one component the labelling
+costs about 0.1 ms, over 5% of the solve below about 200 rows.  Below the
+threshold, which the verify corpus (70 rows at most) never reaches, the
+whole side is built by ``_gram`` and solved at once.
 
 Reduced Betti numbers are computed exactly: the coboundary matrices have
 integer entries, and each rank is computed from the boundary-index table
@@ -75,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import exact_rank
-from .core import SimplicialComplex, _components, _degrees
+from .core import CoboundaryMatrix, SimplicialComplex, _components, _degrees, _entry_pairs
 from .errors import DimensionError, NumericError
 from .operators import (
     COMBINATORIAL,
@@ -140,22 +145,38 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
         raise NumericError(f"eigensolver failed: {exc}") from exc
 
 
-def _block_eigvalsh(gram: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``gram`` solved one connected block at a time.
+def _block_eigvalsh(table: CoboundaryMatrix, of: str, labels: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the ``of`` Gram side of ``table``, one connected block at a time.
 
-    ``labels`` gives the component of every row; entries between rows of
-    different components are zero.  All blocks of one size are solved by
+    ``labels`` gives the component of every row of the side; no entry pair
+    joins two components.  Each block is summed straight from the table's
+    entry pairs: the blocks, ordered by size and then by component, share
+    one flat buffer, and one ``np.bincount`` adds every pair to its block's
+    entry in the order ``_gram`` adds it to the whole side, so each block
+    equals that block of ``_gram(table, of)`` bit for bit.  The rows of a
+    block keep their ascending order.  All blocks of one size are solved by
     one stacked call.  The values come unsorted.
     """
     _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    if len(sizes) == 1:
-        return _eigvalsh(gram)
+    # Position of every row inside its block.
     order = np.argsort(comp, kind="stable")
-    starts = sizes.cumsum() - sizes
+    pos = np.empty(len(comp), dtype=np.int64)
+    pos[order] = np.arange(len(comp)) - (sizes.cumsum() - sizes)[comp[order]]
+    # Offset of every block in the flat buffer, then of every row's line.
+    by_size = np.argsort(sizes, kind="stable")
+    area = sizes[by_size] ** 2
+    offset = np.empty(len(sizes), dtype=np.int64)
+    offset[by_size] = area.cumsum() - area
+    line = offset[comp] + pos * sizes[comp]
+    with np.errstate(over="ignore"):
+        left, right, products = _entry_pairs(table, of)
+    flat = np.bincount(line[left] + pos[right], weights=products, minlength=int(area.sum()))
     parts = []
-    for size in np.unique(sizes):
-        rows = order[starts[sizes == size][:, None] + np.arange(size)]
-        parts.append(_eigvalsh(gram[rows[:, :, None], rows[:, None, :]]).ravel())
+    start = 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        stop = start + count * size * size
+        parts.append(_eigvalsh(flat[start:stop].reshape(count, size, size)).ravel())
+        start = stop
     return np.concatenate(parts)
 
 
@@ -165,8 +186,9 @@ def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
     Each stored term is solved on its side of size |S_i| = n, or on its
     other side when that is strictly smaller; a side of at least
     ``BLOCK_MIN_ROWS`` rows is solved block by block over the connected
-    components of its table.  Fewer than n values are padded with exact
-    zeros; of more than n, the n largest are kept.  Length always equals n.
+    components of its table, each block built from the table directly.
+    Fewer than n values are padded with exact zeros; of more than n, the n
+    largest are kept.  Length always equals n.
     """
     n, up, down = lap.n, lap.up, lap.down
     sides = []  # each stored term with the side of it to solve
@@ -176,14 +198,14 @@ def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
         sides.append((down, "columns" if down.shape[1] < n else "rows"))
     parts = []
     for table, of in sides:
-        gram = _gram(table, of)
-        if len(gram) >= BLOCK_MIN_ROWS:
+        size = table.n_cols if of == "columns" else table.shape[0]
+        if size >= BLOCK_MIN_ROWS:
             # The graph of one table numbers its columns first, then its rows.
             labels = _components(table)
             labels = labels[: table.n_cols] if of == "columns" else labels[table.n_cols :]
-            parts.append(_block_eigvalsh(gram, labels))
+            parts.append(_block_eigvalsh(table, of, labels))
         else:
-            parts.append(_eigvalsh(gram))
+            parts.append(_eigvalsh(_gram(table, of)))
     vals = np.concatenate(parts) if parts else np.zeros(0)
     if not np.isfinite(vals).all():
         # Finite weights whose ratios overflow a float reach this point.

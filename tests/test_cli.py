@@ -339,3 +339,46 @@ def test_spectrum_rejects_a_bad_zero_tol(tmp_path, capsys, value):
     code, stdout, err = run_cli(["spectrum", str(path), "--dim", "0", "--zero-tol", value], capsys)
     assert code == EXIT_BAD_DOCUMENT and stdout == ""
     assert "--zero-tol" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["wedge", "tri", "tri", "--face", "a"],
+        ["wedge", "tri", "tri", "--face", ","],
+        ["wedge", "tri", "tri", "--face", "0,1", "--face", "1,"],
+        ["duplicate", "tri", "--motif", "1,x"],
+        ["duplicate", "tri", "--motif", ""],
+    ],
+    ids=["face-letter", "face-comma", "second-face-empty-vertex", "motif-letter", "motif-empty"],
+)
+def test_construct_rejects_malformed_vertices(tmp_path, capsys, args):
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps({"facets": [[0, 1, 2]]}))
+    argv = ["construct"] + [str(tri) if a == "tri" else a for a in args]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == EXIT_BAD_DOCUMENT and stdout == ""
+    assert ("--face" in err or "--motif" in err) and "comma-joined integers" in err
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["--tol", "nan"], "--tol"),
+        (["--tol", "inf"], "--tol"),
+        (["--tol", "-1"], "--tol"),
+        (["--random-count", "-1"], "--random-count"),
+    ],
+)
+def test_verify_rejects_bad_tolerance_and_count(capsys, args, option):
+    code, stdout, err = run_cli(["verify", "--suite", "join"] + args, capsys)
+    assert code == EXIT_BAD_DOCUMENT and stdout == ""
+    assert option in err and "Traceback" not in err
+
+
+def test_verify_accepts_a_zero_tolerance_and_count(capsys):
+    code, stdout, _ = run_cli(["verify", "--suite", "join", "--random-count", "0"], capsys)
+    assert code == EXIT_OK and stdout
+    # A zero tolerance is valid; rounding makes the checks fail, as 1e-300 does.
+    code, stdout, err = run_cli(["verify", "--suite", "duplication", "--tol", "0"], capsys)
+    assert code == EXIT_VERIFY_FAILED and stdout and "Invalid value" not in err

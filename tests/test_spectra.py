@@ -1,5 +1,6 @@
 """Spectra, exact Betti numbers, zero counting, multiset algebra, bounds."""
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgelap.core import from_facets, is_regular
-from hodgelap.operators import WeightScheme, coboundary_matrix, laplacian
+from hodgelap.core import _components, from_facets, is_regular
+from hodgelap.operators import WeightScheme, _gram, coboundary_matrix, laplacian
 from hodgelap.spectra import (
     BLOCK_MIN_ROWS,
     Spectrum,
+    _block_eigvalsh,
     betti,
     bounds_report,
     eq_mod_zeros,
@@ -310,6 +312,62 @@ def test_each_term_is_solved_on_its_smaller_side(monkeypatch):
     shapes.clear()
     s = spectrum(laplacian(k, 0, "full", NORM))
     assert len(s) == 250 and (1, 1) in shapes
+
+
+def _sparse_triangles(seed, n_vertices, n_draws):
+    """Random triangles on many vertices: mostly disjoint, a few sharing edges."""
+    draws = np.sort(np.random.default_rng(seed).integers(0, n_vertices, (n_draws, 3)), axis=1)
+    return draws[(np.diff(draws, axis=1) != 0).all(axis=1)].tolist()
+
+
+def test_block_path_never_allocates_the_whole_side():
+    disjoint = [[3 * j, 3 * j + 1, 3 * j + 2] for j in range(700, 1600)]
+    k = from_facets(_sparse_triangles(0, 2000, 1200) + disjoint)
+    lap = laplacian(k, 1, "up", NORM)
+    side = lap.up.shape[0]
+    assert BLOCK_MIN_ROWS <= 2000 <= side < lap.n
+    tracemalloc.start()
+    try:
+        s = spectrum(lap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == lap.n
+    # The whole dense side would take side**2 * 8 bytes, about 35 MB; the
+    # blocks and the entry pairs they are summed from take about 1 MB.
+    assert peak < side * side * 8 / 20
+
+
+@pytest.mark.parametrize("of", ["rows", "columns"])
+@pytest.mark.parametrize("kind", ["normalized", "combinatorial", "custom"])
+def test_blocks_are_the_blocks_of_the_whole_side(of, kind):
+    # Disjoint strips of 1..30 triangles, each strip one component, plus
+    # isolated edges: blocks of many distinct sizes on both sides of B_1.
+    facets, offset = [], 0
+    for length in range(1, 31):
+        facets += [[offset + j, offset + j + 1, offset + j + 2] for j in range(length)]
+        offset += length + 2
+    facets += [[offset + 2 * j, offset + 2 * j + 1] for j in range(40)]
+    k = from_facets(facets)
+    table = laplacian(k, 1, "up", _scheme(kind, k)).up
+    labels = _components(table)
+    labels = labels[: table.n_cols] if of == "columns" else labels[table.n_cols :]
+    _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    assert len(np.unique(sizes)) >= 30
+    gram = _gram(table, of)
+    expected = []
+    for c in np.argsort(sizes, kind="stable"):
+        rows = np.flatnonzero(comp == c)
+        expected.append(np.linalg.eigvalsh(gram[np.ix_(rows, rows)]))
+    assert np.array_equal(_block_eigvalsh(table, of, labels), np.concatenate(expected))
+
+
+def test_up_spectrum_of_ten_thousand_triangles():
+    k = from_facets(_sparse_triangles(0, 20000, 10000))
+    assert k.n_faces(2) >= 9900
+    s = spectrum(laplacian(k, 1, "up", NORM))
+    assert len(s) == k.n_faces(1)
+    assert s.zero_multiplicity == predicted_zero_multiplicity(k, 1, "up")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
