@@ -260,10 +260,14 @@ def cmd_construct(operation, files, faces, motif, output):
     needed = {"wedge": 2, "join": 2, "cone": 1, "duplicate": 1, "product": 2}[operation]
     if len(files) != needed:
         raise DocumentError(f"{operation} needs exactly {needed} input document(s)")
+    if faces and operation != "wedge":
+        raise DocumentError(f"--face applies to wedge only, not to {operation}")
+    if motif is not None and operation != "duplicate":
+        raise DocumentError(f"--motif applies to duplicate only, not to {operation}")
+    if operation == "wedge" and not 1 <= len(faces) <= 2:
+        raise DocumentError(f"wedge needs --face once or twice, got {len(faces)}")
     complexes = [_load(f).to_complex() for f in files]
     if operation == "wedge":
-        if not faces:
-            raise DocumentError("wedge needs --face (once or twice)")
         parsed = [_vertices("--face", f) for f in faces]
         f1 = parsed[0]
         f2 = parsed[1] if len(parsed) > 1 else parsed[0]

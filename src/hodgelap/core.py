@@ -250,12 +250,15 @@ class CoboundaryMatrix:
     k-th vertex of the row's face -- with value ``values[r, k]``.  For
     ``D_i`` the values are the boundary signs ``(-1)**k``; for the weighted
     ``B_i`` they are those signs times ``sqrt(w_{i+1}[r] / w_i[index[r, k]])``.
+    ``_memo`` holds what is derived from the table once, such as the
+    read-only eigenvalues of its Gram sides (:func:`hodgelap.spectra.spectrum`).
     """
 
     i: int
     index: np.ndarray  # (|S_{i+1}|, i+2) int64 column indices
     n_cols: int
     values: np.ndarray  # same shape as index
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int]:

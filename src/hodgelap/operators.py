@@ -23,8 +23,10 @@ operator -- with the weights of the i-faces, and nothing else;
 :class:`LaplacianMatrix` derives the dense ``S`` from them on first access,
 symmetric by construction, and ``L`` as ``W_i^{-1/2} S W_i^{1/2}``.
 Keeping the terms lets :func:`hodgelap.spectra.spectrum` eigensolve each
-term on its smaller Gram side, for every direction.  Both Gram
-orientations are summed from the table's entry pairs in numpy; no
+term on its smaller Gram side, for every direction, and memoize the
+eigenvalues of each side on the table, so operators built from one table
+share its solves; :func:`laplacian` builds a fresh table per call.  Both
+Gram orientations are summed from the table's entry pairs in numpy; no
 sparse-matrix library is involved.
 
 Three weight schemes are supported.  ``combinatorial`` puts weight 1 on

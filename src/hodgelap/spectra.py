@@ -22,6 +22,19 @@ stored term gets n zeros and no eigensolve.  The zero threshold defaults
 to ``1e-8 * max(1, largest magnitude)`` and is the only tolerance involved
 in counting zeros.
 
+A table keeps the eigenvalues of each side solved on it, read-only, in
+its ``_memo``, keyed by side, so a side is solved once per table; no Gram
+matrix is kept.  :func:`hodgelap.operators.laplacian` builds a fresh table
+per call, so only callers that hand one table to several operators share
+solves.  The Hodge check does: ``B_j`` is the up term of L_j and the down
+term of L_{j+1}.  L_j^up solves the rows of ``B_j`` when f_{j+1} < f_j and
+L_{j+1}^down its columns when f_j < f_{j+1}, so whenever f_j != f_{j+1}
+both pick the same side and read one array, and their ``up-eq-down-next``
+deviation is exactly 0 by construction.  Where f_j = f_{j+1}, up solves
+``B_j^T B_j`` and down ``B_j B_j^T``, two different matrices, and the
+deviation is rounding.  The independent cross-checks are the full-size
+solves of the Hodge check and the entrywise oracle in the tests.
+
 A Gram side is a direct sum over the connected components of the graph
 of its table, in which every face is joined to its boundary faces:
 an entry pairs two rows or two columns through a shared stored entry, so
@@ -75,6 +88,7 @@ D/d + (i+1)D/(Nd) together with its normalized-scheme specialization
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +120,11 @@ def _sign(k: int) -> int:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Non-decreasing eigenvalue multiset with an explicit zero threshold."""
+    """Non-decreasing eigenvalue multiset with an explicit zero threshold.
+
+    ``nonzero`` and ``zero_multiplicity`` are computed on first access and
+    kept, so ``values`` is not meant to change afterwards.
+    """
 
     values: np.ndarray
     zero_tol: float
@@ -119,11 +137,11 @@ class Spectrum:
             zero_tol = 1e-8 * scale
         return cls(vals, float(zero_tol))
 
-    @property
+    @functools.cached_property
     def nonzero(self) -> np.ndarray:
         return self.values[self.values > self.zero_tol]
 
-    @property
+    @functools.cached_property
     def zero_multiplicity(self) -> int:
         return int(np.sum(self.values <= self.zero_tol))
 
@@ -180,32 +198,45 @@ def _block_eigvalsh(table: CoboundaryMatrix, of: str, labels: np.ndarray) -> np.
     return np.concatenate(parts)
 
 
-def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
-    """Eigenvalues of a Laplacian, solved term by term on smaller Gram sides.
+def _side_eigvalsh(table: CoboundaryMatrix, of: str) -> np.ndarray:
+    """Eigenvalues of the ``of`` Gram side of ``table``, solved once per table.
 
-    Each stored term is solved on its side of size |S_i| = n, or on its
-    other side when that is strictly smaller; a side of at least
-    ``BLOCK_MIN_ROWS`` rows is solved block by block over the connected
-    components of its table, each block built from the table directly.
-    Fewer than n values are padded with exact zeros; of more than n, the n
-    largest are kept.  Length always equals n.
+    A side of at least ``BLOCK_MIN_ROWS`` rows is solved block by block
+    over the connected components of the table, each block built from the
+    table directly; a smaller side is built whole and solved at once.  The
+    values are stored read-only in ``table._memo`` under ``("eigvalsh",
+    of)``; the Gram matrix is not kept.  The values come unsorted.
     """
-    n, up, down = lap.n, lap.up, lap.down
-    sides = []  # each stored term with the side of it to solve
-    if up is not None:
-        sides.append((up, "rows" if up.shape[0] < n else "columns"))
-    if down is not None:
-        sides.append((down, "columns" if down.shape[1] < n else "rows"))
-    parts = []
-    for table, of in sides:
+    key = ("eigvalsh", of)
+    if key not in table._memo:
         size = table.n_cols if of == "columns" else table.shape[0]
         if size >= BLOCK_MIN_ROWS:
             # The graph of one table numbers its columns first, then its rows.
             labels = _components(table)
             labels = labels[: table.n_cols] if of == "columns" else labels[table.n_cols :]
-            parts.append(_block_eigvalsh(table, of, labels))
+            vals = _block_eigvalsh(table, of, labels)
         else:
-            parts.append(_eigvalsh(_gram(table, of)))
+            vals = _eigvalsh(_gram(table, of))
+        vals.setflags(write=False)
+        table._memo[key] = vals
+    return table._memo[key]
+
+
+def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
+    """Eigenvalues of a Laplacian, solved term by term on smaller Gram sides.
+
+    Each stored term is solved on its side of size |S_i| = n, or on its
+    other side when that is strictly smaller, once per table and side (see
+    :func:`_side_eigvalsh`).  Fewer than n values are padded with exact
+    zeros; of more than n, the n largest are kept.  Length always equals n,
+    and the returned values are a fresh array.
+    """
+    n, up, down = lap.n, lap.up, lap.down
+    parts = []  # the eigenvalues of each stored term on the side solved
+    if up is not None:
+        parts.append(_side_eigvalsh(up, "rows" if up.shape[0] < n else "columns"))
+    if down is not None:
+        parts.append(_side_eigvalsh(down, "columns" if down.shape[1] < n else "rows"))
     vals = np.concatenate(parts) if parts else np.zeros(0)
     if not np.isfinite(vals).all():
         # Finite weights whose ratios overflow a float reach this point.

@@ -1,12 +1,18 @@
 """Verification suites: run the theorem checks over the fixture corpus.
 
 Each suite yields :class:`CheckReport` objects; ``run_suites`` aggregates
-them deterministically (sorted by theorem id, then input hash).  The CLI
-``verify`` subcommand is a thin wrapper over :func:`run_suites`.
+them deterministically (sorted by theorem id, then input hash).  The corpus
+suites ``hodge``, ``bounds`` and ``boundary`` take the (name, complex)
+entries to check: ``run_suites`` builds the corpus once and hands each
+complex to every selected corpus suite before dropping it, so the complex's
+memo tables (coboundaries, ranks, Betti numbers, weights, pure parts) are
+built once for all three.  The CLI ``verify`` subcommand is a thin wrapper
+over :func:`run_suites`.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 from . import corpus
@@ -36,6 +42,8 @@ SUITES = (
     "boundary",
     "regular",
 )
+# Suites that check every entry of the corpus; run_suites walks it once for all.
+_CORPUS_SUITES = ("hodge", "bounds", "boundary")
 
 
 def suite_families(tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
@@ -54,7 +62,7 @@ def _corpus(seed: int, extra: dict[str, SimplicialComplex] | None, random_count:
 
     Equal entries share one object, so a complex and its memo tables
     (coboundaries, ranks, pure parts) are freed once its last entry has been
-    checked instead of living until the suite ends.
+    checked instead of living until the run ends.
     """
     fixtures = corpus.full_corpus(seed, random_count)
     if extra:
@@ -64,23 +72,14 @@ def _corpus(seed: int, extra: dict[str, SimplicialComplex] | None, random_count:
 
 
 def suite_hodge(
-    seed: int = 0,
-    extra: dict[str, SimplicialComplex] | None = None,
-    tol: float = DEFAULT_VALUE_TOL,
-    random_count: int = corpus.RANDOM_COUNT,
-    **_,
+    entries, seed: int = 0, tol: float = DEFAULT_VALUE_TOL, **_
 ) -> Iterable[CheckReport]:
-    for name, k in _corpus(seed, extra, random_count):
+    for name, k in entries:
         yield check_hodge_and_duality(k, name, tol=tol, seed=seed)
 
 
-def suite_bounds(
-    seed: int = 0,
-    extra: dict[str, SimplicialComplex] | None = None,
-    random_count: int = corpus.RANDOM_COUNT,
-    **_,
-) -> Iterable[CheckReport]:
-    for name, k in _corpus(seed, extra, random_count):
+def suite_bounds(entries, seed: int = 0, **_) -> Iterable[CheckReport]:
+    for name, k in entries:
         for i in range(0, k.dim):
             for kind in ("combinatorial", "normalized", "custom"):
                 yield check_bounds(k, i, kind, name, seed=seed)
@@ -105,18 +104,18 @@ def suite_duplication(tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckRepo
         yield check_duplication(k, verts, name, tol=tol)
 
 
-def suite_boundary(
-    seed: int = 0,
-    extra: dict[str, SimplicialComplex] | None = None,
-    tol: float = DEFAULT_VALUE_TOL,
-    random_count: int = corpus.RANDOM_COUNT,
-    **_,
-) -> Iterable[CheckReport]:
-    # Small standard and duplication fixtures also get the duplication checks.
-    dup_names = set(corpus.standard_fixtures())
-    dup_names.update(name for name, _, _ in corpus.duplication_instances())
-    for name, k in _corpus(seed, extra, random_count):
-        run_dup = k.n_faces(0) <= 8 and name in dup_names
+@functools.cache
+def _duplication_fixture_names() -> frozenset[str]:
+    """Names of the standard and duplication fixtures; they do not depend on the seed."""
+    names = set(corpus.standard_fixtures())
+    names.update(name for name, _, _ in corpus.duplication_instances())
+    return frozenset(names)
+
+
+def suite_boundary(entries, tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
+    for name, k in entries:
+        # Small standard and duplication fixtures also get the duplication checks.
+        run_dup = k.n_faces(0) <= 8 and name in _duplication_fixture_names()
         for i in range(0, k.dim):
             yield check_boundary_eigenvalue(
                 k, i, name, tol=tol, duplication_fixtures=run_dup
@@ -163,11 +162,17 @@ def run_suites(
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     reports: list[CheckReport] = []
+    walked = [name for name in selected if name in _CORPUS_SUITES]
+    if walked:
+        # One walk: each corpus complex gets every walked suite's checks
+        # before it is dropped, so its memo tables are built once.  Each
+        # suite has its own theorem ids, so the interleaving does not
+        # change the sorted order.
+        for entry in _corpus(seed, extra, random_count):
+            for name in walked:
+                reports.extend(_SUITE_FUNCS[name]([entry], seed=seed, tol=tol))
     for name in selected:
-        reports.extend(
-            _SUITE_FUNCS[name](
-                seed=seed, extra=extra, tol=tol, random_count=random_count
-            )
-        )
+        if name not in walked:
+            reports.extend(_SUITE_FUNCS[name](seed=seed, extra=extra, tol=tol))
     reports.sort(key=lambda r: (r.theorem_id, r.input_hash()))
     return reports

@@ -54,6 +54,7 @@ from .operators import (
     laplacian,
     normalized_weight_map,
     weight_map,
+    weighted_coboundary,
 )
 from .spectra import (
     DEFAULT_BOUND_SLACK,
@@ -246,15 +247,27 @@ def check_hodge_and_duality(
     profile = betti(complex_)
     chi_c, chi_b = profile.euler_characteristics()
     report.add("euler-identity", chi_c, chi_b, abs(chi_c - chi_b), 0)
+    dims = range(-1, complex_.dim + 1)
     for kind, scheme in _schemes_for(complex_, scheme_kinds, seed):
+        # One weight map, weight vector and B_j per scheme: L_j^up and
+        # L_{j+1}^down share B_j, and with it one solve of a Gram side
+        # whenever both pick the same side (f_j != f_{j+1}).
+        wmap = weight_map(complex_, scheme)
+        w = {i: np.array([wmap[f] for f in complex_.faces(i)], dtype=float) for i in dims}
+        b = {
+            j: weighted_coboundary(complex_, j, wmap)
+            for j in dims
+            if complex_.n_faces(j + 1) > 0
+        }
         spectra = {}
-        for i in range(-1, complex_.dim + 1):
-            for direction in ("up", "down"):
-                spectra[(i, direction)] = spectrum(laplacian(complex_, i, direction, scheme))
-            spectra[(i, "full")] = _full_size_spectrum(laplacian(complex_, i, "full", scheme))
+        for i in dims:
+            up, down = b.get(i), b.get(i - 1)
+            spectra[(i, "up")] = spectrum(LaplacianMatrix(up, None, w[i]))
+            spectra[(i, "down")] = spectrum(LaplacianMatrix(None, down, w[i]))
+            spectra[(i, "full")] = _full_size_spectrum(LaplacianMatrix(up, down, w[i]))
         min_eig = min(float(s.values.min()) for s in spectra.values() if len(s))
         report.add(f"{kind}/psd", ">= -1e-9", min_eig, max(0.0, -min_eig), 1e-9)
-        for i in range(-1, complex_.dim + 1):
+        for i in dims:
             up, down, full = (spectra[(i, d)] for d in ("up", "down", "full"))
             f1, f2 = predicted_zero_multiplicity_formulas(complex_, i, profile)
             report.add(f"{kind}/i={i}/thm-zero-up-formulas-agree", f1, f2, abs(f1 - f2), 0)

@@ -254,6 +254,29 @@ def test_construct_subcommands(tmp_path, capsys):
     assert parse_document(stdout).to_complex().n_faces(1) == 4
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["wedge", "tri", "tri", "--face", "0", "--face", "1", "--face", "2"], "once or twice"),
+        (["cone", "tri", "--face", "0", "--motif", "5"], "--face applies to wedge only"),
+        (["join", "tri", "tri", "--motif", "5"], "--motif applies to duplicate only"),
+    ],
+    ids=["three-faces", "cone-face-motif", "join-motif"],
+)
+def test_construct_rejects_options_that_do_not_apply(tmp_path, args, message):
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps({"facets": [[0, 1, 2]]}))
+    argv = ["construct"] + [str(tri) if a == "tri" else a for a in args]
+    src = str(Path(hodgelap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "hodgelap"] + argv, capture_output=True, text=True, env=env,
+        timeout=300,
+    )
+    assert run.returncode == EXIT_BAD_DOCUMENT and run.stdout == ""
+    assert message in run.stderr and "Traceback" not in run.stderr
+
+
 def test_exit_code_bad_document(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"facets": [[0, 0, 1]]}')

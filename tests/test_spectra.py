@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgelap.core import _components, from_facets, is_regular
-from hodgelap.operators import WeightScheme, _gram, coboundary_matrix, laplacian
+from hodgelap.operators import (
+    LaplacianMatrix,
+    WeightScheme,
+    _gram,
+    coboundary_matrix,
+    entrywise_laplacian,
+    laplacian,
+    weight_map,
+    weighted_coboundary,
+)
 from hodgelap.spectra import (
     BLOCK_MIN_ROWS,
     Spectrum,
@@ -393,3 +402,62 @@ def test_spectra_and_betti_numbers_ignore_vertex_labels(facets, relabel):
                 assert np.abs(a.values - b.values).max() <= tol, (i, direction)
             # Hodge: the full operator's kernel is the i-th reduced homology.
             assert a.zero_multiplicity == profile[i], i
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [[[0, 1, 2], [1, 2, 3]], [[j, j + 1, j + 2] for j in range(248)]],
+    ids=["whole-side", "block-side"],
+)
+def test_writing_into_a_spectrum_leaves_the_solve_memo_intact(facets):
+    k = from_facets(facets)
+    lap = laplacian(k, 1, "up", NORM)
+    first = spectrum(lap)
+    expected = first.values.copy()
+    first.values[:] = -1.0
+    assert np.array_equal(spectrum(lap).values, expected)
+    # The memo holds one read-only eigenvalue array per solved side, no Gram.
+    (key, stored), = lap.up._memo.items()
+    assert key[0] == "eigvalsh" and stored.ndim == 1 and not stored.flags.writeable
+
+
+def _oracle_spectrum(k, i, direction, scheme):
+    """eigvalsh of the W^{1/2}-conjugated entrywise operator, with no table or memo."""
+    sqrt_w = np.sqrt([weight_map(k, scheme)[f] for f in k.faces(i)])
+    oracle = entrywise_laplacian(k, i, direction, scheme)
+    return np.linalg.eigvalsh(oracle * sqrt_w[:, None] / sqrt_w[None, :])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=7,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_euler_identity_and_up_down_duality(facets, seed):
+    k = from_facets(facets)
+    chi_c, chi_b = betti(k).euler_characteristics()
+    assert chi_c == chi_b == sum((-1) ** (j % 2) * k.n_faces(j) for j in range(-1, k.dim + 1))
+    for scheme in (WeightScheme.combinatorial(), NORM, deterministic_custom_scheme(k, seed)):
+        wmap = weight_map(k, scheme)
+        for i in range(-1, k.dim):
+            up = spectrum(laplacian(k, i, "up", scheme))
+            down = spectrum(laplacian(k, i + 1, "down", scheme))
+            # The same two operators sharing one B_i, as the Hodge check builds them.
+            b = weighted_coboundary(k, i, wmap)
+            shared = [
+                spectrum(LaplacianMatrix(b, None, np.array([wmap[f] for f in k.faces(i)]))),
+                spectrum(LaplacianMatrix(None, b, np.array([wmap[f] for f in k.faces(i + 1)]))),
+            ]
+            refs = [
+                _oracle_spectrum(k, i, "up", scheme),
+                _oracle_spectrum(k, i + 1, "down", scheme),
+            ]
+            tol = 1e-9 * max(1.0, float(np.abs(np.concatenate(refs)).max()))
+            assert multiset_deviation(up.nonzero, down.nonzero) <= tol, i
+            for got, again, ref in zip((up, down), shared, refs):
+                assert np.abs(got.values - ref).max() <= tol, i
+                assert np.abs(again.values - ref).max() <= tol, i

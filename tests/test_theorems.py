@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hodgelap
+from hodgelap import corpus, spectra, theorems
 from hodgelap.constructions import FamilySpec
 from hodgelap.core import from_facets
 from hodgelap.operators import WeightScheme, laplacian
@@ -237,3 +238,46 @@ def test_custom_scheme_seeds_ignore_the_hash_seed():
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 220
+
+
+def test_hodge_check_solves_each_shared_side_once(fixtures, monkeypatch):
+    # The hollow tetrahedron has f = (1, 4, 6, 4), so L_j^up and L_{j+1}^down
+    # pick the same side of B_j for j = -1, 0, 1: 1 x 1, 4 x 4 and 4 x 4.
+    k = fixtures["boundary-delta3"]
+    solve = spectra._eigvalsh
+    shapes = {"spectrum": [], "full-size": []}
+
+    def recorder(label):
+        def record(matrix):
+            shapes[label].append(np.shape(matrix))
+            return solve(matrix)
+
+        return record
+
+    monkeypatch.setattr(spectra, "_eigvalsh", recorder("spectrum"))
+    monkeypatch.setattr(theorems, "_eigvalsh", recorder("full-size"))
+    report = check_hodge_and_duality(k, "boundary-delta3")
+    assert report.passed
+    assert sorted(shapes["spectrum"]) == sorted([(1, 1), (4, 4), (4, 4)] * 3)
+    # One n x n solve of each full L_i, i = -1..2, per scheme.
+    assert sorted(shapes["full-size"]) == sorted([(1, 1), (4, 4), (6, 6), (4, 4)] * 3)
+
+
+def test_corpus_suites_share_one_walk(monkeypatch):
+    one_at_a_time = [
+        r for name in ("hodge", "bounds", "boundary") for r in run_suites([name], random_count=2)
+    ]
+    one_at_a_time.sort(key=lambda r: (r.theorem_id, r.input_hash()))
+    build = corpus.full_corpus
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "full_corpus", counting)
+    together = run_suites(["hodge", "bounds", "boundary"], random_count=2)
+    assert len(calls) == 1
+    assert json.dumps([r.to_dict() for r in together]) == json.dumps(
+        [r.to_dict() for r in one_at_a_time]
+    )
