@@ -93,6 +93,10 @@ def parse_document(text: str) -> ComplexDocument:
         raise DocumentError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer longer than the interpreter converts, or nesting deeper
+        # than its recursion limit.
+        raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     facets = raw.get("facets")
@@ -137,6 +141,8 @@ def _load(path: str) -> ComplexDocument:
             text = handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     return parse_document(text)
 
 

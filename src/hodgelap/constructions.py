@@ -330,5 +330,10 @@ def product_tensor_weight_map(
             out[(a, b)] = p_ratio * w1[tuple(sorted((u1, u2)))] * w2[(v1,)]
         else:
             out[(a, b)] = q_ratio * w1[(u1,)] * w2[tuple(sorted((v1, v2)))]
-    out[()] = sum(out[(k,)] for (k,) in product.faces_by_dim[0])
+    # Added left to right in canonical order: the builtin sum() compensates
+    # float rounding from Python 3.12 on, which would change the last bits.
+    total = 0.0
+    for vertex in product.faces_by_dim[0]:
+        total += out[vertex]
+    out[()] = total
     return out

@@ -250,14 +250,21 @@ class CoboundaryMatrix:
     k-th vertex of the row's face -- with value ``values[r, k]``.  For
     ``D_i`` the values are the boundary signs ``(-1)**k``; for the weighted
     ``B_i`` they are those signs times ``sqrt(w_{i+1}[r] / w_i[index[r, k]])``.
-    ``_memo`` holds what is derived from the table once, such as the
+    The tables that :func:`coboundary_matrix` and
+    :func:`hodgelap.operators.weighted_coboundary` memoize on a complex are
+    shared by every caller, so their ``index`` and ``values`` are read-only.
+    ``_memo`` holds what is derived from the values once, such as the
     read-only eigenvalues of its Gram sides (:func:`hodgelap.spectra.spectrum`).
+    ``_pairs`` holds what is derived from ``index`` alone, the entry-pair
+    layout of each Gram side (:func:`_entry_pairs`); every weighted table
+    built from ``D_i`` shares the one dict of ``D_i``.
     """
 
     i: int
     index: np.ndarray  # (|S_{i+1}|, i+2) int64 column indices
     n_cols: int
     values: np.ndarray  # same shape as index
+    _pairs: dict = field(default_factory=dict, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -286,7 +293,7 @@ def coboundary_matrix(complex_: SimplicialComplex, i: int) -> CoboundaryMatrix:
 
     ``i = -1`` gives the all-ones column over the vertices; ``i = dim``
     gives a table with zero rows.  ``D_i @ D_{i-1} == 0`` holds in exact
-    integer arithmetic.
+    integer arithmetic.  The table is memoized on the complex and read-only.
     """
     if not -1 <= i <= complex_.dim:
         raise DimensionError(f"coboundary index {i} out of range -1..{complex_.dim}")
@@ -302,6 +309,8 @@ def coboundary_matrix(complex_: SimplicialComplex, i: int) -> CoboundaryMatrix:
         ).reshape(len(faces), width)
         values = np.ones(index.shape, dtype=np.int64)
         values[:, 1::2] = -1  # the face that omits vertex k has sign (-1)**k
+        index.setflags(write=False)
+        values.setflags(write=False)
         complex_._memo[key] = CoboundaryMatrix(i, index, len(cols), values)
     return complex_._memo[key]
 
@@ -314,16 +323,28 @@ def _entry_pairs(table: CoboundaryMatrix, of: str):
     their rows.  Returns ``(left, right, products)``: the two members of
     each pair and the product of their values.  The pairs come grouped by
     the shared row or column in ascending order; each entry also pairs with
-    itself.
+    itself.  The members and the entries they gather depend on ``index``
+    alone, so they are built once per side and kept read-only in
+    ``table._pairs``; only the products are computed per call.
     """
-    rows = np.arange(len(table.index), dtype=np.int64).repeat(table.index.shape[1])
-    cols = table.index.ravel()
+    layout = table._pairs.get(of)
+    if layout is None:
+        layout = table._pairs[of] = _pair_layout(table.index, of)
+    left, right, gather_left, gather_right = layout
     data = table.values.ravel()
+    return left, right, data[gather_left] * data[gather_right]
+
+
+def _pair_layout(index: np.ndarray, of: str):
+    """The members of every entry pair of one Gram side and the entries they gather."""
+    entry = np.arange(index.size)
+    rows = entry // index.shape[1]
+    cols = index.ravel()
     if of == "columns":  # the entries are stored row by row already
         group, member = rows, cols
     else:
-        order = cols.argsort(kind="stable")
-        group, member, data = cols[order], rows[order], data[order]
+        entry = cols.argsort(kind="stable")
+        group, member = cols[entry], rows[entry]
     # Entry p pairs with the whole run of entries in its group, which starts
     # at start[group[p]]; pair t of entry p is offset t - first[p] into it.
     counts = np.bincount(group)
@@ -332,7 +353,10 @@ def _entry_pairs(table: CoboundaryMatrix, of: str):
     first = reps.cumsum() - reps
     left = np.arange(len(group)).repeat(reps)
     right = (start[group] - first).repeat(reps) + np.arange(len(left))
-    return member[left], member[right], data[left] * data[right]
+    layout = (member[left], member[right], entry[left], entry[right])
+    for array in layout:
+        array.setflags(write=False)
+    return layout
 
 
 def _components(table: CoboundaryMatrix) -> np.ndarray:

@@ -25,9 +25,19 @@ symmetric by construction, and ``L`` as ``W_i^{-1/2} S W_i^{1/2}``.
 Keeping the terms lets :func:`hodgelap.spectra.spectrum` eigensolve each
 term on its smaller Gram side, for every direction, and memoize the
 eigenvalues of each side on the table, so operators built from one table
-share its solves; :func:`laplacian` builds a fresh table per call.  Both
-Gram orientations are summed from the table's entry pairs in numpy; no
-sparse-matrix library is involved.
+share its solves.  Both Gram orientations are summed from the table's
+entry pairs in numpy; no sparse-matrix library is involved.
+
+Each weighted table is built once per complex, dimension and scheme:
+:func:`weight_map` and :func:`weighted_coboundary` memoize on the complex,
+so every :func:`laplacian` of one complex and scheme -- L_j^up and
+L_{j+1}^down alike, whoever builds them -- holds the same ``B_j`` and
+reads its solved sides.  The built-in schemes are keyed by their kind.  A
+custom map is a dict, which cannot be hashed, so it is keyed by its
+identity; the memo keeps a reference to the map, so that identity cannot
+pass to another map while the complex lives, and the map must not be
+changed once used.  The tables are read-only.  Every memo lives on the
+complex (and the pair layout on ``D_j``), so it is freed with the complex.
 
 Three weight schemes are supported.  ``combinatorial`` puts weight 1 on
 every face (the classical higher-order Laplacian; at i = 0 up this is the
@@ -132,17 +142,25 @@ def normalized_weight_map(
 
 
 def weight_map(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, float]:
-    """Full face -> weight map for a scheme, validated positive."""
+    """Full face -> weight map for a scheme, validated positive, memoized on the complex."""
+    key = ("wmap", _scheme_key(scheme))
+    if key not in complex_._memo:
+        # The entry keeps a custom map alive, so its id names no other map.
+        complex_._memo[key] = (scheme.custom, _weights(complex_, scheme))
+    return complex_._memo[key][1]
+
+
+def _scheme_key(scheme: WeightScheme):
+    """A scheme's memo key: its kind, or the identity of its custom map, a dict."""
+    return id(scheme.custom) if scheme.kind == CUSTOM else scheme.kind
+
+
+def _weights(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, float]:
+    """The map of :func:`weight_map`, built afresh."""
     if scheme.kind == COMBINATORIAL:
-        key = ("wmap", COMBINATORIAL)
-        if key not in complex_._memo:
-            complex_._memo[key] = {f: 1.0 for f in complex_.all_faces()}
-        return complex_._memo[key]
+        return {f: 1.0 for f in complex_.all_faces()}
     if scheme.kind == NORMALIZED:
-        key = ("wmap", NORMALIZED)
-        if key not in complex_._memo:
-            complex_._memo[key] = normalized_weight_map(complex_)
-        return complex_._memo[key]
+        return normalized_weight_map(complex_)
     out: dict[Face, float] = {}
     for f in complex_.all_faces():
         if f == ():
@@ -158,14 +176,24 @@ def weight_map(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, 
 
 
 def weighted_coboundary(
-    complex_: SimplicialComplex, i: int, wmap: Mapping[Face, float]
+    complex_: SimplicialComplex, i: int, scheme: WeightScheme
 ) -> CoboundaryMatrix:
-    """B_i = W_{i+1}^{1/2} D_i W_i^{-1/2}: the table of D_i with float values."""
-    d = coboundary_matrix(complex_, i)
-    sqrt_lo = np.sqrt([wmap[f] for f in complex_.faces(i)])
-    sqrt_hi = np.sqrt([wmap[g] for g in complex_.faces(i + 1)])
-    values = d.values * (sqrt_hi[:, None] / sqrt_lo[d.index])
-    return CoboundaryMatrix(i, d.index, d.n_cols, values)
+    """B_i = W_{i+1}^{1/2} D_i W_i^{-1/2}: the table of D_i with float values.
+
+    Built once per complex, i and scheme and shared read-only, with its
+    solve memo, by every caller; it shares ``index`` and the entry-pair
+    layout with D_i.
+    """
+    key = ("weighted", i, _scheme_key(scheme))
+    if key not in complex_._memo:
+        wmap = weight_map(complex_, scheme)
+        d = coboundary_matrix(complex_, i)
+        sqrt_lo = np.sqrt([wmap[f] for f in complex_.faces(i)])
+        sqrt_hi = np.sqrt([wmap[g] for g in complex_.faces(i + 1)])
+        values = d.values * (sqrt_hi[:, None] / sqrt_lo[d.index])
+        values.setflags(write=False)
+        complex_._memo[key] = CoboundaryMatrix(i, d.index, d.n_cols, values, d._pairs)
+    return complex_._memo[key]
 
 
 def _gram(b: CoboundaryMatrix, of: str) -> np.ndarray:
@@ -234,6 +262,8 @@ def laplacian(
     Degenerate boundary cases are well defined rather than errors: the up
     operator at the top dimension and the down operator at i = -1 are zero
     maps, with no stored term, whose spectra are all zeros of length |S_i|.
+    The terms are the memoized tables of :func:`weighted_coboundary`, so
+    ``laplacian(k, j, "up", s).up is laplacian(k, j + 1, "down", s).down``.
     """
     if direction not in ("up", "down", "full"):
         raise ValueError(f"direction must be up/down/full, got {direction!r}")
@@ -242,9 +272,9 @@ def laplacian(
     wmap = weight_map(complex_, scheme)
     up = down = None
     if direction in ("up", "full") and complex_.n_faces(i + 1) > 0:
-        up = weighted_coboundary(complex_, i, wmap)
+        up = weighted_coboundary(complex_, i, scheme)
     if direction in ("down", "full") and i >= 0:
-        down = weighted_coboundary(complex_, i - 1, wmap)
+        down = weighted_coboundary(complex_, i - 1, scheme)
     w_i = np.array([wmap[f] for f in complex_.faces(i)], dtype=float)
     return LaplacianMatrix(up, down, w_i)
 
@@ -258,9 +288,10 @@ def entrywise_laplacian(
     faces sharing a coface is the product of their boundary signs times
     w(coface)/w(row face).  The down operator mirrors this one dimension
     below, with the asymmetric factor w(col face)/w(shared face).  Used to
-    cross-check the Gram assembly.
+    cross-check the Gram assembly, so it reads no memoized weight map,
+    weighted table or solve.
     """
-    wmap = weight_map(complex_, scheme)
+    wmap = _weights(complex_, scheme)
     faces = complex_.faces_by_dim[i]
     n = len(faces)
     out = np.zeros((n, n))

@@ -24,10 +24,11 @@ in counting zeros.
 
 A table keeps the eigenvalues of each side solved on it, read-only, in
 its ``_memo``, keyed by side, so a side is solved once per table; no Gram
-matrix is kept.  :func:`hodgelap.operators.laplacian` builds a fresh table
-per call, so only callers that hand one table to several operators share
-solves.  The Hodge check does: ``B_j`` is the up term of L_j and the down
-term of L_{j+1}.  L_j^up solves the rows of ``B_j`` when f_{j+1} < f_j and
+matrix is kept.  :func:`hodgelap.operators.weighted_coboundary` builds one
+table per complex, dimension and scheme, so every operator built from it
+shares its solves: ``B_j`` is the up term of L_j and the down term of
+L_{j+1}, in the Hodge check, in ``bounds_report`` and in any repeated
+call.  L_j^up solves the rows of ``B_j`` when f_{j+1} < f_j and
 L_{j+1}^down its columns when f_j < f_{j+1}, so whenever f_j != f_{j+1}
 both pick the same side and read one array, and their ``up-eq-down-next``
 deviation is exactly 0 by construction.  Where f_j = f_{j+1}, up solves
@@ -103,8 +104,8 @@ from .operators import (
     WeightScheme,
     _gram,
     coboundary_matrix,
+    laplacian,
     weight_map,
-    weighted_coboundary,
 )
 
 DEFAULT_VALUE_TOL = 1e-7
@@ -455,11 +456,11 @@ def bounds_report(
     if complex_.n_faces(i + 1) == 0:
         return BoundsReport(i, scheme.kind, applicable=False)
     part = complex_.pure_part(i + 1)
-    # The up Laplacian is assembled here from the one weight map: a custom
-    # map is not memoized, and laplacian() would build it again.
-    wmap = weight_map(part, scheme)
-    w_i = np.array([wmap[f] for f in part.faces(i)])
-    spec = spectrum(LaplacianMatrix(weighted_coboundary(part, i, wmap), None, w_i))
+    # On a pure complex part is complex_ itself, and this is the B_i and the
+    # solved side that the Hodge check memoized on it.
+    lap = laplacian(part, i, "up", scheme)
+    spec = spectrum(lap)
+    wmap, w_i = weight_map(part, scheme), lap.weights
     lam_max = float(spec.values[-1]) if len(spec) else 0.0
 
     degrees = _degrees(part, i, wmap)

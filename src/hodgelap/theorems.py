@@ -54,7 +54,6 @@ from .operators import (
     laplacian,
     normalized_weight_map,
     weight_map,
-    weighted_coboundary,
 )
 from .spectra import (
     DEFAULT_BOUND_SLACK,
@@ -150,12 +149,17 @@ def deterministic_custom_scheme(complex_: SimplicialComplex, seed: int = 0) -> W
     """A reproducible positive custom weight map (used as the third scheme).
 
     Its seed uses ``hash(complex_)``, which 64-bit CPython computes for int
-    tuples without the ``PYTHONHASHSEED`` salt.
+    tuples without the ``PYTHONHASHSEED`` salt.  The scheme is memoized on
+    the complex per seed, so every check of one complex gets the same map,
+    and with it the same memoized weighted tables.
     """
-    rng = np.random.default_rng(seed + (hash(complex_) & 0xFFFF))
-    faces = complex_.all_faces()
-    draws = rng.uniform(0.5, 2.0, len(faces))
-    return WeightScheme.from_map({f: float(w) for f, w in zip(faces, draws)})
+    key = ("custom-scheme", seed)
+    if key not in complex_._memo:
+        rng = np.random.default_rng(seed + (hash(complex_) & 0xFFFF))
+        faces = complex_.all_faces()
+        draws = rng.uniform(0.5, 2.0, len(faces))
+        complex_._memo[key] = WeightScheme.from_map(dict(zip(faces, draws.tolist())))
+    return complex_._memo[key]
 
 
 def _schemes_for(complex_: SimplicialComplex, kinds, seed: int = 0):
@@ -249,22 +253,13 @@ def check_hodge_and_duality(
     report.add("euler-identity", chi_c, chi_b, abs(chi_c - chi_b), 0)
     dims = range(-1, complex_.dim + 1)
     for kind, scheme in _schemes_for(complex_, scheme_kinds, seed):
-        # One weight map, weight vector and B_j per scheme: L_j^up and
-        # L_{j+1}^down share B_j, and with it one solve of a Gram side
-        # whenever both pick the same side (f_j != f_{j+1}).
-        wmap = weight_map(complex_, scheme)
-        w = {i: np.array([wmap[f] for f in complex_.faces(i)], dtype=float) for i in dims}
-        b = {
-            j: weighted_coboundary(complex_, j, wmap)
-            for j in dims
-            if complex_.n_faces(j + 1) > 0
-        }
+        # L_j^up and L_{j+1}^down hold the one memoized B_j, and share one
+        # solve of a Gram side whenever both pick the same side (f_j != f_{j+1}).
         spectra = {}
         for i in dims:
-            up, down = b.get(i), b.get(i - 1)
-            spectra[(i, "up")] = spectrum(LaplacianMatrix(up, None, w[i]))
-            spectra[(i, "down")] = spectrum(LaplacianMatrix(None, down, w[i]))
-            spectra[(i, "full")] = _full_size_spectrum(LaplacianMatrix(up, down, w[i]))
+            spectra[(i, "up")] = spectrum(laplacian(complex_, i, "up", scheme))
+            spectra[(i, "down")] = spectrum(laplacian(complex_, i, "down", scheme))
+            spectra[(i, "full")] = _full_size_spectrum(laplacian(complex_, i, "full", scheme))
         min_eig = min(float(s.values.min()) for s in spectra.values() if len(s))
         report.add(f"{kind}/psd", ">= -1e-9", min_eig, max(0.0, -min_eig), 1e-9)
         for i in dims:

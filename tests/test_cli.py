@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import hodgelap
 from hodgelap import cli
@@ -405,3 +407,112 @@ def test_verify_accepts_a_zero_tolerance_and_count(capsys):
     # A zero tolerance is valid; rounding makes the checks fail, as 1e-300 does.
     code, stdout, err = run_cli(["verify", "--suite", "duplication", "--tol", "0"], capsys)
     assert code == EXIT_VERIFY_FAILED and stdout and "Invalid value" not in err
+
+
+# Vertex labels and weights as a document may hold them, most of them wrong.
+_LABELS = st.one_of(
+    st.integers(0, 5),
+    st.integers(-3, -1),
+    st.integers(2**63 - 1, 2**64),
+    st.just(10**40),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+)
+_GOOD_WEIGHTS = st.floats(0.5, 2.0)
+_ANY_WEIGHTS = st.one_of(
+    _GOOD_WEIGHTS,
+    st.floats(1e-300, 1e300),
+    st.integers(-2, 3),
+    st.just(10**400),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+def _face_keys(facets) -> list[str]:
+    """Comma-joined keys of every face the facets would close to, where they sort."""
+    faces = set()
+    for facet in facets if isinstance(facets, list) else []:
+        try:
+            vertices = sorted(set(facet))
+        except TypeError:
+            continue
+        for size in range(1, len(vertices) + 1):
+            faces.update(combinations(vertices, size))
+    return sorted(",".join(str(v) for v in face) for face in faces)
+
+
+@st.composite
+def _documents(draw) -> bytes:
+    """A document with at most one flaw, or text or bytes that need not be JSON."""
+    flaw = draw(st.sampled_from(["none", "none", "facets", "weights", "name", "text", "bytes"]))
+    if flaw == "text":
+        return draw(st.text(max_size=40)).encode()
+    if flaw == "bytes":
+        return draw(st.binary(max_size=40))
+    facets = draw(
+        st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+                 min_size=1, max_size=4)
+    )
+    if flaw == "facets":
+        facets = draw(
+            st.one_of(
+                st.lists(st.lists(_LABELS, max_size=4), max_size=4),
+                st.lists(st.one_of(_LABELS, st.lists(st.lists(st.integers(0, 3)))), max_size=3),
+                _LABELS,
+                st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+            )
+        )
+    document = {"facets": facets}
+    keys = _face_keys(facets)
+    if flaw == "weights":
+        document["weights"] = draw(
+            st.one_of(
+                st.fixed_dictionaries({key: _ANY_WEIGHTS for key in keys}),
+                st.fixed_dictionaries({key: _GOOD_WEIGHTS for key in keys[1:]}),
+                st.fixed_dictionaries(
+                    {key: st.sampled_from([1e-300, 1.0, 1e300]) for key in keys}
+                ),
+                st.dictionaries(st.text(max_size=4), _GOOD_WEIGHTS, min_size=1, max_size=3).map(
+                    lambda extra: {**{key: 1.0 for key in keys}, **extra}
+                ),
+                st.lists(_ANY_WEIGHTS, max_size=3),
+                _LABELS,
+            )
+        )
+    elif draw(st.booleans()):
+        document["weights"] = draw(st.fixed_dictionaries({key: _GOOD_WEIGHTS for key in keys}))
+    if flaw == "name":
+        document["name"] = draw(_LABELS)
+    elif draw(st.booleans()):
+        document["name"] = draw(st.text(max_size=4))
+    return json.dumps(document).encode()
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(document=_documents(), dim=st.integers(-2, 3) | st.integers(0, 2))
+@example(document=b"[" * 100_000, dim=0)
+@example(document=b'{"facets": [[' + b"9" * 5000 + b"]]}", dim=0)
+@example(document=b"\xff\xfe{}", dim=0)
+@example(document=b'{"facets": [[0, 1]], "weights": {"0": 1e-300, "1": 1, "0,1": 1e300}}', dim=0)
+def test_any_document_ends_in_a_documented_exit_code(tmp_path, capsys, document, dim):
+    path = tmp_path / "fuzzed.json"
+    path.write_bytes(document)
+    for args in (
+        ["betti", str(path)],
+        ["spectrum", str(path), "--dim", str(dim), "--scheme", "custom"],
+    ):
+        # Any other exception would reach the console script as a traceback.
+        code, _, err = run_cli(args, capsys)
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_BAD_DOCUMENT, EXIT_NUMERIC)
+        assert "Traceback" not in err

@@ -1,5 +1,9 @@
 """Family generators, closed-form spectra, and the building operations."""
 
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 
@@ -209,3 +213,22 @@ def test_k2_times_k2_spectrum():
     )
     s = spectrum(laplacian(prod, 0, "up", WeightScheme.from_map(w)))
     np.testing.assert_allclose(s.values, [0, 1, 1, 2], atol=1e-9)
+
+
+def test_product_tensor_empty_face_weight_adds_left_to_right():
+    from hodgelap.constructions import product_tensor_weight_map
+
+    g1 = from_facets([[j, j + 1] for j in range(4)])
+    g2 = from_facets([[j, j + 1] for j in range(5)])
+    rng = np.random.default_rng(5)
+    w1, w2 = (
+        dict(zip(g.all_faces(), rng.uniform(0.5, 2.0, len(g.all_faces())).tolist()))
+        for g in (g1, g2)
+    )
+    prod, pair_id = cartesian_product(g1, g2)
+    w = product_tensor_weight_map(prod, pair_id, g1, g2, w1, w2)
+    vertex_weights = [w[v] for v in prod.faces(0)]
+    # These weights round differently under compensated summation, which
+    # the builtin sum() uses from Python 3.12 on.
+    assert functools.reduce(operator.add, vertex_weights) != math.fsum(vertex_weights)
+    assert w[()] == functools.reduce(operator.add, vertex_weights)

@@ -1,10 +1,13 @@
 """Coboundaries, weight schemes, Laplacian assembly, symmetric forms."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgelap.core import from_facets
+from hodgelap.core import SimplicialComplex, _entry_pairs, from_facets
 from hodgelap.errors import WeightError
 from hodgelap.operators import (
     CoboundaryMatrix,
@@ -18,7 +21,7 @@ from hodgelap.operators import (
     weighted_coboundary,
 )
 from hodgelap.spectra import predicted_zero_multiplicity, spectrum
-from hodgelap.theorems import deterministic_custom_scheme
+from hodgelap.theorems import check_bounds, check_hodge_and_duality, deterministic_custom_scheme
 
 SCHEMES = [WeightScheme.combinatorial(), WeightScheme.normalized()]
 
@@ -174,7 +177,7 @@ def test_coboundary_table_properties(facets, seed):
         assert dense.dtype == np.int64
         if i >= 0:
             assert not (dense @ coboundary_matrix(k, i - 1).matrix.toarray()).any()
-        b = weighted_coboundary(k, i, wmap)
+        b = weighted_coboundary(k, i, WeightScheme.from_map(wmap))
         bd = b.matrix.toarray()
         for of, ref in (("columns", bd.T @ bd), ("rows", bd @ bd.T)):
             tol = 1e-12 * max(1.0, float(np.linalg.norm(ref)))
@@ -259,3 +262,57 @@ def test_wide_custom_weights(facets, seed, scale):
             assert np.abs(got - ref).max() <= tol
             again = spectrum(laplacian(k, i, direction, scaled)).values
             assert np.abs(got - again).max() <= tol
+
+
+def test_memoized_tables_are_read_only():
+    facets = [[0, 1, 2], [1, 2, 3]]
+    norm = WeightScheme.normalized()
+    expected = spectrum(laplacian(from_facets(facets), 1, "full", norm)).values
+    k = from_facets(facets)
+    d = coboundary_matrix(k, 0)
+    arrays = [d.index, d.values, weighted_coboundary(k, 0, norm).values]
+    arrays += _entry_pairs(d, "rows")[:2]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[:] = 0
+    assert np.array_equal(spectrum(laplacian(k, 1, "full", norm)).values, expected)
+
+
+def test_laplacians_share_each_weighted_coboundary():
+    k = from_facets([[0, 1, 2], [1, 2, 3], [2, 3, 4, 5]])
+    assert deterministic_custom_scheme(k, 0) is deterministic_custom_scheme(k, 0)
+    for scheme in SCHEMES + [deterministic_custom_scheme(k, 0)]:
+        for j in range(-1, k.dim):
+            b = laplacian(k, j, "up", scheme).up
+            assert b is laplacian(k, j + 1, "down", scheme).down
+            assert b is laplacian(k, j, "full", scheme).up
+            # Every weighted table of D_j shares its index and pair layout.
+            d = coboundary_matrix(k, j)
+            assert b.index is d.index and b._pairs is d._pairs
+    # A custom scheme is keyed by its map, so an equal copy gets its own table.
+    custom = deterministic_custom_scheme(k, 0)
+    copy = WeightScheme.from_map(custom.custom)
+    assert weighted_coboundary(k, 0, copy) is not weighted_coboundary(k, 0, custom)
+    assert np.array_equal(
+        weighted_coboundary(k, 0, copy).values, weighted_coboundary(k, 0, custom).values
+    )
+
+
+def test_memo_tables_add_no_reference_cycle():
+    class Tracked(SimplicialComplex):
+        """A complex that can be weakly referenced; the base class has slots only."""
+
+    k = Tracked(from_facets([[0, 1, 2], [1, 2, 3], [3, 4]]).all_faces())
+    gc.disable()
+    try:
+        assert check_hodge_and_duality(k, "tracked").passed
+        for i in range(k.dim):
+            for kind in ("combinatorial", "normalized", "custom"):
+                check_bounds(k, i, kind, "tracked")
+        assert any(key[0] == "weighted" for key in k._memo)
+        ref = weakref.ref(k)
+        del k
+        # Only reference counting runs, so a cycle would keep the complex alive.
+        assert ref() is None
+    finally:
+        gc.enable()

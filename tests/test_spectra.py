@@ -446,8 +446,8 @@ def test_euler_identity_and_up_down_duality(facets, seed):
         for i in range(-1, k.dim):
             up = spectrum(laplacian(k, i, "up", scheme))
             down = spectrum(laplacian(k, i + 1, "down", scheme))
-            # The same two operators sharing one B_i, as the Hodge check builds them.
-            b = weighted_coboundary(k, i, wmap)
+            # The same two operators built from the one memoized B_i.
+            b = weighted_coboundary(k, i, scheme)
             shared = [
                 spectrum(LaplacianMatrix(b, None, np.array([wmap[f] for f in k.faces(i)]))),
                 spectrum(LaplacianMatrix(None, b, np.array([wmap[f] for f in k.faces(i + 1)]))),

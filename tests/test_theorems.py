@@ -240,10 +240,11 @@ def test_custom_scheme_seeds_ignore_the_hash_seed():
     assert len(outputs[0].splitlines()) == 220
 
 
-def test_hodge_check_solves_each_shared_side_once(fixtures, monkeypatch):
+def test_hodge_check_solves_each_shared_side_once(monkeypatch):
     # The hollow tetrahedron has f = (1, 4, 6, 4), so L_j^up and L_{j+1}^down
     # pick the same side of B_j for j = -1, 0, 1: 1 x 1, 4 x 4 and 4 x 4.
-    k = fixtures["boundary-delta3"]
+    # Built here: a shared fixture's memo would hold solves of earlier tests.
+    k = from_facets([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     solve = spectra._eigvalsh
     shapes = {"spectrum": [], "full-size": []}
 
@@ -261,6 +262,32 @@ def test_hodge_check_solves_each_shared_side_once(fixtures, monkeypatch):
     assert sorted(shapes["spectrum"]) == sorted([(1, 1), (4, 4), (4, 4)] * 3)
     # One n x n solve of each full L_i, i = -1..2, per scheme.
     assert sorted(shapes["full-size"]) == sorted([(1, 1), (4, 4), (6, 6), (4, 4)] * 3)
+    # The tables and their solved sides are memoized on the complex, so a
+    # second check solves only the full-size operators, which are not.
+    shapes["spectrum"].clear()
+    assert check_hodge_and_duality(k, "boundary-delta3").passed
+    assert shapes["spectrum"] == []
+    assert len(shapes["full-size"]) == 2 * 12
+
+
+@pytest.mark.parametrize("kind", ["combinatorial", "normalized", "custom"])
+def test_bounds_after_the_hodge_check_solve_nothing(kind, monkeypatch):
+    # A pure complex is its own pure part, so check_bounds at i = dim - 1
+    # reads the B_{dim-1} side that the Hodge check solved.
+    k = from_facets([[0, 1, 2], [1, 2, 3], [0, 2, 3], [3, 4, 5]])
+    assert k.is_pure()
+    assert check_hodge_and_duality(k, "pure").passed
+    solve = spectra._eigvalsh
+    calls = []
+
+    def record(matrix):
+        calls.append(np.shape(matrix))
+        return solve(matrix)
+
+    monkeypatch.setattr(spectra, "_eigvalsh", record)
+    report = check_bounds(k, k.dim - 1, kind, "pure")
+    assert report.applicable and report.passed
+    assert calls == []
 
 
 def test_corpus_suites_share_one_walk(monkeypatch):
