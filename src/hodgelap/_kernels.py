@@ -19,12 +19,9 @@ The rows that are left, if any, form a residual with no unit entry, which
 goes to Bareiss's fraction-free Gaussian elimination (Bareiss 1968): every
 intermediate entry is a minor of the input and every division is exact.
 Each pivot step updates the whole remaining block with one numpy
-expression.  The Bareiss loop is written once and runs on two dtypes.
-``int64`` is the fast path; entries are minors and can grow, so before each
-pivot step the active block is checked against an overflow guard, and if
-the guard trips the residual is eliminated again on an ``object`` array of
-Python ints (``bareiss_rank_pyint``), which cannot overflow.  A residual
-whose entries already exceed the guard goes straight there.
+expression.  The entries are minors and can grow past any fixed width, so
+the residual is held in an ``object`` array of Python ints
+(``bareiss_rank_pyint``), which cannot overflow.
 
 ``exhaustive_balance`` is the brute-force reference for the BFS balance
 test in :mod:`hodgelap.core`; the tests compare the two.
@@ -36,19 +33,17 @@ import heapq
 
 import numpy as np
 
-# Magnitudes up to 2**30 keep every Bareiss product below 2**60, so the
-# difference of two products fits comfortably in int64.
-_OVERFLOW_GUARD = 1 << 30
 
+def bareiss_rank_pyint(matrix) -> int:
+    """Exact rank over the rationals with arbitrary-precision integers.
 
-def _bareiss_rank(a: np.ndarray, guard: int | None = None) -> int:
-    """Rank of the 2-D integer array ``a``, which is overwritten.
-
-    Returns -1 as soon as an entry of the active block exceeds ``guard``.
-    Every row below the pivot is updated, including rows whose entry in the
-    pivot column is zero: Sylvester's identity makes the division by the
-    previous pivot exact only when all rows carry the same scale.
+    ``matrix`` is any 2-D integer array-like (an array, or a list of equal
+    length lists of ints); it is not modified.  Every row below the pivot is
+    updated, including rows whose entry in the pivot column is zero:
+    Sylvester's identity makes the division by the previous pivot exact only
+    when all rows carry the same scale.
     """
+    a = np.array(matrix, dtype=object)
     if a.size == 0:
         return 0
     m, n = a.shape
@@ -62,8 +57,6 @@ def _bareiss_rank(a: np.ndarray, guard: int | None = None) -> int:
         if nonzero[0]:
             p = row + nonzero[0]
             a[[row, p], col:] = a[[p, row], col:]
-        if guard is not None and np.abs(a[row:, col:]).max() > guard:
-            return -1
         piv = a[row, col]
         a[row + 1 :, col + 1 :] = (
             piv * a[row + 1 :, col + 1 :] - a[row + 1 :, col : col + 1] * a[row, col + 1 :]
@@ -71,15 +64,6 @@ def _bareiss_rank(a: np.ndarray, guard: int | None = None) -> int:
         prev = piv
         row += 1
     return row
-
-
-def bareiss_rank_pyint(matrix) -> int:
-    """Exact rank over the rationals with arbitrary-precision integers.
-
-    ``matrix`` is any 2-D integer array-like (an array, or a list of equal
-    length lists of ints); it is not modified.
-    """
-    return _bareiss_rank(np.array(matrix, dtype=object))
 
 
 def _row_dicts(matrix) -> dict[int, dict[int, int]]:
@@ -167,9 +151,8 @@ def exact_rank(matrix) -> int:
 
     ``matrix`` is a dense integer array-like or a boundary-index table with
     ``index`` and ``values`` fields.  Unit pivots are eliminated sparsely
-    first; the rows left over, if any, go to Bareiss elimination on int64
-    under the overflow guard, or on Python ints when their entries are too
-    large for it.
+    first; the rows left over, if any, go to Bareiss elimination on Python
+    ints.
     """
     rows = _row_dicts(matrix)
     rank = _eliminate_unit_pivots(rows)
@@ -181,10 +164,6 @@ def exact_rank(matrix) -> int:
     for dense_row, row in zip(residual, rows.values()):
         for c, v in row.items():
             dense_row[pos[c]] = v
-    if max(abs(v) for row in rows.values() for v in row.values()) <= _OVERFLOW_GUARD:
-        r = _bareiss_rank(np.array(residual, dtype=np.int64), _OVERFLOW_GUARD)
-        if r >= 0:
-            return rank + r
     return rank + bareiss_rank_pyint(residual)
 
 

@@ -131,10 +131,6 @@ def document_dict(complex_: SimplicialComplex, name: str | None = None,
     return out
 
 
-def serialize_complex(complex_: SimplicialComplex, name: str | None = None) -> str:
-    return json.dumps(document_dict(complex_, name), indent=2)
-
-
 def _load(path: str) -> ComplexDocument:
     try:
         with click.open_file(path, "r") as handle:

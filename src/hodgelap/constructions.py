@@ -309,15 +309,13 @@ def product_tensor_weight_map(
     g2: SimplicialComplex,
     w1: Mapping[Face, float],
     w2: Mapping[Face, float],
-    p_ratio: float = 0.5,
-    q_ratio: float = 0.5,
 ) -> dict[Face, float]:
     """Tensor-product weights on a graph product.
 
     Vertex (u, v) gets w1(u) * w2(v); an edge in the first direction gets
-    p_ratio * w1(uu') * w2(v), one in the second q_ratio * w1(u) * w2(vv').
-    With normalized factor weights and p_ratio + q_ratio = 1 the resulting
-    operator is again normalized.
+    w1(uu') * w2(v) / 2, one in the second w1(u) * w2(vv') / 2.  The two
+    directions share the weight equally, so with normalized factor weights
+    the resulting operator is again normalized.
     """
     id_pair = {k: uv for uv, k in pair_id.items()}
     out: dict[Face, float] = {}
@@ -327,9 +325,9 @@ def product_tensor_weight_map(
     for (a, b) in product.faces_by_dim.get(1, []):
         (u1, v1), (u2, v2) = id_pair[a], id_pair[b]
         if v1 == v2:
-            out[(a, b)] = p_ratio * w1[tuple(sorted((u1, u2)))] * w2[(v1,)]
+            out[(a, b)] = 0.5 * w1[tuple(sorted((u1, u2)))] * w2[(v1,)]
         else:
-            out[(a, b)] = q_ratio * w1[(u1,)] * w2[tuple(sorted((v1, v2)))]
+            out[(a, b)] = 0.5 * w1[(u1,)] * w2[tuple(sorted((v1, v2)))]
     # Added left to right in canonical order: the builtin sum() compensates
     # float rounding from Python 3.12 on, which would change the last bits.
     total = 0.0

@@ -50,10 +50,6 @@ from .errors import (
 Face = tuple  # strictly increasing tuple of non-negative ints; () is the empty face
 
 
-def face_dim(face: Face) -> int:
-    return len(face) - 1
-
-
 def as_face(vertices: Iterable[int]) -> Face:
     """Normalize an iterable of vertex ids into a canonical face tuple."""
     vs = tuple(sorted(vertices))
@@ -143,9 +139,6 @@ class SimplicialComplex:
     def facets(self) -> list[Face]:
         """Inclusion-maximal faces (empty face only for the void complex)."""
         return [f for f in self.all_faces() if not self.cofaces(f)]
-
-    def is_pure(self) -> bool:
-        return all(len(f) - 1 == self.dim for f in self.facets())
 
     def cofaces(self, face: Face) -> tuple[Face, ...]:
         """Faces one dimension up that contain ``face``."""

@@ -355,14 +355,10 @@ def predicted_zero_multiplicity(
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_part(values, zero_tol: float | None = None) -> np.ndarray:
+def _nonzero_part(values) -> np.ndarray:
     if isinstance(values, Spectrum):
         return values.nonzero
-    vals = np.sort(np.asarray(values, dtype=float))
-    if zero_tol is None:
-        scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
-        zero_tol = 1e-8 * scale
-    return vals[vals > zero_tol]
+    return Spectrum.from_values(values).nonzero
 
 
 def eq_mod_zeros(a, b, tol: float = DEFAULT_VALUE_TOL) -> bool:

@@ -162,14 +162,12 @@ def deterministic_custom_scheme(complex_: SimplicialComplex, seed: int = 0) -> W
     return complex_._memo[key]
 
 
-def _schemes_for(complex_: SimplicialComplex, kinds, seed: int = 0):
-    for kind in kinds:
-        if kind == "custom":
-            yield "custom", deterministic_custom_scheme(complex_, seed)
-        elif kind == "normalized":
-            yield "normalized", WeightScheme.normalized()
-        else:
-            yield "combinatorial", WeightScheme.combinatorial()
+def _scheme_for(complex_: SimplicialComplex, kind: str, seed: int = 0) -> WeightScheme:
+    if kind == "custom":
+        return deterministic_custom_scheme(complex_, seed)
+    if kind == "normalized":
+        return WeightScheme.normalized()
+    return WeightScheme.combinatorial()
 
 
 def _eigenpairs(complex_: SimplicialComplex, i: int, scheme: WeightScheme):
@@ -235,7 +233,6 @@ def check_family(spec: FamilySpec, tol: float = DEFAULT_VALUE_TOL) -> CheckRepor
 def check_hodge_and_duality(
     complex_: SimplicialComplex,
     name: str = "",
-    scheme_kinds=("combinatorial", "normalized", "custom"),
     tol: float = DEFAULT_VALUE_TOL,
     seed: int = 0,
 ) -> CheckReport:
@@ -252,7 +249,8 @@ def check_hodge_and_duality(
     chi_c, chi_b = profile.euler_characteristics()
     report.add("euler-identity", chi_c, chi_b, abs(chi_c - chi_b), 0)
     dims = range(-1, complex_.dim + 1)
-    for kind, scheme in _schemes_for(complex_, scheme_kinds, seed):
+    for kind in ("combinatorial", "normalized", "custom"):
+        scheme = _scheme_for(complex_, kind, seed)
         # L_j^up and L_{j+1}^down hold the one memoized B_j, and share one
         # solve of a Gram side whenever both pick the same side (f_j != f_{j+1}).
         spectra = {}
@@ -318,8 +316,7 @@ def check_bounds(
     report = CheckReport(
         "spectral-bounds", {"complex": name, "i": i, "scheme": scheme_kind}
     )
-    (_, scheme), = _schemes_for(complex_, (scheme_kind,), seed)
-    rep = bounds_report(complex_, i, scheme, slack)
+    rep = bounds_report(complex_, i, _scheme_for(complex_, scheme_kind, seed), slack)
     if not rep.applicable:
         report.applicable = False
         report.notes.append("no (i+1)-faces; up operator is the zero map")

@@ -21,8 +21,8 @@ from hodgelap.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     cli_main,
+    document_dict,
     parse_document,
-    serialize_complex,
 )
 from hodgelap.core import closure_of, from_facets
 from hodgelap.errors import DocumentError
@@ -37,7 +37,7 @@ def run_cli(args, capsys):
 
 def test_document_roundtrip(fixtures):
     for k in fixtures.values():
-        doc = parse_document(serialize_complex(k))
+        doc = parse_document(json.dumps(document_dict(k)))
         assert doc.to_complex() == k
 
 
@@ -191,7 +191,7 @@ def test_void_complex_has_no_document(capsys, monkeypatch):
     # Its only facet is the empty face, which no document may hold.
     void = closure_of([])
     with pytest.raises(DocumentError, match="void complex"):
-        serialize_complex(void)
+        document_dict(void)
     monkeypatch.setattr(cli, "generate", lambda spec: void)
     code, stdout, err = run_cli(["generate", "simplex", "--n", "1"], capsys)
     assert code == EXIT_BAD_DOCUMENT and stdout == ""

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from hodgelap import _kernels
 from hodgelap._kernels import (
-    _OVERFLOW_GUARD,
-    _bareiss_rank,
     _eliminate_unit_pivots,
     _row_dicts,
     bareiss_rank_pyint,
@@ -42,12 +40,11 @@ def test_exact_rank_matches_numpy_on_random_pm1():
         assert exact_rank(a) == np.linalg.matrix_rank(a.astype(float))
 
 
-def test_exact_rank_overflow_falls_back_to_pyint():
-    # entries beyond the int64 guard must be handled exactly by the
-    # arbitrary-precision path
+def test_exact_rank_of_large_entries():
+    # Bareiss products of entries this large exceed int64; the Python-int
+    # elimination handles them exactly.
     big = 1 << 40
     a = np.array([[big, 0], [0, big]], dtype=np.int64)
-    assert _bareiss_rank(a.copy(), _OVERFLOW_GUARD) == -1
     assert exact_rank(a) == 2
 
 
@@ -79,7 +76,7 @@ def test_exact_rank_matches_sympy():
         elif kind == 1:  # rank-deficient: a product through a narrow middle
             r = int(rng.integers(1, min(m, n) + 1))
             a = rng.integers(-5, 6, size=(m, r)) @ rng.integers(-5, 6, size=(r, n))
-        else:  # entries past the overflow guard
+        else:  # entries whose products do not fit in int64
             a = rng.integers(-(1 << 40), 1 << 40, size=(m, n))
         expected = sympy.Matrix(a.tolist()).rank()
         assert exact_rank(a) == expected
@@ -89,11 +86,11 @@ def test_exact_rank_matches_sympy():
 def _count_bareiss(monkeypatch):
     calls = []
 
-    def counting(a, guard=None):
-        calls.append(a.shape)
-        return _bareiss_rank(a, guard)
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return bareiss_rank_pyint(matrix)
 
-    monkeypatch.setattr(_kernels, "_bareiss_rank", counting)
+    monkeypatch.setattr(_kernels, "bareiss_rank_pyint", counting)
     return calls
 
 
@@ -122,19 +119,15 @@ def test_non_unit_inputs_go_to_bareiss(monkeypatch):
     assert calls[-1] == (3, 3)
 
 
-def test_residual_past_the_guard_uses_python_ints(monkeypatch):
-    traced = []
-    monkeypatch.setattr(
-        _kernels, "bareiss_rank_pyint", lambda m: traced.append(m) or bareiss_rank_pyint(m)
-    )
+def test_residual_after_unit_pivots_keeps_large_entries_exact(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
     big = 1 << 40
-    # After the unit pivot at (0, 0) the residual is [[big]]: past the
-    # guard, inside int64.
+    # After the unit pivot at (0, 0) the residual is [[big]].
     assert exact_rank([[1, 0], [0, big]]) == 2
-    assert len(traced) == 1
+    assert calls == [(1, 1)]
     # Here it is [[3*big - big**2]], which does not fit in int64 at all.
     assert exact_rank([[1, big], [big, 3 * big]]) == 2
-    assert len(traced) == 2
+    assert calls == [(1, 1), (1, 1)]
 
 
 def test_table_and_dense_inputs_agree():
@@ -166,7 +159,7 @@ def test_table_rank_matches_dense_bareiss(facets, scale):
         factors = np.resize(np.array(scale, dtype=np.int64), len(d.index))[:, None]
         scaled = CoboundaryMatrix(i, d.index, d.n_cols, d.values * factors)
         for table in (d, scaled):
-            expected = _bareiss_rank(table.matrix.toarray(), None)
+            expected = bareiss_rank_pyint(table.matrix.toarray())
             assert exact_rank(table) == expected
             if max(table.shape) <= 12:
                 assert sympy.Matrix(table.matrix.toarray().tolist()).rank() == expected
