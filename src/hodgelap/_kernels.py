@@ -66,23 +66,34 @@ def bareiss_rank_pyint(matrix) -> int:
     return row
 
 
+def _integers(values) -> np.ndarray:
+    """``values`` as an int64 array, or as an object array of Python ints
+    when some entry does not fit in int64.  An int64 array comes back as is.
+    """
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def _row_dicts(matrix) -> dict[int, dict[int, int]]:
     """The nonzero entries of ``matrix`` as ``{row: {column: value}}``.
 
     A boundary-index table (anything with ``index`` and ``values`` arrays,
     such as :class:`hodgelap.core.CoboundaryMatrix`) lists its entries
     directly, each row's in distinct columns; anything else is read as a
-    dense integer array.
+    dense integer array.  The values are read by :func:`_integers`, so
+    entries past int64 stay exact; every value comes out a Python int.
     """
     if hasattr(matrix, "index") and hasattr(matrix, "values"):
         index = np.asarray(matrix.index, dtype=np.int64)
         rows = np.repeat(np.arange(len(index)), index.shape[1])
         cols = index.ravel()
-        vals = np.asarray(matrix.values, dtype=np.int64).ravel()
+        vals = _integers(matrix.values).ravel()
         keep = vals != 0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     else:
-        a = np.array(matrix, dtype=np.int64)
+        a = _integers(matrix)
         rows, cols = np.nonzero(a)
         vals = a[rows, cols]
     out: dict[int, dict[int, int]] = {}

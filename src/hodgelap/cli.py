@@ -315,12 +315,12 @@ def cmd_verify(files, suite, seed, tol, random_count):
     if random_count is not None:
         kwargs["random_count"] = random_count
     reports = run_suites([suite], **kwargs)
-    failed = 0
+    failed = n_na = 0
     for report in reports:
-        click.echo(json.dumps(report.to_dict(), default=str))
-        if report.status == "fail":
-            failed += 1
-    n_na = sum(1 for r in reports if r.status == "not-applicable")
+        record = report.to_dict()
+        click.echo(json.dumps(record, default=str))
+        failed += record["status"] == "fail"
+        n_na += record["status"] == "not-applicable"
     click.echo(
         f"verify: {len(reports)} checks, {failed} failed, {n_na} not applicable",
         err=True,

@@ -191,11 +191,30 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, {sizes})"
 
 
+# Most faces that closure_of may build: 2**20, about 10^6 faces and a few
+# hundred MB, 13 times the largest input of the corpus, the tests and the
+# benchmark (the 9880 triangles of the 40-vertex 2-skeleton, 79 040 subsets).
+_CLOSURE_BUDGET = 1 << 20
+
+
 def closure_of(faces: Iterable[Face]) -> SimplicialComplex:
-    """Inclusion closure of a face set (plus the empty face)."""
+    """Inclusion closure of a face set (plus the empty face).
+
+    The closure has at most 2**len(f) faces per face f given, and at most
+    2**n for n vertices in all.  When both bounds pass ``_CLOSURE_BUDGET``
+    this raises :class:`ResourceError` before enumerating any face.
+    """
+    faces = [tuple(sorted(f)) for f in faces]
+    if (
+        sum(1 << len(f) for f in faces) > _CLOSURE_BUDGET
+        and 1 << len(set().union(*faces)) > _CLOSURE_BUDGET
+    ):
+        raise ResourceError(
+            f"the closure would have more than {_CLOSURE_BUDGET} faces; "
+            f"the largest face given has {max(map(len, faces))} vertices"
+        )
     closed = {()}
     for f in faces:
-        f = tuple(sorted(f))
         for k in range(1, len(f) + 1):
             closed.update(combinations(f, k))
     return SimplicialComplex(closed)
@@ -390,13 +409,14 @@ def _components(table: CoboundaryMatrix) -> np.ndarray:
 def _degrees(complex_: SimplicialComplex, i: int, weights=None) -> np.ndarray:
     """Degree of every i-face: the sum of the weights of its (i+1)-cofaces.
 
-    Without a ``weights`` map each coface counts 1, giving the integer
-    coface counts.  The cofaces of a face are added one at a time in
-    canonical order, so every float sum is the same on any interpreter.
+    ``weights`` is the vector of the (i+1)-face weights in canonical order;
+    without it each coface counts 1, giving the integer coface counts.  The
+    cofaces of a face are added one at a time in canonical order, so every
+    float sum is the same on any interpreter.
     """
     d = coboundary_matrix(complex_, i)
     if weights is not None:
-        weights = np.array([weights[g] for g in complex_.faces(i + 1)]).repeat(i + 2)
+        weights = np.asarray(weights, dtype=float).repeat(i + 2)
     return np.bincount(d.index.ravel(), weights=weights, minlength=d.n_cols)
 
 
@@ -557,6 +577,47 @@ def signed_balance(complex_: SimplicialComplex, q: int, mode: str) -> BalanceRes
     return BalanceResult(True, assignment, None)
 
 
+def _component_balance(
+    complex_: SimplicialComplex, q: int, target: int
+) -> list[tuple[list[int], bool]]:
+    """Every component of the signed down dual graph at q, with its balance.
+
+    One BFS 2-colouring of the whole graph, as in :func:`signed_balance`
+    with ``target`` +1 (parallel) or -1 (antiparallel), that goes on past a
+    conflict.  Each start is the first q-face not yet reached, so the
+    components come in the order of :func:`path_connected_components`.
+    Returns ``(members, balanced)`` per component: the sorted indices of its
+    q-faces, and whether it alone is balanced.  A component's edges are
+    those of its own closure, so its balance is that of
+    ``signed_balance(closure_of(component), q, mode)``.
+    """
+    dual = dual_graph(complex_, q, "down")
+    n = len(dual.nodes)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, s in dual.edges:
+        adj[a].append((b, s))
+        adj[b].append((a, s))
+    x = [0] * n
+    out = []
+    for start in range(n):
+        if x[start]:
+            continue
+        x[start] = 1
+        members = [start]  # also the BFS queue
+        balanced = True
+        for v in members:
+            for w, s in adj[v]:
+                want = target * s * x[v]
+                if x[w] == 0:
+                    x[w] = want
+                    members.append(w)
+                elif x[w] != want:
+                    balanced = False
+        members.sort()
+        out.append((members, balanced))
+    return out
+
+
 def _bfs_cycle(parent, v, w):
     path_v = [v]
     while parent[path_v[-1]] is not None:
@@ -671,6 +732,8 @@ def is_regular(
     faces = complex_.faces_by_dim.get(i, [])
     if not faces:
         return True, 0.0
+    if coface_weights is not None:
+        coface_weights = [coface_weights[g] for g in complex_.faces(i + 1)]
     degs = _degrees(complex_, i, coface_weights).astype(float)
     r = float(degs[0])
     off = np.flatnonzero(np.abs(degs - r) > rel_tol * max(1.0, abs(r)))

@@ -28,25 +28,36 @@ eigenvalues of each side on the table, so operators built from one table
 share its solves.  Both Gram orientations are summed from the table's
 entry pairs in numpy; no sparse-matrix library is involved.
 
-Each weighted table is built once per complex, dimension and scheme:
-:func:`weight_map` and :func:`weighted_coboundary` memoize on the complex,
-so every :func:`laplacian` of one complex and scheme -- L_j^up and
-L_{j+1}^down alike, whoever builds them -- holds the same ``B_j`` and
-reads its solved sides.  The built-in schemes are keyed by their kind.  A
-custom map is a dict, which cannot be hashed, so it is keyed by its
-identity; the memo keeps a reference to the map, so that identity cannot
-pass to another map while the complex lives, and the map must not be
-changed once used.  The tables are read-only.  Every memo lives on the
-complex (and the pair layout on ``D_j``), so it is freed with the complex.
+Weights are kept as arrays in canonical face order, one read-only vector
+per complex, scheme and dimension, built for every dimension at once on
+first use and memoized on the complex; a dimension above the top has the
+empty vector.  :func:`laplacian` takes ``W_i`` from it, and
+:func:`weighted_coboundary`, the normalized degrees and
+:func:`hodgelap.spectra.bounds_report` read it too; no face-keyed dict is
+built on that path.  :func:`weight_map` and :func:`normalized_weight_map`
+still return face -> weight dicts, built from the vectors.  Each weighted
+table is built once per complex, dimension and scheme, and memoized on the
+complex as well, so every :func:`laplacian` of one complex and scheme --
+L_j^up and L_{j+1}^down alike, whoever builds them -- holds the same
+``B_j`` and reads its solved sides.  The built-in schemes are keyed by
+their kind.  A custom map is a dict, which cannot be hashed, so it is
+keyed by its identity; the memo keeps a reference to the map, so that
+identity cannot pass to another map while the complex lives, and the map
+must not be changed once used.  The vectors and tables are read-only.
+Every memo lives on the complex (and the pair layout on ``D_j``), so it is
+freed with the complex.
 
 Three weight schemes are supported.  ``combinatorial`` puts weight 1 on
 every face (the classical higher-order Laplacian; at i = 0 up this is the
 graph Laplacian).  ``normalized`` assigns weight 1 to every maximal face
 and the degree -- the sum of the weights of the cofaces -- to every other
-face, computed top-down by dimension from the table; at i = 0 up this is
-the normalized graph Laplacian, and in general the up spectrum lies in
-[0, i+2].
-``custom`` takes an explicit finite positive weight per face; the helper
+face, computed top-down by dimension from the tables, as one
+``np.bincount`` of the (d+1)-weights over the boundary index of ``D_d`` per
+dimension d; at i = 0 up this is the normalized graph Laplacian, and in
+general the up spectrum lies in [0, i+2].
+``custom`` takes an explicit finite positive weight per face, gathered and
+checked one dimension at a time; the first face, in canonical order, that
+is missing or not finite and positive is named in the error.  The helper
 :func:`normalized_weight_map` produces the weighted-normalized maps (free
 positive base weights on the facets, degrees below) in custom-map form.
 
@@ -62,7 +73,6 @@ Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -72,7 +82,6 @@ from .core import (
     CoboundaryMatrix,
     Face,
     SimplicialComplex,
-    _degrees,
     _entry_pairs,
     boundary_sign,
     coboundary_matrix,
@@ -123,30 +132,35 @@ def normalized_weight_map(
     Every maximal face gets its base weight (1 unless overridden through
     ``facet_base``); every other face gets its degree, computed by
     descending dimension so that higher-dimensional weights are already
-    known.  The empty face gets the sum of the vertex weights.
+    known.  The empty face gets the sum of the vertex weights.  The map is
+    a fresh dict, built from the weight vectors, by descending dimension.
     """
-    base = {}
-    if facet_base is not None:
+    if facet_base is None:
+        vectors = _weight_vectors(complex_, WeightScheme.normalized())
+    else:
+        base = {}
         for f, w in facet_base.items():
             f = tuple(sorted(f))
             if w <= 0:
                 raise WeightError(f"facet base weight for {f!r} must be positive")
             base[f] = float(w)
-    weights: dict[Face, float] = {}
-    for d in range(complex_.dim, -2, -1):
-        faces = complex_.faces_by_dim[d]
-        own = np.array([base.get(f, 1.0) for f in faces])
-        w = np.where(_degrees(complex_, d) > 0, _degrees(complex_, d, weights), own)
-        weights.update(zip(faces, w.tolist()))
-    return weights
+        vectors = _normalized_vectors(complex_, base)
+    return _as_map(complex_, vectors, range(complex_.dim, -2, -1))
 
 
 def weight_map(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, float]:
-    """Full face -> weight map for a scheme, validated positive, memoized on the complex."""
+    """Full face -> weight map for a scheme, validated positive, memoized on the complex.
+
+    The map is built from the memoized weight vectors; the package itself
+    reads the vectors.
+    """
     key = ("wmap", _scheme_key(scheme))
     if key not in complex_._memo:
         # The entry keeps a custom map alive, so its id names no other map.
-        complex_._memo[key] = (scheme.custom, _weights(complex_, scheme))
+        complex_._memo[key] = (
+            scheme.custom,
+            _weights(complex_, scheme, _weight_vectors(complex_, scheme)),
+        )
     return complex_._memo[key][1]
 
 
@@ -155,24 +169,107 @@ def _scheme_key(scheme: WeightScheme):
     return id(scheme.custom) if scheme.kind == CUSTOM else scheme.kind
 
 
-def _weights(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, float]:
-    """The map of :func:`weight_map`, built afresh."""
+# The weight vector of every dimension above the top: there are no faces.
+_NO_FACES = np.zeros(0)
+_NO_FACES.setflags(write=False)
+
+
+def _weight_vector(complex_: SimplicialComplex, scheme: WeightScheme, d: int) -> np.ndarray:
+    """The weights of the d-faces in canonical order, read-only and memoized.
+
+    Empty for every dimension above the top.
+    """
+    return _weight_vectors(complex_, scheme).get(d, _NO_FACES)
+
+
+def _weight_vectors(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[int, np.ndarray]:
+    """``{d: weights of the d-faces}`` for d = -1..dim, built once per complex and scheme."""
+    key = ("wvec", _scheme_key(scheme))
+    if key not in complex_._memo:
+        # The entry keeps a custom map alive, so its id names no other map.
+        complex_._memo[key] = (scheme.custom, _build_vectors(complex_, scheme))
+    return complex_._memo[key][1]
+
+
+def _build_vectors(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[int, np.ndarray]:
+    """The vectors of :func:`_weight_vectors`, built afresh, validated and read-only."""
     if scheme.kind == COMBINATORIAL:
-        return {f: 1.0 for f in complex_.all_faces()}
-    if scheme.kind == NORMALIZED:
-        return normalized_weight_map(complex_)
-    out: dict[Face, float] = {}
-    for f in complex_.all_faces():
-        if f == ():
-            out[f] = float(scheme.custom.get((), 1.0))
+        vectors = {d: np.ones(complex_.n_faces(d)) for d in range(-1, complex_.dim + 1)}
+    elif scheme.kind == NORMALIZED:
+        vectors = _normalized_vectors(complex_)
+    else:
+        dims = range(-1, complex_.dim + 1)
+        vectors = {d: _custom_vector(complex_, scheme.custom, d) for d in dims}
+    for w in vectors.values():
+        w.setflags(write=False)
+    return vectors
+
+
+def _normalized_vectors(
+    complex_: SimplicialComplex, base: Mapping[Face, float] | None = None
+) -> dict[int, np.ndarray]:
+    """Normalized weights by descending dimension, read from the boundary tables.
+
+    A d-face with a coface gets its degree, the sum of the weights of its
+    (d+1)-cofaces added in canonical order (as :func:`_degrees` adds them);
+    a d-face without one gets its base weight, 1 unless ``base`` names it.
+    """
+    vectors = {}
+    upper = _NO_FACES
+    for d in range(complex_.dim, -2, -1):
+        index = coboundary_matrix(complex_, d).index.ravel()
+        n = complex_.n_faces(d)
+        degree = np.bincount(index, weights=upper.repeat(d + 2), minlength=n)
+        if base:
+            own = np.array([base.get(f, 1.0) for f in complex_.faces(d)])
         else:
-            try:
-                out[f] = float(scheme.custom[f])
-            except KeyError:
-                raise WeightError(f"custom scheme is missing face {f!r}") from None
-        if not (math.isfinite(out[f]) and out[f] > 0):
-            raise WeightError(f"weight of face {f!r} must be finite and positive, got {out[f]}")
+            own = 1.0
+        upper = vectors[d] = np.where(np.bincount(index, minlength=n) > 0, degree, own)
+    return vectors
+
+
+def _custom_vector(
+    complex_: SimplicialComplex, custom: Mapping[Face, float], d: int
+) -> np.ndarray:
+    """The d-face weights of a custom map; the empty face defaults to 1.
+
+    Raises on the first face, in canonical order, that the map misses or
+    weighs with anything but a finite positive number.
+    """
+    faces = complex_.faces(d)
+    if d == -1:
+        raw = [custom.get((), 1.0)]
+    else:
+        raw = [custom.get(f) for f in faces]
+    w = np.array(raw, dtype=float)  # a missing face reads as NaN
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if bad.size:
+        f, value = faces[bad[0]], float(w[bad[0]])
+        if f not in custom:
+            raise WeightError(f"custom scheme is missing face {f!r}")
+        raise WeightError(f"weight of face {f!r} must be finite and positive, got {value}")
+    return w
+
+
+def _as_map(
+    complex_: SimplicialComplex, vectors: dict[int, np.ndarray], dims
+) -> dict[Face, float]:
+    """Weight vectors as a fresh face -> weight dict, dimension by dimension in ``dims``."""
+    out: dict[Face, float] = {}
+    for d in dims:
+        out.update(zip(complex_.faces(d), vectors[d].tolist()))
     return out
+
+
+def _weights(complex_: SimplicialComplex, scheme: WeightScheme, vectors=None) -> dict[Face, float]:
+    """The map of :func:`weight_map`, from ``vectors`` or from vectors built afresh.
+
+    The normalized map goes by descending dimension, the others ascending.
+    """
+    if vectors is None:
+        vectors = _build_vectors(complex_, scheme)
+    dims = range(-1, complex_.dim + 1)
+    return _as_map(complex_, vectors, reversed(dims) if scheme.kind == NORMALIZED else dims)
 
 
 def weighted_coboundary(
@@ -186,10 +283,9 @@ def weighted_coboundary(
     """
     key = ("weighted", i, _scheme_key(scheme))
     if key not in complex_._memo:
-        wmap = weight_map(complex_, scheme)
         d = coboundary_matrix(complex_, i)
-        sqrt_lo = np.sqrt([wmap[f] for f in complex_.faces(i)])
-        sqrt_hi = np.sqrt([wmap[g] for g in complex_.faces(i + 1)])
+        sqrt_lo = np.sqrt(_weight_vector(complex_, scheme, i))
+        sqrt_hi = np.sqrt(_weight_vector(complex_, scheme, i + 1))
         values = d.values * (sqrt_hi[:, None] / sqrt_lo[d.index])
         values.setflags(write=False)
         complex_._memo[key] = CoboundaryMatrix(i, d.index, d.n_cols, values, d._pairs)
@@ -221,7 +317,8 @@ class LaplacianMatrix:
     ``up`` is ``B_i``, None for the down direction and at the top
     dimension; ``down`` is ``B_{i-1}``, None for the up direction and at
     i = -1; a full operator stores each one that exists.  ``weights`` is
-    the diagonal of W_i, so its length is n = |S_i|.  ``symmetric`` is the
+    the diagonal of W_i, the memoized read-only weight vector of the
+    i-faces, so its length is n = |S_i|.  ``symmetric`` is the
     dense form ``S = W^{1/2} L W^{-1/2}``, indexed by the canonical order of
     the i-faces; it has the spectrum of ``L``, but
     :func:`hodgelap.spectra.spectrum` never builds it: it solves each term
@@ -269,13 +366,12 @@ def laplacian(
         raise ValueError(f"direction must be up/down/full, got {direction!r}")
     if not -1 <= i <= complex_.dim:
         raise DimensionError(f"laplacian dimension {i} out of range -1..{complex_.dim}")
-    wmap = weight_map(complex_, scheme)
+    w_i = _weight_vector(complex_, scheme, i)
     up = down = None
     if direction in ("up", "full") and complex_.n_faces(i + 1) > 0:
         up = weighted_coboundary(complex_, i, scheme)
     if direction in ("down", "full") and i >= 0:
         down = weighted_coboundary(complex_, i - 1, scheme)
-    w_i = np.array([wmap[f] for f in complex_.faces(i)], dtype=float)
     return LaplacianMatrix(up, down, w_i)
 
 

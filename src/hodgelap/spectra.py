@@ -103,9 +103,9 @@ from .operators import (
     LaplacianMatrix,
     WeightScheme,
     _gram,
+    _weight_vector,
     coboundary_matrix,
     laplacian,
-    weight_map,
 )
 
 DEFAULT_VALUE_TOL = 1e-7
@@ -123,8 +123,14 @@ def _sign(k: int) -> int:
 class Spectrum:
     """Non-decreasing eigenvalue multiset with an explicit zero threshold.
 
-    ``nonzero`` and ``zero_multiplicity`` are computed on first access and
-    kept, so ``values`` is not meant to change afterwards.
+    ``values`` is sorted, so the zeros -- the values at most ``zero_tol`` --
+    are a prefix: ``zero_multiplicity`` is its length, found by one binary
+    search, and ``nonzero`` is a copy of the rest, without the NaNs that
+    sort last (a NaN threshold counts no zeros and keeps no nonzero value,
+    as the comparisons read).  Both are computed on first access and kept,
+    so ``values`` is not meant to change afterwards.  The default threshold
+    of :meth:`from_values` is ``1e-8 * max(1, largest magnitude)``, and the
+    largest magnitude is read off the two ends.
     """
 
     values: np.ndarray
@@ -134,17 +140,28 @@ class Spectrum:
     def from_values(cls, values, zero_tol: float | None = None) -> "Spectrum":
         vals = np.sort(np.asarray(values, dtype=float))
         if zero_tol is None:
-            scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
+            scale = 1.0
+            if vals.size:
+                lo, hi = float(vals[0]), float(vals[-1])
+                if hi == hi:  # a NaN sorts last and leaves the scale at 1
+                    scale = max(1.0, -lo, hi)
             zero_tol = 1e-8 * scale
         return cls(vals, float(zero_tol))
 
     @functools.cached_property
     def nonzero(self) -> np.ndarray:
-        return self.values[self.values > self.zero_tol]
+        values = self.values
+        stop = len(values)
+        if stop and values[-1] != values[-1]:
+            stop = int(np.searchsorted(values, np.inf, "right"))
+        start = self.zero_multiplicity if self.zero_tol == self.zero_tol else stop
+        return values[start:stop].copy()
 
     @functools.cached_property
     def zero_multiplicity(self) -> int:
-        return int(np.sum(self.values <= self.zero_tol))
+        if self.zero_tol != self.zero_tol:  # no value is at most a NaN threshold
+            return 0
+        return int(np.searchsorted(self.values, self.zero_tol, "right"))
 
     def multiplicity_at(self, x: float, tol: float = DEFAULT_VALUE_TOL) -> int:
         return int(np.sum(np.abs(self.values - x) <= tol))
@@ -456,10 +473,10 @@ def bounds_report(
     # solved side that the Hodge check memoized on it.
     lap = laplacian(part, i, "up", scheme)
     spec = spectrum(lap)
-    wmap, w_i = weight_map(part, scheme), lap.weights
+    w_i = lap.weights
     lam_max = float(spec.values[-1]) if len(spec) else 0.0
 
-    degrees = _degrees(part, i, wmap)
+    degrees = _degrees(part, i, _weight_vector(part, scheme, i + 1))
     coface_counts = _degrees(part, i)
     big_d = float(degrees.max())
     vol_i = float(degrees.sum())

@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     Face,
     SimplicialComplex,
+    _component_balance,
     chromatic_number_1skel,
     closure_of,
     dual_graph,
@@ -51,9 +52,9 @@ from .operators import (
     NORMALIZED,
     LaplacianMatrix,
     WeightScheme,
+    _weight_vector,
     laplacian,
     normalized_weight_map,
-    weight_map,
 )
 from .spectra import (
     DEFAULT_BOUND_SLACK,
@@ -117,14 +118,15 @@ class CheckReport:
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
     def to_dict(self) -> dict:
+        status = self.status  # "fail" exactly when the report does not pass
         return {
             "theorem_id": self.theorem_id,
             "inputs": self.inputs,
             "expected": [item.expected for item in self.items],
             "observed": [item.observed for item in self.items],
             "tol": [item.tol for item in self.items],
-            "pass": self.passed,
-            "status": self.status,
+            "pass": status != "fail",
+            "status": status,
             "checks": [
                 {
                     "name": item.name,
@@ -249,6 +251,14 @@ def check_hodge_and_duality(
     chi_c, chi_b = profile.euler_characteristics()
     report.add("euler-identity", chi_c, chi_b, abs(chi_c - chi_b), 0)
     dims = range(-1, complex_.dim + 1)
+    # The predicted zero counts depend on the complex alone, not the scheme.
+    predicted = {
+        i: (
+            *predicted_zero_multiplicity_formulas(complex_, i, profile),
+            predicted_zero_multiplicity(complex_, i, "down", profile),
+        )
+        for i in dims
+    }
     for kind in ("combinatorial", "normalized", "custom"):
         scheme = _scheme_for(complex_, kind, seed)
         # L_j^up and L_{j+1}^down hold the one memoized B_j, and share one
@@ -262,7 +272,7 @@ def check_hodge_and_duality(
         report.add(f"{kind}/psd", ">= -1e-9", min_eig, max(0.0, -min_eig), 1e-9)
         for i in dims:
             up, down, full = (spectra[(i, d)] for d in ("up", "down", "full"))
-            f1, f2 = predicted_zero_multiplicity_formulas(complex_, i, profile)
+            f1, f2, pred_down = predicted[i]
             report.add(f"{kind}/i={i}/thm-zero-up-formulas-agree", f1, f2, abs(f1 - f2), 0)
             report.add(
                 f"{kind}/i={i}/zeros-up",
@@ -271,7 +281,6 @@ def check_hodge_and_duality(
                 abs(up.zero_multiplicity - f1),
                 0,
             )
-            pred_down = predicted_zero_multiplicity(complex_, i, "down", profile)
             report.add(
                 f"{kind}/i={i}/zeros-down",
                 pred_down,
@@ -661,21 +670,27 @@ def check_duplication(
 def _component_top_eigenvalue_present(
     complex_: SimplicialComplex, i: int, tol: float
 ) -> tuple[list[tuple[bool, bool]], bool, Spectrum]:
-    """Per (i+1)-path-component: (parallel-balanced, i+2 in component block)."""
+    """Per (i+1)-path component: (parallel-balanced, i+2 in the component's block).
+
+    Also returns whether i+2 is in the whole normalized up spectrum, and
+    that spectrum.  One BFS 2-colouring with target +1 over the signed down
+    dual graph of the (i+1)-faces yields every component, in the order of
+    :func:`path_connected_components`, with its members and its balance;
+    no subcomplex is built.  A component's block of the symmetric L_i^up
+    has the rows of the i-faces in the boundary of its members, read from
+    the table ``B_i``, and is solved on its own.
+    """
     scheme = WeightScheme.normalized()
     lap = laplacian(complex_, i, "up", scheme)
     spec = spectrum(lap)
     results = []
     if complex_.n_faces(i + 1) == 0:
         return results, spec.contains(i + 2, tol), spec
-    components = path_connected_components(complex_, i + 1)
-    for comp in components:
-        part = closure_of(comp)
-        balanced = signed_balance(part, i + 1, "parallel").balanced
-        iface_rows = sorted(
-            {complex_.index(f[:k] + f[k + 1 :]) for f in comp for k in range(len(f))}
-        )
-        block = lap.symmetric[np.ix_(iface_rows, iface_rows)]
+    for members, balanced in _component_balance(complex_, i + 1, 1):
+        in_block = np.zeros(lap.n, dtype=bool)
+        in_block[lap.up.index[members]] = True
+        rows = np.flatnonzero(in_block)
+        block = lap.symmetric[np.ix_(rows, rows)]
         block_spec = Spectrum.from_values(np.linalg.eigvalsh(block))
         results.append((balanced, block_spec.contains(i + 2, tol)))
     return results, spec.contains(i + 2, tol), spec
@@ -770,8 +785,8 @@ def check_regular_dual(
         return report
     part = complex_.pure_part(i + 1)
     scheme = WeightScheme.normalized()
-    wmap = weight_map(part, scheme)
-    regular, r_or_witness = is_regular(part, i, {f: wmap[f] for f in part.faces_by_dim[i + 1]})
+    top = _weight_vector(part, scheme, i + 1).tolist()
+    regular, r_or_witness = is_regular(part, i, dict(zip(part.faces(i + 1), top)))
     lam = spectrum(laplacian(part, i + 1, "down", scheme)).values
     orientable = signed_balance(part, i + 1, "antiparallel").balanced
     parallel = signed_balance(part, i + 1, "parallel").balanced

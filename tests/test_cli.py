@@ -199,13 +199,15 @@ def test_void_complex_has_no_document(capsys, monkeypatch):
 
 
 def test_import_and_verify_leave_scipy_unloaded():
+    # numpy.ma, which a bare np.unique imports, costs about 1 MB and 12 ms.
     script = (
         "import contextlib, io, sys\n"
         "import hodgelap\n"
         "from hodgelap.cli import cli_main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli_main(['verify', '--suite', 'join'])\n"
-        "print(code, 'scipy' in sys.modules)\n"
+        "quiet = contextlib.redirect_stdout(io.StringIO())\n"
+        "with quiet, contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli_main(['verify', '--suite', 'all'])\n"
+        "print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(hodgelap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -213,7 +215,7 @@ def test_import_and_verify_leave_scipy_unloaded():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout.split() == ["0", "False"]
+    assert run.stdout.split() == ["0", "False", "False"]
 
 
 def test_betti_subcommand(tmp_path, capsys):
@@ -516,3 +518,20 @@ def test_any_document_ends_in_a_documented_exit_code(tmp_path, capsys, document,
         code, _, err = run_cli(args, capsys)
         assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_BAD_DOCUMENT, EXIT_NUMERIC)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["generate", "simplex", "--n", "64"], ["generate", "circuit", "--i", "40", "--m", "3"]],
+)
+def test_huge_complexes_exit_2(args, capsys):
+    code, stdout, stderr = run_cli(args, capsys)
+    assert code == EXIT_BAD_DOCUMENT
+    assert stdout == "" and "more than" in stderr and "Traceback" not in stderr
+
+
+def test_huge_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"facets": [list(range(40))]}))
+    code, _, stderr = run_cli(["betti", str(path)], capsys)
+    assert code == EXIT_BAD_DOCUMENT and "more than" in stderr

@@ -395,3 +395,19 @@ def test_incidence_consumers_match_face_tuple_references(facets, seed):
         assert got == ref
         assert list(got) == list(ref)
         assert all(type(w) is float for w in got.values())
+
+
+def test_closure_past_the_budget_raises_before_enumerating(monkeypatch):
+    from hodgelap import core
+
+    with pytest.raises(ResourceError):
+        closure_of([range(64)])
+    with pytest.raises(ResourceError):
+        from_facets([list(range(40)), [40, 41]])
+    # The bound is the sum of 2**len(f) over the faces given, or 2**n for
+    # n vertices when that is smaller.
+    monkeypatch.setattr(core, "_CLOSURE_BUDGET", 24)
+    assert closure_of([[0, 1, 2], [1, 2, 3], [2, 3, 4]]).n_faces(2) == 3
+    with pytest.raises(ResourceError):
+        closure_of([[0, 1, 2], [1, 2, 3], [2, 3, 4], [0]])
+    assert closure_of([[0, 1, 2, 3], [0, 1, 2], [1, 2, 3]]).n_faces(3) == 1

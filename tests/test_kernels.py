@@ -194,3 +194,27 @@ def test_exhaustive_balance_random_vs_product_rule():
             expected = prod == (target ** n)
             got = exhaustive_balance(n, edges, target) is not None
             assert got == expected
+
+
+def test_exact_rank_reads_entries_past_int64_as_python_ints():
+    big = 1 << 70
+    assert exact_rank([[big, 0], [0, 1]]) == 2
+    assert exact_rank([[big, 2 * big], [1, 2]]) == 1
+    assert exact_rank(np.array([[big, 3], [1, 2]], dtype=object)) == 2
+    index = np.array([[0, 1], [1, 2]])
+    table = CoboundaryMatrix(0, index, 3, np.array([[big, 2 * big], [1, 2]], dtype=object))
+    assert exact_rank(table) == 2
+    table = CoboundaryMatrix(0, index[:1], 3, np.array([[big, -big]], dtype=object))
+    assert _row_dicts(table) == {0: {0: big, 1: -big}}
+    assert exact_rank(table) == 1
+
+
+def test_int64_input_keeps_the_int64_path():
+    a = np.array([[2, 0, 1], [0, 3, 0]], dtype=np.int64)
+    assert _kernels._integers(a) is a
+    assert _kernels._integers([[1, -1], [2, 0]]).dtype == np.int64
+    assert _kernels._integers([[1 << 63, 0]]).dtype == object
+    rows = _row_dicts(a)
+    assert rows == {0: {0: 2, 2: 1}, 1: {1: 3}}
+    assert all(type(v) is int for row in rows.values() for v in row.values())
+    assert exact_rank(a) == 2

@@ -316,3 +316,54 @@ def test_memo_tables_add_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _dict_path_weights(k, scheme):
+    """Every face's weight, worked out face by face as a dict."""
+    if scheme.kind == "combinatorial":
+        return {f: 1.0 for f in k.all_faces()}
+    if scheme.kind == "normalized":
+        weights = {}
+        for d in range(k.dim, -2, -1):
+            for f in k.faces(d):
+                total = 0.0
+                for g in k.cofaces(f):
+                    total += weights[g]
+                weights[f] = total if k.cofaces(f) else 1.0
+        return weights
+    custom = scheme.custom
+    return {f: float(custom.get(f, 1.0) if f == () else custom[f]) for f in k.all_faces()}
+
+
+def test_weight_vectors_match_the_dict_path_on_the_corpus():
+    from hodgelap import corpus
+    from hodgelap.operators import _weight_vector
+
+    for k in corpus.full_corpus(seed=0, random_count=10).values():
+        for scheme in SCHEMES + [deterministic_custom_scheme(k)]:
+            ref = _dict_path_weights(k, scheme)
+            for d in range(-1, k.dim + 1):
+                w = _weight_vector(k, scheme, d)
+                assert np.array_equal(w, [ref[f] for f in k.faces(d)]), (k, scheme.kind, d)
+                assert not w.flags.writeable
+            assert _weight_vector(k, scheme, k.dim + 1).shape == (0,)
+            wmap = weight_map(k, scheme)
+            assert wmap == ref and list(wmap) == list(ref)
+            assert all(type(v) is float for v in wmap.values())
+
+
+def test_custom_weights_report_the_first_offending_face():
+    k = from_facets([[0, 1], [1, 2]])
+    faces = {(0,): 1.0, (1,): 1.0, (2,): 1.0, (0, 1): 1.0, (1, 2): 1.0}
+    invalid = "weight of face {} must be finite and positive, got {}"
+    for bad, message in (
+        ({(1,): 0.0, (0, 1): float("nan")}, invalid.format((1,), 0.0)),
+        ({(2,): None, (0, 1): -1.0}, "custom scheme is missing face (2,)"),
+        ({(0, 1): float("inf")}, invalid.format((0, 1), "inf")),
+        ({(): -2.0}, invalid.format((), -2.0)),
+    ):
+        custom = {**faces, **bad}
+        custom = {f: w for f, w in custom.items() if w is not None}
+        with pytest.raises(WeightError) as err:
+            laplacian(k, 0, "up", WeightScheme("custom", custom))
+        assert str(err.value) == message

@@ -461,3 +461,30 @@ def test_euler_identity_and_up_down_duality(facets, seed):
             for got, again, ref in zip((up, down), shared, refs):
                 assert np.abs(got.values - ref).max() <= tol, i
                 assert np.abs(again.values - ref).max() <= tol, i
+
+
+@pytest.mark.parametrize(
+    "values, zero_tol",
+    [
+        ([], None),
+        ([0.0, 0.0, -0.0], None),
+        ([0.0, 1e-12, -3e-9, 2.5, 1e-8, 4.0], None),
+        ([1e-9, 5.0, -7.0, 2e-7], None),
+        ([0.0, 1.0, 1e-3, 2.0], 1e-3),
+        ([0.0, 1.0, float("nan"), 2e-9, float("nan")], None),
+        ([float("nan")], None),
+        ([0.0, -float("inf"), 3.0, float("inf")], None),
+        ([0.0, 1.0, -1.0], float("nan")),
+        ([0.0, 1.0], -1.0),
+    ],
+)
+def test_zero_split_matches_the_mask_forms(values, zero_tol):
+    spec = Spectrum.from_values(values, zero_tol)
+    vals = np.sort(np.asarray(values, dtype=float))
+    if zero_tol is None:
+        scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
+        zero_tol = 1e-8 * scale
+    assert spec.zero_tol == zero_tol or (zero_tol != zero_tol and spec.zero_tol != spec.zero_tol)
+    assert spec.zero_multiplicity == int(np.sum(vals <= zero_tol))
+    assert np.array_equal(spec.nonzero, vals[vals > zero_tol])
+    assert spec.nonzero.flags.writeable and not np.shares_memory(spec.nonzero, spec.values)

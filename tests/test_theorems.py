@@ -308,3 +308,22 @@ def test_corpus_suites_share_one_walk(monkeypatch):
     assert json.dumps([r.to_dict() for r in together]) == json.dumps(
         [r.to_dict() for r in one_at_a_time]
     )
+
+
+def test_one_pass_balance_matches_each_component_on_the_corpus():
+    from hodgelap.core import (
+        _component_balance,
+        closure_of,
+        path_connected_components,
+        signed_balance,
+    )
+
+    for name, k in corpus.full_corpus(seed=0).items():
+        for i in range(0, k.dim):
+            comps = path_connected_components(k, i + 1)
+            faces = k.faces(i + 1)
+            for target, mode in ((1, "parallel"), (-1, "antiparallel")):
+                got = _component_balance(k, i + 1, target)
+                assert [[faces[j] for j in members] for members, _ in got] == comps, (name, i)
+                for (_, balanced), comp in zip(got, comps):
+                    assert balanced == signed_balance(closure_of(comp), i + 1, mode).balanced
