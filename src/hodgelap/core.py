@@ -31,9 +31,9 @@ single assignments only).
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -192,22 +192,40 @@ class SimplicialComplex:
 
 
 # Most faces that closure_of may build: 2**20, about 10^6 faces and a few
-# hundred MB, 13 times the largest input of the corpus, the tests and the
-# benchmark (the 9880 triangles of the 40-vertex 2-skeleton, 79 040 subsets).
+# hundred MB, about 19 times the largest bound that an input of the corpus, the
+# tests or the benchmark reaches (55 578, for 10 000 random triangles).
 _CLOSURE_BUDGET = 1 << 20
+
+
+def _closure_bound(faces: list[Face]) -> int:
+    """An upper bound on the number of faces in the closure of ``faces``.
+
+    The closure has at most C(n, k) faces of k vertices for n vertices in
+    all, and at most the sum of C(|f|, k) over the faces f given; the bound
+    adds the smaller of the two over k, plus the empty face.
+    """
+    by_size: dict[int, int] = {}
+    for f in faces:
+        by_size[len(f)] = by_size.get(len(f), 0) + 1
+    n = len(set().union(*faces))
+    return 1 + sum(
+        min(comb(n, k), sum(c * comb(size, k) for size, c in by_size.items()))
+        for k in range(1, max(by_size, default=0) + 1)
+    )
 
 
 def closure_of(faces: Iterable[Face]) -> SimplicialComplex:
     """Inclusion closure of a face set (plus the empty face).
 
-    The closure has at most 2**len(f) faces per face f given, and at most
-    2**n for n vertices in all.  When both bounds pass ``_CLOSURE_BUDGET``
-    this raises :class:`ResourceError` before enumerating any face.
+    When :func:`_closure_bound` passes ``_CLOSURE_BUDGET`` this raises
+    :class:`ResourceError` before enumerating any face.
     """
     faces = [tuple(sorted(f)) for f in faces]
+    # Each face f gives at most 2**len(f) faces, so the exact bound is
+    # needed only when their sum passes the budget.
     if (
         sum(1 << len(f) for f in faces) > _CLOSURE_BUDGET
-        and 1 << len(set().union(*faces)) > _CLOSURE_BUDGET
+        and _closure_bound(faces) > _CLOSURE_BUDGET
     ):
         raise ResourceError(
             f"the closure would have more than {_CLOSURE_BUDGET} faces; "
@@ -546,50 +564,26 @@ def signed_balance(complex_: SimplicialComplex, q: int, mode: str) -> BalanceRes
     """
     if mode not in ("antiparallel", "parallel"):
         raise ValueError(f"mode must be 'antiparallel' or 'parallel', got {mode!r}")
-    target = -1 if mode == "antiparallel" else 1
-    dual = dual_graph(complex_, q, "down")
-    n = len(dual.nodes)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, s in dual.edges:
-        adj[a].append((b, s))
-        adj[b].append((a, s))
-    x = [0] * n
-    parent: list[int | None] = [None] * n
-    for start in range(n):
-        if x[start]:
-            continue
-        x[start] = 1
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, s in adj[v]:
-                want = target * s * x[v]
-                if x[w] == 0:
-                    x[w] = want
-                    parent[w] = v
-                    queue.append(w)
-                elif x[w] != want:
-                    cycle = _bfs_cycle(parent, v, w)
-                    return BalanceResult(
-                        False, None, tuple(dual.nodes[k] for k in cycle)
-                    )
-    assignment = {dual.nodes[k]: x[k] for k in range(n)}
+    dual, x, parent, components = _colourings(complex_, q, -1 if mode == "antiparallel" else 1)
+    for _, conflict in components:
+        if conflict is not None:
+            cycle = _bfs_cycle(parent, *conflict)
+            return BalanceResult(False, None, tuple(dual.nodes[k] for k in cycle))
+    assignment = {dual.nodes[k]: x[k] for k in range(len(x))}
     return BalanceResult(True, assignment, None)
 
 
-def _component_balance(
-    complex_: SimplicialComplex, q: int, target: int
-) -> list[tuple[list[int], bool]]:
-    """Every component of the signed down dual graph at q, with its balance.
+def _colourings(complex_: SimplicialComplex, q: int, target: int):
+    """BFS 2-colouring of the signed down dual graph at q, one component at a time.
 
-    One BFS 2-colouring of the whole graph, as in :func:`signed_balance`
-    with ``target`` +1 (parallel) or -1 (antiparallel), that goes on past a
-    conflict.  Each start is the first q-face not yet reached, so the
-    components come in the order of :func:`path_connected_components`.
-    Returns ``(members, balanced)`` per component: the sorted indices of its
-    q-faces, and whether it alone is balanced.  A component's edges are
-    those of its own closure, so its balance is that of
-    ``signed_balance(closure_of(component), q, mode)``.
+    An edge of sign s between faces a and b asks for x[b] = target * s * x[a].
+    Returns ``(dual, x, parent, components)``: ``components`` is a generator
+    that colours the next component each time it is advanced and yields its
+    face indices in BFS order with the first conflicting edge ``(v, w)``, or
+    None when the component is balanced.  ``x`` and ``parent`` (the BFS
+    tree) fill in as it goes.  Each start is the first q-face not yet
+    reached, so the components come in the order of
+    :func:`path_connected_components`.
     """
     dual = dual_graph(complex_, q, "down")
     n = len(dual.nodes)
@@ -598,24 +592,41 @@ def _component_balance(
         adj[a].append((b, s))
         adj[b].append((a, s))
     x = [0] * n
-    out = []
-    for start in range(n):
-        if x[start]:
-            continue
-        x[start] = 1
-        members = [start]  # also the BFS queue
-        balanced = True
-        for v in members:
-            for w, s in adj[v]:
-                want = target * s * x[v]
-                if x[w] == 0:
-                    x[w] = want
-                    members.append(w)
-                elif x[w] != want:
-                    balanced = False
-        members.sort()
-        out.append((members, balanced))
-    return out
+    parent: list[int | None] = [None] * n
+
+    def components():
+        for start in range(n):
+            if x[start]:
+                continue
+            x[start] = 1
+            members = [start]  # also the BFS queue
+            conflict = None
+            for v in members:
+                for w, s in adj[v]:
+                    want = target * s * x[v]
+                    if x[w] == 0:
+                        x[w] = want
+                        parent[w] = v
+                        members.append(w)
+                    elif x[w] != want and conflict is None:
+                        conflict = (v, w)
+            yield members, conflict
+
+    return dual, x, parent, components()
+
+
+def _component_balance(complex_: SimplicialComplex, q: int) -> list[tuple[list[int], bool]]:
+    """Every component of the signed down dual graph at q, with its parallel balance.
+
+    One pass of :func:`_colourings` with target +1 that goes on past a
+    conflict.  Returns ``(members, balanced)`` per component, in the order
+    of :func:`path_connected_components`: the sorted indices of its q-faces,
+    and whether it alone is balanced.  A component's edges are those of its
+    own closure, so its balance is that of
+    ``signed_balance(closure_of(component), q, "parallel")``.
+    """
+    _, _, _, components = _colourings(complex_, q, 1)
+    return [(sorted(members), conflict is None) for members, conflict in components]
 
 
 def _bfs_cycle(parent, v, w):
@@ -718,13 +729,14 @@ def chromatic_number_1skel(complex_: SimplicialComplex, max_steps: int = 5_000_0
 def is_regular(
     complex_: SimplicialComplex,
     i: int,
-    coface_weights: Mapping[Face, float] | None = None,
+    coface_weights: Mapping[Face, float] | Sequence[float] | None = None,
     rel_tol: float = 1e-9,
 ):
     """Whether all i-faces have the same degree.
 
     Degrees are sums of (i+1)-coface weights (all 1 when no weights are
-    given).  Returns ``(True, r)`` or ``(False, (face_a, face_b))`` with a
+    given), given as a map from each (i+1)-face to its weight or as the
+    vector of those weights in canonical face order.  Returns ``(True, r)`` or ``(False, (face_a, face_b))`` with a
     witness pair of differing degrees.
     """
     if not 0 <= i < max(complex_.dim, 1):
@@ -732,7 +744,7 @@ def is_regular(
     faces = complex_.faces_by_dim.get(i, [])
     if not faces:
         return True, 0.0
-    if coface_weights is not None:
+    if isinstance(coface_weights, Mapping):
         coface_weights = [coface_weights[g] for g in complex_.faces(i + 1)]
     degs = _degrees(complex_, i, coface_weights).astype(float)
     r = float(degs[0])

@@ -686,7 +686,7 @@ def _component_top_eigenvalue_present(
     results = []
     if complex_.n_faces(i + 1) == 0:
         return results, spec.contains(i + 2, tol), spec
-    for members, balanced in _component_balance(complex_, i + 1, 1):
+    for members, balanced in _component_balance(complex_, i + 1):
         in_block = np.zeros(lap.n, dtype=bool)
         in_block[lap.up.index[members]] = True
         rows = np.flatnonzero(in_block)
@@ -785,8 +785,7 @@ def check_regular_dual(
         return report
     part = complex_.pure_part(i + 1)
     scheme = WeightScheme.normalized()
-    top = _weight_vector(part, scheme, i + 1).tolist()
-    regular, r_or_witness = is_regular(part, i, dict(zip(part.faces(i + 1), top)))
+    regular, r_or_witness = is_regular(part, i, _weight_vector(part, scheme, i + 1))
     lam = spectrum(laplacian(part, i + 1, "down", scheme)).values
     orientable = signed_balance(part, i + 1, "antiparallel").balanced
     parallel = signed_balance(part, i + 1, "parallel").balanced

@@ -404,10 +404,19 @@ def test_closure_past_the_budget_raises_before_enumerating(monkeypatch):
         closure_of([range(64)])
     with pytest.raises(ResourceError):
         from_facets([list(range(40)), [40, 41]])
-    # The bound is the sum of 2**len(f) over the faces given, or 2**n for
-    # n vertices when that is smaller.
-    monkeypatch.setattr(core, "_CLOSURE_BUDGET", 24)
-    assert closure_of([[0, 1, 2], [1, 2, 3], [2, 3, 4]]).n_faces(2) == 3
+    # The bound follows the closure: per face size k, the smaller of C(n, k)
+    # and the sum of C(|f|, k) over the faces given.  Skeleta far past 2**20
+    # subsets stay inside it.
+    tetrahedra = list(combinations(range(40), 4))
+    assert core._closure_bound(tetrahedra) == 1 + 40 + 780 + 9880 + 91390
+    assert core._closure_bound(list(combinations(range(103), 3))) == 1 + 103 + 5253 + 176851
+    monkeypatch.setattr(core, "_CLOSURE_BUDGET", 32)
+    # The 2-skeleton of the 5-vertex simplex: 80 subsets, 26 faces.
+    assert closure_of(combinations(range(5), 3)).n_faces(2) == 10
+    # The star of a vertex of the 5-vertex simplex: 162 subsets, 32 faces.
+    star = [f for d in range(5) for f in combinations(range(5), d + 1) if 0 in f]
+    assert closure_of(star).n_faces(4) == 1
     with pytest.raises(ResourceError):
-        closure_of([[0, 1, 2], [1, 2, 3], [2, 3, 4], [0]])
-    assert closure_of([[0, 1, 2, 3], [0, 1, 2], [1, 2, 3]]).n_faces(3) == 1
+        closure_of([range(6)])
+    with pytest.raises(ResourceError):
+        closure_of(combinations(range(7), 3))

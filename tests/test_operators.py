@@ -22,6 +22,7 @@ from hodgelap.operators import (
 )
 from hodgelap.spectra import predicted_zero_multiplicity, spectrum
 from hodgelap.theorems import check_bounds, check_hodge_and_duality, deterministic_custom_scheme
+from test_core import _reference_normalized_weights
 
 SCHEMES = [WeightScheme.combinatorial(), WeightScheme.normalized()]
 
@@ -323,14 +324,7 @@ def _dict_path_weights(k, scheme):
     if scheme.kind == "combinatorial":
         return {f: 1.0 for f in k.all_faces()}
     if scheme.kind == "normalized":
-        weights = {}
-        for d in range(k.dim, -2, -1):
-            for f in k.faces(d):
-                total = 0.0
-                for g in k.cofaces(f):
-                    total += weights[g]
-                weights[f] = total if k.cofaces(f) else 1.0
-        return weights
+        return _reference_normalized_weights(k, {})
     custom = scheme.custom
     return {f: float(custom.get(f, 1.0) if f == () else custom[f]) for f in k.all_faces()}
 

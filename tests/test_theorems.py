@@ -322,8 +322,7 @@ def test_one_pass_balance_matches_each_component_on_the_corpus():
         for i in range(0, k.dim):
             comps = path_connected_components(k, i + 1)
             faces = k.faces(i + 1)
-            for target, mode in ((1, "parallel"), (-1, "antiparallel")):
-                got = _component_balance(k, i + 1, target)
-                assert [[faces[j] for j in members] for members, _ in got] == comps, (name, i)
-                for (_, balanced), comp in zip(got, comps):
-                    assert balanced == signed_balance(closure_of(comp), i + 1, mode).balanced
+            got = _component_balance(k, i + 1)
+            assert [[faces[j] for j in members] for members, _ in got] == comps, (name, i)
+            for (_, balanced), comp in zip(got, comps):
+                assert balanced == signed_balance(closure_of(comp), i + 1, "parallel").balanced
