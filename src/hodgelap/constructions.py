@@ -43,6 +43,7 @@ from .core import (
     Face,
     Motif,
     SimplicialComplex,
+    _star_facets,
     closure_of,
     closure_star_link,
     from_facets,
@@ -264,10 +265,10 @@ def duplicate_motif(
     dup = SimplicialComplex(faces)
     image = {
         tuple(sorted(primed.get(v, v) for v in f))
-        for f in closure_of(sig.star).all_faces()
+        for f in closure_of(_star_facets(sig.star)).all_faces()
     }
     _, st_primed, _ = closure_star_link(dup, [(primed[v],) for v in sorted(vset)])
-    if set(closure_of(st_primed).all_faces()) != image:
+    if set(closure_of(_star_facets(st_primed)).all_faces()) != image:
         raise InvalidMotifError("duplication failed: primed star is not isomorphic")
     return dup, primed
 

@@ -473,10 +473,23 @@ def closure_star_link(
 
     cl = closure_of(sel)
     st = star_of(nonempty)
-    cl_st = closure_of(st)
+    cl_st = closure_of(_star_facets(st))
     st_cl = set(star_of([f for f in cl.all_faces() if f]))
     lk = SimplicialComplex(f for f in cl_st.all_faces() if f not in st_cl)
     return cl, st, lk
+
+
+def _star_facets(star: Iterable[Face]) -> list[Face]:
+    """The faces of a star that no other face of the star contains.
+
+    A star is closed upwards in its complex, so a face of it that lies in
+    another one lies in one with a single vertex more.  These faces have
+    the same closure as the whole star, and ``closure_of`` then enumerates
+    the subsets of each facet once, not of every face in the star.
+    """
+    star = list(star)
+    covered = {h for g in star for h in combinations(g, len(g) - 1)}
+    return [g for g in star if g not in covered]
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,13 @@ whole side is built by ``_gram`` and solved at once.
 
 Reduced Betti numbers are computed exactly: the coboundary matrices have
 integer entries, and each rank is computed from the boundary-index table
-itself, by sparse elimination of +/-1 pivots and fraction-free elimination
-of whatever is left (see :mod:`hodgelap._kernels`), with no floating
-threshold anywhere and no dense copy of the whole matrix.  Then
+itself, with no floating threshold anywhere and no dense copy of the whole
+matrix.  The ranks go bottom-up.  The pivot rows recorded for D_{j-1} are
+linearly independent j-faces Q, and ``D_j D_{j-1} = 0`` puts the columns Q
+of D_j in the span of its other columns, so they are cleared (zeroed)
+before D_j is ranked.  ``exact_rank`` then peels the entries alone in their
+row or column, eliminates +/-1 pivots sparsely and hands whatever is left
+to fraction-free elimination (see :mod:`hodgelap._kernels`).  Then
 
     b~_j = dim C^j - rank D_j - rank D_{j-1}.
 
@@ -299,11 +303,27 @@ class BettiProfile:
 
 
 def _coboundary_rank(complex_: SimplicialComplex, j: int) -> int:
-    """Exact rank of D_j, memoized on the complex."""
+    """Exact rank of D_j, memoized on the complex with its pivot rows.
+
+    D_{j-1} is ranked first.  Its recorded pivot rows are linearly
+    independent j-faces, and ``D_j D_{j-1} = 0`` puts those columns of D_j
+    in the span of its other columns, so they are zeroed before D_j is
+    ranked.  The pivot rows of D_j are kept read-only under ``("pivots", j)``.
+    """
     key = ("rank", j)
     if key not in complex_._memo:
         d = coboundary_matrix(complex_, j)
-        complex_._memo[key] = exact_rank(d) if d.index.size else 0
+        if j > -1:
+            _coboundary_rank(complex_, j - 1)
+            cleared = np.zeros(d.n_cols, dtype=bool)
+            cleared[complex_._memo[("pivots", j - 1)]] = True
+            values = np.where(cleared[d.index], 0, d.values)
+            d = CoboundaryMatrix(j, d.index, d.n_cols, values)
+        pivots: list[int] = []
+        complex_._memo[key] = exact_rank(d, pivots) if d.index.size else 0
+        rows = np.array(pivots, dtype=np.int64)
+        rows.setflags(write=False)
+        complex_._memo[("pivots", j)] = rows
     return complex_._memo[key]
 
 

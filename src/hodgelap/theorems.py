@@ -26,6 +26,7 @@ from .core import (
     Face,
     SimplicialComplex,
     _component_balance,
+    _star_facets,
     chromatic_number_1skel,
     closure_of,
     dual_graph,
@@ -615,7 +616,7 @@ def check_duplication(
         {"complex": name, "motif": list(sig.vertices), "i": i},
     )
     dup, primed = duplicate_motif(k, sig)
-    closed_star = closure_of(sig.star)
+    closed_star = closure_of(_star_facets(sig.star))
     scheme = WeightScheme.normalized()
 
     lap_cs = laplacian(closed_star, i, "up", scheme)
@@ -737,7 +738,7 @@ def check_boundary_eigenvalue(
             sig = make_motif(complex_, (v,))
             if sig.link_dim != i:
                 continue
-            closed_star = closure_of(sig.star)
+            closed_star = closure_of(_star_facets(sig.star))
             if closed_star.n_faces(i + 1) == 0:
                 continue
             if not signed_balance(closed_star, i + 1, "parallel").balanced:

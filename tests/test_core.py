@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodgelap import core
 from hodgelap.core import (
+    _star_facets,
     boundary_sign,
     chromatic_number_1skel,
     closure_of,
@@ -26,6 +28,7 @@ from hodgelap.errors import (
     ResourceError,
     UnknownFaceError,
 )
+from hodgelap.corpus import full_corpus
 from hodgelap.operators import coboundary_matrix, normalized_weight_map
 
 
@@ -117,6 +120,30 @@ def test_closure_star_link_unknown_face():
     k = from_facets([[0, 1]])
     with pytest.raises(UnknownFaceError):
         closure_star_link(k, [(5,)])
+
+
+def test_star_facets_have_the_closure_of_the_whole_star():
+    for k in full_corpus(0).values():
+        for v in k.vertices():
+            _, st, _ = closure_star_link(k, [(v,)])
+            assert closure_of(_star_facets(st)) == closure_of(st)
+
+
+def test_motif_of_a_large_simplex_closes_only_its_star_facets(monkeypatch):
+    # The vertex star of the 14-vertex simplex has 2**13 faces.  Closing all
+    # of them enumerates 2 * 3**13 subsets; closing its one facet, 2**14.
+    subsets = []
+    real = core.closure_of
+
+    def counting(faces):
+        faces = list(faces)
+        subsets.append(sum(1 << len(f) for f in faces))
+        return real(faces)
+
+    monkeypatch.setattr(core, "closure_of", counting)
+    sig = motif(from_facets([list(range(14))]), [0])
+    assert len(sig.star) == 1 << 13 and sig.link_dim == 12
+    assert max(subsets) <= 1 << 14
 
 
 def test_dual_graph_down_examples():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hodgelap import _kernels
 from hodgelap._kernels import (
     _eliminate_unit_pivots,
+    _nonzero_entries,
+    _peel,
     _row_dicts,
     bareiss_rank_pyint,
     exact_rank,
@@ -98,9 +100,13 @@ def test_rp2_rank_reaches_the_residual_phase(monkeypatch):
     rp2 = from_facets(RP2_FACETS)
     assert betti(rp2).reduced == (0, 0, 0, 0)
     d1 = coboundary_matrix(rp2, 1)
-    rows = _row_dicts(d1)
+    # Every edge of a closed surface lies in two triangles, so no entry of
+    # D_1 is alone in its row or column and the peel takes nothing.
+    entries = _nonzero_entries(d1)
+    assert _peel(*entries)[3] == []
+    rows = _row_dicts(*entries)
     unit = _eliminate_unit_pivots(rows)
-    assert rows and unit < 10  # a residual with no unit entry is left over
+    assert rows and len(unit) < 10  # a residual with no unit entry is left over
     assert all(abs(v) != 1 for row in rows.values() for v in row.values())
     calls = _count_bareiss(monkeypatch)
     assert exact_rank(d1) == 10
@@ -122,12 +128,19 @@ def test_non_unit_inputs_go_to_bareiss(monkeypatch):
 def test_residual_after_unit_pivots_keeps_large_entries_exact(monkeypatch):
     calls = _count_bareiss(monkeypatch)
     big = 1 << 40
-    # After the unit pivot at (0, 0) the residual is [[big]].
-    assert exact_rank([[1, 0], [0, big]]) == 2
-    assert calls == [(1, 1)]
-    # Here it is [[3*big - big**2]], which does not fit in int64 at all.
+    # No entry is alone in its row or column and none is a unit, so the
+    # whole matrix is the residual; its determinant big**2 - 15 needs more
+    # than 64 bits.
+    assert exact_rank([[big, 3], [5, big]]) == 2
+    assert calls == [(2, 2)]
+    # After the unit pivot at (0, 0) the residual is [[3*big - big**2]],
+    # which does not fit in int64 at all.
     assert exact_rank([[1, big], [big, 3 * big]]) == 2
-    assert calls == [(1, 1), (1, 1)]
+    assert calls == [(2, 2), (1, 1)]
+    # Entries alone in their row or column are peeled whatever their value:
+    # [[1, 0], [0, big]] never reaches Bareiss.
+    assert exact_rank([[1, 0], [0, big]]) == 2
+    assert calls == [(2, 2), (1, 1)]
 
 
 def test_table_and_dense_inputs_agree():
@@ -163,6 +176,31 @@ def test_table_rank_matches_dense_bareiss(facets, scale):
             assert exact_rank(table) == expected
             if max(table.shape) <= 12:
                 assert sympy.Matrix(table.matrix.toarray().tolist()).rank() == expected
+
+
+# Zeros, units, small non-units and entries past int64, so every stage of
+# the rank path is reached: the peel, the unit pivots and Bareiss.
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.sampled_from([1, -1]),
+    st.integers(-5, 5),
+    st.integers(-(1 << 70), 1 << 70),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=6)
+    )
+)
+def test_exact_rank_and_its_pivot_rows_match_bareiss(matrix):
+    pivots = []
+    rank = exact_rank(matrix, pivots)
+    assert rank == exact_rank(matrix) == bareiss_rank_pyint(matrix)
+    # The recorded rows are distinct, at most the rank, and of full rank.
+    assert len(set(pivots)) == len(pivots) <= rank
+    assert bareiss_rank_pyint([matrix[r] for r in pivots]) == len(pivots)
 
 
 def test_exhaustive_balance_simple():
@@ -205,7 +243,7 @@ def test_exact_rank_reads_entries_past_int64_as_python_ints():
     table = CoboundaryMatrix(0, index, 3, np.array([[big, 2 * big], [1, 2]], dtype=object))
     assert exact_rank(table) == 2
     table = CoboundaryMatrix(0, index[:1], 3, np.array([[big, -big]], dtype=object))
-    assert _row_dicts(table) == {0: {0: big, 1: -big}}
+    assert _row_dicts(*_nonzero_entries(table)) == {0: {0: big, 1: -big}}
     assert exact_rank(table) == 1
 
 
@@ -214,7 +252,7 @@ def test_int64_input_keeps_the_int64_path():
     assert _kernels._integers(a) is a
     assert _kernels._integers([[1, -1], [2, 0]]).dtype == np.int64
     assert _kernels._integers([[1 << 63, 0]]).dtype == object
-    rows = _row_dicts(a)
+    rows = _row_dicts(*_nonzero_entries(a))
     assert rows == {0: {0: 2, 2: 1}, 1: {1: 3}}
     assert all(type(v) is int for row in rows.values() for v in row.values())
     assert exact_rank(a) == 2

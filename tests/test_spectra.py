@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodgelap._kernels import bareiss_rank_pyint
 from hodgelap.core import _components, from_facets, is_regular
 from hodgelap.operators import (
     LaplacianMatrix,
@@ -94,6 +95,30 @@ def test_euler_identity_exact(fixtures, random_complexes):
     for k in list(fixtures.values()) + random_complexes:
         chi_c, chi_b = betti(k).euler_characteristics()
         assert chi_c == chi_b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=7,
+    )
+)
+def test_cleared_ranks_match_each_coboundary_ranked_alone(facets):
+    k = from_facets(facets)
+    profile = betti(k)
+    dense = {j: coboundary_matrix(k, j).matrix.toarray() for j in range(-1, k.dim + 1)}
+    ranks = {j: bareiss_rank_pyint(d) for j, d in dense.items()}
+    ranks[-2] = 0
+    for j in range(-1, k.dim + 1):
+        assert profile[j] == k.n_faces(j) - ranks[j] - ranks[j - 1], j
+        # The pivot rows that clear the columns of D_{j+1} are independent.
+        pivots = k._memo[("pivots", j)]
+        assert not pivots.flags.writeable
+        assert bareiss_rank_pyint(dense[j][pivots]) == len(pivots) <= ranks[j]
+    chi_c, chi_b = profile.euler_characteristics()
+    assert chi_c == chi_b
 
 
 def test_predicted_zero_multiplicity_examples():
