@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import click
 
@@ -102,9 +103,12 @@ def parse_document(text: str) -> ComplexDocument:
     facets = raw.get("facets")
     if not isinstance(facets, list) or not facets:
         raise DocumentError("document needs a non-empty 'facets' list")
-    for f in facets:
-        if not isinstance(f, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in f):
-            raise DocumentError(f"facet {f!r} must be a list of integers")
+    # JSON gives exact types, so one pass over the types decides; only a
+    # failing document is walked to name its first bad facet.
+    if set(map(type, facets)) != {list} or not set(map(type, chain.from_iterable(facets))) <= {int}:
+        for f in facets:
+            if not isinstance(f, list) or not all(type(v) is int for v in f):
+                raise DocumentError(f"facet {f!r} must be a list of integers")
     weights = raw.get("weights")
     if weights is not None and not isinstance(weights, dict):
         raise DocumentError("'weights' must be an object")

@@ -43,9 +43,7 @@ from .core import (
     Face,
     Motif,
     SimplicialComplex,
-    _star_facets,
     closure_of,
-    closure_star_link,
     from_facets,
     motif as make_motif,
 )
@@ -263,12 +261,8 @@ def duplicate_motif(
         if fs & vset and fs <= vset | link_vertices:
             faces.add(tuple(sorted(primed.get(v, v) for v in f)))
     dup = SimplicialComplex(faces)
-    image = {
-        tuple(sorted(primed.get(v, v) for v in f))
-        for f in closure_of(_star_facets(sig.star)).all_faces()
-    }
-    _, st_primed, _ = closure_star_link(dup, [(primed[v],) for v in sorted(vset)])
-    if set(closure_of(_star_facets(st_primed)).all_faces()) != image:
+    image = {tuple(sorted(primed.get(v, v) for v in f)) for f in sig.closed_star.all_faces()}
+    if set(make_motif(dup, primed.values()).closed_star.all_faces()) != image:
         raise InvalidMotifError("duplication failed: primed star is not isomorphic")
     return dup, primed
 
@@ -294,10 +288,10 @@ def cartesian_product(
         (u, v): k for k, (u, v) in enumerate((u, v) for u in v1 for v in v2)
     }
     faces = [(k,) for k in pair_id.values()]
-    for (a, b) in g1.faces_by_dim.get(1, []):
+    for (a, b) in g1.faces(1):
         for v in v2:
             faces.append(tuple(sorted((pair_id[(a, v)], pair_id[(b, v)]))))
-    for (a, b) in g2.faces_by_dim.get(1, []):
+    for (a, b) in g2.faces(1):
         for u in v1:
             faces.append(tuple(sorted((pair_id[(u, a)], pair_id[(u, b)]))))
     return closure_of(faces), pair_id
@@ -320,10 +314,10 @@ def product_tensor_weight_map(
     """
     id_pair = {k: uv for uv, k in pair_id.items()}
     out: dict[Face, float] = {}
-    for (k,) in product.faces_by_dim[0]:
+    for (k,) in product.faces(0):
         u, v = id_pair[k]
         out[(k,)] = w1[(u,)] * w2[(v,)]
-    for (a, b) in product.faces_by_dim.get(1, []):
+    for (a, b) in product.faces(1):
         (u1, v1), (u2, v2) = id_pair[a], id_pair[b]
         if v1 == v2:
             out[(a, b)] = 0.5 * w1[tuple(sorted((u1, u2)))] * w2[(v1,)]
@@ -332,7 +326,7 @@ def product_tensor_weight_map(
     # Added left to right in canonical order: the builtin sum() compensates
     # float rounding from Python 3.12 on, which would change the last bits.
     total = 0.0
-    for vertex in product.faces_by_dim[0]:
+    for vertex in product.faces(0):
         total += out[vertex]
     out[()] = total
     return out

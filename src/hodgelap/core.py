@@ -7,16 +7,30 @@ ascending vertex order is the canonical orientation of every face, and the
 lexicographic order of the face tuples fixes the basis used by every matrix
 in the package, which makes all outputs reproducible bit for bit.
 
+A complex stores its faces as arrays, one per dimension.  The vertex labels
+are sorted and relabelled to ids 0..n-1 by rank, so every order is kept and
+labels of any size, even past int64, take the same path.  The d-faces are
+one read-only (n_d, d+1) int64 array of ascending vertex ids, rows in
+lexicographic order, and beside it their face keys: the key of a face is
+the row of its prefix (the face without its last vertex) one dimension
+down, times n, plus its last vertex.  Keys sort like the rows, so they are
+strictly increasing, and stay below n_{d-1} * n, so they cannot overflow.
+:func:`closure_of` builds each dimension with one ``np.unique`` over the
+keys of all subsets of that size, and the table of ``D_i`` is one
+``searchsorted`` of keys read off the table of ``D_{i-1}``.  Face tuples
+are decoded one dimension at a time, only for the callers that ask for
+them (:meth:`SimplicialComplex.faces`); face lookups walk the keys.
+
 The signed incidence of i-faces in (i+1)-faces lives in one place, the
 boundary-index table of the coboundary ``D_i`` (:class:`CoboundaryMatrix`):
 each (i+1)-face has exactly i+2 boundary faces, and the k-th one, which
 omits the k-th vertex, carries the sign ``(-1)**k``.  Everything else that
 needs incidence reads that table with numpy: the signed dual graphs at each
 dimension (down flavor joins faces that intersect in a codimension-one face,
-up flavor joins faces that lie in a common coface), face degrees and
-regularity, and, in :mod:`hodgelap.operators`, the weighted coboundaries,
-normalized weights and Gram matrices.  :func:`boundary_sign` gives one sign
-from two face tuples.
+up flavor joins faces that lie in a common coface), face degrees, facets,
+cofaces, stars and regularity, and, in :mod:`hodgelap.operators`, the
+weighted coboundaries, normalized weights and Gram matrices.
+:func:`boundary_sign` gives one sign from two face tuples.
 
 Besides these, the module provides closure / star / link of a face set,
 path-connectivity at a dimension, signed balance (which encodes both
@@ -31,8 +45,10 @@ single assignments only).
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -48,16 +64,6 @@ from .errors import (
 )
 
 Face = tuple  # strictly increasing tuple of non-negative ints; () is the empty face
-
-
-def as_face(vertices: Iterable[int]) -> Face:
-    """Normalize an iterable of vertex ids into a canonical face tuple."""
-    vs = tuple(sorted(vertices))
-    if len(set(vs)) != len(vs):
-        raise MalformedFacetError(f"repeated vertex in face {list(vertices)!r}")
-    if any((not isinstance(v, int)) or isinstance(v, bool) or v < 0 for v in vs):
-        raise MalformedFacetError(f"vertex ids must be non-negative ints: {list(vertices)!r}")
-    return vs
 
 
 def permutation_parity(seq: Sequence[int]) -> int:
@@ -79,6 +85,12 @@ def permutation_parity(seq: Sequence[int]) -> int:
     return sign
 
 
+# The dimension -1 layer: one empty face, whose key is 0.
+_EMPTY_LAYER = np.zeros((1, 0), dtype=np.int64)
+_EMPTY_KEYS = np.zeros(1, dtype=np.int64)
+_INT64 = (-(1 << 63), 1 << 63)
+
+
 class SimplicialComplex:
     """Downward-closed family of faces over integer vertices.
 
@@ -87,79 +99,151 @@ class SimplicialComplex:
     expects a face set that is already closed under inclusion.
     """
 
-    __slots__ = ("faces_by_dim", "dim", "_index", "_cofaces", "_hash", "_memo")
+    __slots__ = ("dim", "_labels", "_label_array", "_layers", "_keys", "_tuples", "_hash", "_memo")
 
     def __init__(self, faces: Iterable[Face]):
-        by_dim: dict[int, list[Face]] = {}
+        faces = set(map(tuple, faces))
+        faces.discard(())
+        labels = sorted(set(chain.from_iterable(faces)))
+        n = len(labels)
+        identity = not n or (labels[0] == 0 and labels[-1] == n - 1)
+        position = None if identity else dict(zip(labels, range(n)))
+        by_size: dict[int, list[Face]] = {}
         for f in faces:
-            by_dim.setdefault(len(f) - 1, []).append(tuple(f))
-        if -1 not in by_dim:
-            by_dim[-1] = [()]
-        self.dim = max(by_dim)
-        self.faces_by_dim = {
-            d: sorted(set(by_dim.get(d, []))) for d in range(-1, self.dim + 1)
-        }
-        self._index = {
-            d: {f: i for i, f in enumerate(fs)} for d, fs in self.faces_by_dim.items()
-        }
-        self._cofaces: dict[Face, tuple[Face, ...]] | None = None
+            by_size.setdefault(len(f), []).append(f)
+        layers, keys = [_EMPTY_LAYER], [_EMPTY_KEYS]
+        tuples: dict[int, list[Face]] = {}
+        row = {(): 0}  # the row of each face one dimension down, by its vertex ids
+        for size in range(1, max(by_size, default=0) + 1):
+            level = sorted(by_size.get(size, ()))
+            ids = level if position is None else [tuple(map(position.__getitem__, f)) for f in level]
+            try:
+                key = [row[f[:-1]] * n + f[-1] for f in ids]
+            except KeyError:
+                key = []
+            if len(key) < len(ids) or not ids:
+                raise ValueError("the faces are not closed under inclusion")
+            count = len(ids)
+            layers.append(np.fromiter(chain.from_iterable(ids), np.int64, count * size).reshape(count, size))
+            keys.append(np.fromiter(key, np.int64, count))
+            row = dict(zip(ids, range(len(ids))))
+            tuples[size - 1] = level
+        self._setup(labels, layers, keys)
+        self._tuples.update(tuples)
+
+    @classmethod
+    def _of(cls, labels: list, layers: list, keys: list) -> "SimplicialComplex":
+        """A complex from its sorted labels and its face arrays and keys per dimension."""
+        complex_ = cls.__new__(cls)
+        complex_._setup(labels, layers, keys)
+        return complex_
+
+    def _setup(self, labels, layers, keys):
+        n = len(labels)
+        if not n or (labels[0] == 0 and labels[-1] == n - 1):
+            label_array = None  # the ids are the labels
+        elif _INT64[0] <= labels[0] and labels[-1] < _INT64[1]:
+            label_array = np.array(labels, dtype=np.int64)
+        else:
+            label_array = np.array(labels, dtype=object)
+        for array in (*layers, *keys):
+            array.setflags(write=False)
+        self.dim = len(layers) - 2
+        self._labels = labels
+        self._label_array = label_array
+        self._layers = tuple(layers)
+        self._keys = tuple(keys)
+        self._tuples: dict[int, list[Face]] = {}
         self._hash: int | None = None
         self._memo: dict = {}
+
+    def _decode(self, rows: np.ndarray) -> list[Face]:
+        """Face tuples of rows of vertex ids."""
+        if self._label_array is not None:
+            rows = self._label_array[rows]
+        return list(map(tuple, rows.tolist()))
+
+    def _find(self, face: Sequence[int]) -> int:
+        """Row of ``face`` within its dimension, or -1 when it is not a face."""
+        if len(face) > self.dim + 1:
+            return -1
+        labels, n, row = self._labels, len(self._labels), 0
+        for keys, v in zip(self._keys[1:], face):
+            vertex = bisect_left(labels, v)
+            if vertex == n or labels[vertex] != v:
+                return -1
+            key = row * n + vertex
+            row = int(keys.searchsorted(key))
+            if row == len(keys) or keys[row] != key:
+                return -1
+        return row
 
     # -- basic queries ----------------------------------------------------
 
     def faces(self, i: int) -> list[Face]:
         """Faces of dimension ``i`` in canonical (lexicographic) order."""
-        return self.faces_by_dim.get(i, [])
+        if not -1 <= i <= self.dim:
+            return []
+        faces = self._tuples.get(i)
+        if faces is None:
+            faces = self._tuples[i] = self._decode(self._layers[i + 1])
+        return faces
 
     def n_faces(self, i: int) -> int:
-        return len(self.faces_by_dim.get(i, []))
+        return len(self._layers[i + 1]) if -1 <= i <= self.dim else 0
 
     def all_faces(self) -> list[Face]:
         out = []
         for d in range(-1, self.dim + 1):
-            out.extend(self.faces_by_dim[d])
+            out.extend(self.faces(d))
         return out
 
     def index(self, face: Face) -> int:
         """Row/column index of ``face`` within its dimension."""
-        d = len(face) - 1
-        try:
-            return self._index[d][tuple(face)]
-        except KeyError:
-            raise UnknownFaceError(f"face {face!r} not in complex") from None
+        row = self._find(tuple(face))
+        if row < 0:
+            raise UnknownFaceError(f"face {face!r} not in complex")
+        return row
 
     def __contains__(self, face) -> bool:
-        f = tuple(face)
-        return f in self._index.get(len(f) - 1, {})
+        return self._find(tuple(face)) >= 0
 
     def vertices(self) -> list[int]:
-        return [f[0] for f in self.faces_by_dim.get(0, [])]
+        return list(self._labels)
 
     def facets(self) -> list[Face]:
-        """Inclusion-maximal faces (empty face only for the void complex)."""
-        return [f for f in self.all_faces() if not self.cofaces(f)]
+        """Inclusion-maximal faces (empty face only for the void complex).
+
+        A face below the top dimension is a facet when no row of the next
+        table has it as a boundary face.
+        """
+        if self.dim < 0:
+            return [()]
+        out = []
+        for d in range(self.dim):
+            free = _degrees(self, d) == 0
+            if free.any():
+                out += self._decode(self._layers[d + 1][free])
+        return out + self._decode(self._layers[-1])
 
     def cofaces(self, face: Face) -> tuple[Face, ...]:
         """Faces one dimension up that contain ``face``."""
-        if self._cofaces is None:
-            table: dict[Face, list[Face]] = {f: [] for f in self.all_faces()}
-            for d in range(0, self.dim + 1):
-                for g in self.faces_by_dim[d]:
-                    for k in range(len(g)):
-                        table[g[:k] + g[k + 1 :]].append(g)
-            self._cofaces = {f: tuple(cs) for f, cs in table.items()}
-        try:
-            return self._cofaces[tuple(face)]
-        except KeyError:
-            raise UnknownFaceError(f"face {face!r} not in complex") from None
+        row = self.index(face)
+        d = len(face) - 1
+        if d == self.dim:
+            return ()
+        key = ("cofaces", d)
+        if key not in self._memo:
+            table = coboundary_matrix(self, d)
+            # Rows of D_d grouped by boundary face, each group in row order.
+            order = table.index.ravel().argsort(kind="stable") // (d + 2)
+            start = np.bincount(table.index.ravel(), minlength=table.n_cols).cumsum()
+            self._memo[key] = (order.tolist(), [0] + start.tolist())
+        order, start = self._memo[key]
+        up = self.faces(d + 1)
+        return tuple(up[r] for r in order[start[row] : start[row + 1]])
 
     # -- derived complexes -------------------------------------------------
-
-    def skeleton(self, k: int) -> "SimplicialComplex":
-        return SimplicialComplex(
-            f for d in range(-1, min(k, self.dim) + 1) for f in self.faces_by_dim[d]
-        )
 
     def pure_part(self, q: int) -> "SimplicialComplex":
         """Closure of the q-faces: the pure q-dimensional part of the complex.
@@ -168,22 +252,33 @@ class SimplicialComplex:
         """
         key = ("pure", q)
         if key not in self._memo:
-            part = closure_of(self.faces_by_dim.get(q, []))
+            marks = _no_marks(self)
+            if 0 <= q <= self.dim:
+                marks[q + 1][:] = True
+            marks = _closure_marks(self, marks)
             # The part is a subcomplex, so equal face counts mean equal
             # complexes.  That case is stored as None: a reference to self
             # would form a cycle, which only the cyclic collector frees.
-            same = all(part.n_faces(d) == self.n_faces(d) for d in self.faces_by_dim)
-            self._memo[key] = None if same else part
+            same = all(m.all() for m in marks)
+            self._memo[key] = None if same else _subcomplex(self, marks)
         return self._memo[key] or self
 
     # -- dunder -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self.faces_by_dim == other.faces_by_dim
+        return (
+            isinstance(other, SimplicialComplex)
+            and self._labels == other._labels
+            and len(self._keys) == len(other._keys)
+            and all(np.array_equal(a, b) for a, b in zip(self._keys, other._keys))
+        )
 
     def __hash__(self) -> int:
+        # The hash of the face tuples, dimension by dimension: the
+        # deterministic custom scheme of hodgelap.theorems seeds from it, so
+        # the value must not depend on how the faces are stored.
         if self._hash is None:
-            self._hash = hash(tuple(tuple(self.faces_by_dim[d]) for d in range(-1, self.dim + 1)))
+            self._hash = hash(tuple(tuple(self.faces(d)) for d in range(-1, self.dim + 1)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -214,43 +309,186 @@ def _closure_bound(faces: list[Face]) -> int:
     )
 
 
+def _unique(values: np.ndarray, inverse: bool = True):
+    """The sorted distinct values and, with ``inverse``, the position of each among them.
+
+    What ``np.unique`` returns, without its per-call overhead, which the
+    many small complexes of the corpus would pay.
+    """
+    order = values.argsort()
+    ordered = values[order]
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    if not inverse:
+        return ordered[new]
+    position = np.empty(len(values), dtype=np.int64)
+    position[order] = new.cumsum() - 1
+    return ordered[new], position
+
+
+def _relabel(faces: list, flat: list) -> tuple[list, dict[int, np.ndarray]]:
+    """The sorted vertex labels and, per face size, the faces as rows of ids.
+
+    ``flat`` holds the vertices of ``faces`` one after another.  A vertex's
+    id is the rank of its label, and each row is sorted ascending.  Labels
+    that do not all fit in int64 are sorted as Python ints, on the same path.
+    """
+    vertices = set(flat)
+    low, high = (min(vertices), max(vertices)) if vertices else (0, -1)
+    if low == 0 and high == len(vertices) - 1:
+        labels, ids = list(range(len(vertices))), np.array(flat, dtype=np.int64)
+    else:
+        fits = _INT64[0] <= low and high < _INT64[1]
+        labels, ids = _unique(np.array(flat, dtype=np.int64 if fits else object))
+        labels = labels.tolist()
+    sizes = set(map(len, faces))
+    if len(sizes) == 1:
+        size = sizes.pop()
+        groups = {size: ids.reshape(-1, size)}
+    else:
+        lengths = np.fromiter(map(len, faces), dtype=np.int64, count=len(faces))
+        start = lengths.cumsum() - lengths
+        groups = {
+            size: ids[start[lengths == size][:, None] + np.arange(size)]
+            for size in sorted(sizes - {0})
+        }
+    for rows in groups.values():
+        rows.sort(axis=1)
+    return labels, groups
+
+
+@functools.cache
+def _subsets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-subsets of ``range(size)`` in lexicographic order, read-only.
+
+    Returns the position of each subset's (k-1)-prefix among the
+    (k-1)-subsets, and its last element.  The closure budget keeps ``size``
+    at most 20, so the cache stays bounded.
+    """
+    position = {c: j for j, c in enumerate(combinations(range(size), k - 1))}
+    subsets = list(combinations(range(size), k))
+    prefix = np.array([position[c[:-1]] for c in subsets], dtype=np.int64)
+    last = np.array([c[-1] for c in subsets], dtype=np.int64)
+    prefix.setflags(write=False)
+    last.setflags(write=False)
+    return prefix, last
+
+
+def _closure(labels: list, groups: dict[int, np.ndarray]) -> SimplicialComplex:
+    """The closure of the faces in ``groups``, rows of ascending vertex ids by size.
+
+    Every id in 0..len(labels)-1 is used, so the vertex ids are the rows of
+    the vertices.  Dimension by dimension from the edges up, the keys of
+    the k-subsets of every face come from the rows of their prefixes, found
+    one dimension down, and one sort of all keys gives the k-faces in order
+    and the row of every subset, which the next dimension reads.
+    """
+    n = len(labels)
+    layers, keys = [_EMPTY_LAYER], [_EMPTY_KEYS]
+    top = max(groups, default=0)
+    if top:
+        keys.append(np.arange(n))
+        layers.append(keys[-1][:, None])
+    # rank[size][r, j]: row of the j-th subset of face r, in the last dimension built.
+    rank = dict(groups)
+    for k in range(2, top + 1):
+        sizes = [size for size in groups if size >= k]
+        parts = []
+        for size in sizes:
+            prefix, last = _subsets(size, k)
+            parts.append(rank[size][:, prefix] * n + groups[size][:, last])
+        values = np.concatenate(parts, axis=None) if len(parts) > 1 else parts[0].ravel()
+        if k == top:
+            key = _unique(values, inverse=False)
+        else:
+            key, inverse = _unique(values)
+            start = 0
+            for size, part in zip(sizes, parts):
+                rank[size] = inverse[start : start + part.size].reshape(part.shape)
+                start += part.size
+        row, vertex = np.divmod(key, n)
+        layer = np.empty((len(key), k), dtype=np.int64)
+        layer[:, :-1] = layers[-1][row]
+        layer[:, -1] = vertex
+        layers.append(layer)
+        keys.append(key)
+    return SimplicialComplex._of(labels, layers, keys)
+
+
+# Up to this many subsets (the sum of 2**|f| over the faces given), a closure
+# is enumerated with Python sets and ranked by SimplicialComplex(); past it,
+# with numpy, one dimension at a time.  A numpy call costs about a
+# microsecond whatever its size, and the closure makes a dozen of them per
+# dimension, which the corpus, thousands of complexes of a few dozen faces,
+# would pay on every one; the arrays win from about 128 subsets on.
+_SMALL_CLOSURE = 128
+
+
+def _closure_complex(faces: list, flat: list) -> SimplicialComplex:
+    """The closure of non-empty ``faces``; ``flat`` holds their vertices one after another.
+
+    Raises :class:`ResourceError` when :func:`_closure_bound` passes
+    ``_CLOSURE_BUDGET``, before enumerating any face.
+    """
+    sizes = Counter(map(len, faces))
+    subsets = sum(count << size for size, count in sizes.items())
+    if subsets > _CLOSURE_BUDGET and _closure_bound(faces) > _CLOSURE_BUDGET:
+        raise ResourceError(
+            f"the closure would have more than {_CLOSURE_BUDGET} faces; "
+            f"the largest face given has {max(sizes)} vertices"
+        )
+    if subsets > _SMALL_CLOSURE:
+        return _closure(*_relabel(faces, flat))
+    closed = set()
+    for f in faces:
+        f = tuple(sorted(f))
+        for k in range(1, len(f) + 1):
+            closed.update(combinations(f, k))
+    return SimplicialComplex(closed)
+
+
 def closure_of(faces: Iterable[Face]) -> SimplicialComplex:
     """Inclusion closure of a face set (plus the empty face).
 
     When :func:`_closure_bound` passes ``_CLOSURE_BUDGET`` this raises
     :class:`ResourceError` before enumerating any face.
     """
-    faces = [tuple(sorted(f)) for f in faces]
-    # Each face f gives at most 2**len(f) faces, so the exact bound is
-    # needed only when their sum passes the budget.
-    if (
-        sum(1 << len(f) for f in faces) > _CLOSURE_BUDGET
-        and _closure_bound(faces) > _CLOSURE_BUDGET
-    ):
-        raise ResourceError(
-            f"the closure would have more than {_CLOSURE_BUDGET} faces; "
-            f"the largest face given has {max(map(len, faces))} vertices"
-        )
-    closed = {()}
-    for f in faces:
-        for k in range(1, len(f) + 1):
-            closed.update(combinations(f, k))
-    return SimplicialComplex(closed)
+    faces = [f for f in map(tuple, faces) if f]
+    return _closure_complex(faces, list(chain.from_iterable(faces)))
+
+
+def _check_facets(facets: list[list]):
+    """Raise the error of the first malformed facet, one facet at a time."""
+    for vs in facets:
+        if not vs:
+            raise MalformedFacetError("facets must be non-empty vertex lists")
+        ordered = sorted(vs)
+        if len(set(ordered)) != len(ordered):
+            raise MalformedFacetError(f"repeated vertex in face {vs!r}")
+        if any((not isinstance(v, int)) or isinstance(v, bool) or v < 0 for v in ordered):
+            raise MalformedFacetError(f"vertex ids must be non-negative ints: {vs!r}")
 
 
 def from_facets(facets: Sequence[Iterable[int]]) -> SimplicialComplex:
     """Build the complex generated by ``facets`` (their inclusion closure).
 
     Non-maximal entries are harmless; re-extracting ``facets()`` from the
-    result recovers the maximal faces only.
+    result recovers the maximal faces only.  Every facet must be a
+    non-empty list of distinct non-negative ints; the checks run over all
+    facets at once, and only a failing input is walked facet by facet to
+    report the first malformed one.
     """
-    validated = []
-    for facet in facets:
-        vs = list(facet)
-        if not vs:
-            raise MalformedFacetError("facets must be non-empty vertex lists")
-        validated.append(as_face(vs))
-    return closure_of(validated)
+    facets = list(map(list, facets))
+    flat = list(chain.from_iterable(facets))
+    if (
+        not all(facets)
+        or not set(map(type, flat)) <= {int}
+        or (flat and min(flat) < 0)
+        or sum(map(len, map(set, facets))) != len(flat)
+    ):
+        _check_facets(facets)
+    return _closure_complex(facets, flat)
 
 
 def boundary_sign(coface: Face, face: Face) -> int:
@@ -324,24 +562,30 @@ def coboundary_matrix(complex_: SimplicialComplex, i: int) -> CoboundaryMatrix:
     ``i = -1`` gives the all-ones column over the vertices; ``i = dim``
     gives a table with zero rows.  ``D_i @ D_{i-1} == 0`` holds in exact
     integer arithmetic.  The table is memoized on the complex and read-only.
+
+    The face that omits the last vertex of a row face is its prefix, whose
+    row the face key holds.  The face that omits vertex k < i+1 is the
+    prefix without its vertex k, read from ``D_{i-1}``, followed by the
+    last vertex, so its key is known and one ``searchsorted`` finds it.
     """
     if not -1 <= i <= complex_.dim:
         raise DimensionError(f"coboundary index {i} out of range -1..{complex_.dim}")
     key = ("cobound", i)
     if key not in complex_._memo:
-        cols = complex_._index[i]
-        faces = complex_.faces(i + 1)
-        width = i + 2
-        index = np.fromiter(
-            (cols[g[:k] + g[k + 1 :]] for g in faces for k in range(width)),
-            dtype=np.int64,
-            count=len(faces) * width,
-        ).reshape(len(faces), width)
+        n = max(len(complex_._labels), 1)
+        upper = complex_._keys[i + 2] if i < complex_.dim else _EMPTY_KEYS[:0]
+        index = np.empty((len(upper), i + 2), dtype=np.int64)
+        prefix = upper // n
+        index[:, -1] = prefix
+        if i >= 0:
+            lower = coboundary_matrix(complex_, i - 1).index
+            omitted = lower[prefix] * n + (upper % n)[:, None]
+            index[:, :-1] = complex_._keys[i + 1].searchsorted(omitted)
         values = np.ones(index.shape, dtype=np.int64)
         values[:, 1::2] = -1  # the face that omits vertex k has sign (-1)**k
         index.setflags(write=False)
         values.setflags(write=False)
-        complex_._memo[key] = CoboundaryMatrix(i, index, len(cols), values)
+        complex_._memo[key] = CoboundaryMatrix(i, index, complex_.n_faces(i), values)
     return complex_._memo[key]
 
 
@@ -451,32 +695,73 @@ def closure_star_link(
     The closure is the smallest subcomplex containing the set; the star is
     every simplex of the complex having a (non-empty) face in the set; the
     link is the face set of ``cl st`` minus ``st cl``.  The empty face is
-    ignored for star membership (every simplex contains it).
+    ignored for star membership (every simplex contains it).  The star
+    comes in canonical order: by dimension, then lexicographic.
     """
-    sel = []
+    seeds = _no_marks(complex_)
     for f in faces:
         f = tuple(sorted(f))
-        if f not in complex_:
+        row = complex_._find(f)
+        if row < 0:
             raise UnknownFaceError(f"face {f!r} not in complex")
-        sel.append(f)
-    nonempty = [f for f in sel if f]
+        seeds[len(f)][row] = True
+    cl = _closure_marks(complex_, [m.copy() for m in seeds])
+    st = _star_marks(complex_, seeds)
+    cl_st = _closure_marks(complex_, [m.copy() for m in st])
+    st_cl = _star_marks(complex_, [m.copy() for m in cl])
+    lk = [a & ~b for a, b in zip(cl_st, st_cl)]
+    return _subcomplex(complex_, cl), _marked_faces(complex_, st), _subcomplex(complex_, lk)
 
-    def star_of(fset: list[Face]) -> list[Face]:
-        seeds = [set(f) for f in fset if f]
-        out = []
-        for d in range(0, complex_.dim + 1):
-            for g in complex_.faces_by_dim[d]:
-                gs = set(g)
-                if any(s <= gs for s in seeds):
-                    out.append(g)
-        return out
 
-    cl = closure_of(sel)
-    st = star_of(nonempty)
-    cl_st = closure_of(_star_facets(st))
-    st_cl = set(star_of([f for f in cl.all_faces() if f]))
-    lk = SimplicialComplex(f for f in cl_st.all_faces() if f not in st_cl)
-    return cl, st, lk
+def _no_marks(complex_: SimplicialComplex) -> list[np.ndarray]:
+    """One all-False mark per face, one array per dimension from -1."""
+    return [np.zeros(len(layer), dtype=bool) for layer in complex_._layers]
+
+
+def _closure_marks(complex_: SimplicialComplex, marks: list[np.ndarray]) -> list[np.ndarray]:
+    """Also mark, in place, every face of a marked face; the empty face is always marked."""
+    for d in range(complex_.dim, 0, -1):
+        marks[d][coboundary_matrix(complex_, d - 1).index[marks[d + 1]].ravel()] = True
+    marks[0][:] = True
+    return marks
+
+
+def _star_marks(complex_: SimplicialComplex, marks: list[np.ndarray]) -> list[np.ndarray]:
+    """Also mark, in place, every face that has a marked non-empty face."""
+    marks[0][:] = False
+    for d in range(complex_.dim):
+        marks[d + 2] |= marks[d + 1][coboundary_matrix(complex_, d).index].any(axis=1)
+    return marks
+
+
+def _marked_faces(complex_: SimplicialComplex, marks: list[np.ndarray]) -> list[Face]:
+    """The marked non-empty faces as tuples, in canonical order."""
+    out = []
+    for d in range(complex_.dim + 1):
+        out += complex_._decode(complex_._layers[d + 1][marks[d + 1]])
+    return out
+
+
+def _subcomplex(complex_: SimplicialComplex, marks: list[np.ndarray]) -> SimplicialComplex:
+    """The subcomplex of the marked faces; the marks must be closed downwards.
+
+    The kept vertices are relabelled to 0..m-1 in order, so each kept row
+    stays in lexicographic order; its key takes the new row of its prefix.
+    """
+    n = len(complex_._labels)
+    layers, keys, labels = [_EMPTY_LAYER], [_EMPTY_KEYS], []
+    for d in range(complex_.dim + 1):
+        mark = marks[d + 1]
+        if not mark.any():
+            break
+        if d == 0:
+            vertex_id = np.cumsum(mark) - 1
+            labels = [complex_._labels[v] for v in np.flatnonzero(mark).tolist()]
+        prefix_row = np.cumsum(marks[d]) - 1
+        old = complex_._keys[d + 1][mark]
+        keys.append(prefix_row[old // n] * len(labels) + vertex_id[old % n])
+        layers.append(vertex_id[complex_._layers[d + 1][mark]])
+    return SimplicialComplex._of(labels, layers, keys)
 
 
 def _star_facets(star: Iterable[Face]) -> list[Face]:
@@ -534,7 +819,7 @@ def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
     a, b, sign = a[keep], b[keep], sign[keep]
     order = np.lexsort((b, a))
     edges = zip(a[order].tolist(), b[order].tolist(), sign[order].tolist())
-    return DualGraph(tuple(complex_.faces_by_dim[i]), tuple(edges), flavor)
+    return DualGraph(tuple(complex_.faces(i)), tuple(edges), flavor)
 
 
 def path_connected_components(complex_: SimplicialComplex, i: int) -> list[list[Face]]:
@@ -667,15 +952,14 @@ def chromatic_number_1skel(complex_: SimplicialComplex, max_steps: int = 5_000_0
     ``max_steps`` bounds the number of search nodes; exceeding it raises
     :class:`ResourceError` rather than returning an approximation.
     """
-    verts = complex_.vertices()
-    if not verts:
+    n = complex_.n_faces(0)
+    if not n:
         raise DimensionError("chromatic number needs at least one vertex")
-    pos = {v: k for k, v in enumerate(verts)}
-    n = len(verts)
     adj = [set() for _ in range(n)]
-    for a, b in complex_.faces_by_dim.get(1, []):
-        adj[pos[a]].add(pos[b])
-        adj[pos[b]].add(pos[a])
+    if complex_.dim >= 1:
+        for a, b in complex_._layers[2].tolist():
+            adj[a].add(b)
+            adj[b].add(a)
 
     order = sorted(range(n), key=lambda v: -len(adj[v]))
     clique: list[int] = []
@@ -754,8 +1038,7 @@ def is_regular(
     """
     if not 0 <= i < max(complex_.dim, 1):
         raise DimensionError(f"regularity dimension {i} out of range")
-    faces = complex_.faces_by_dim.get(i, [])
-    if not faces:
+    if not complex_.n_faces(i):
         return True, 0.0
     if isinstance(coface_weights, Mapping):
         coface_weights = [coface_weights[g] for g in complex_.faces(i + 1)]
@@ -763,6 +1046,7 @@ def is_regular(
     r = float(degs[0])
     off = np.flatnonzero(np.abs(degs - r) > rel_tol * max(1.0, abs(r)))
     if off.size:
+        faces = complex_.faces(i)
         return False, (faces[0], faces[off[0]])
     return True, r
 
@@ -774,13 +1058,16 @@ class Motif:
     Validity per the duplication construction: the subcomplex contains every
     face of the ambient complex whose faces all lie in it (guaranteed here
     by taking the induced subcomplex), and the link dimension identifies the
-    operator order the motif interacts with.
+    operator order the motif interacts with.  ``star`` holds the faces that
+    contain a motif vertex, in canonical order, and ``closed_star`` their
+    closure.
     """
 
     vertices: tuple[int, ...]
     induced: SimplicialComplex
     link: SimplicialComplex
     star: tuple[Face, ...] = field(repr=False, default=())
+    closed_star: SimplicialComplex | None = field(repr=False, compare=False, default=None)
 
     @property
     def link_dim(self) -> int:
@@ -788,19 +1075,33 @@ class Motif:
 
 
 def motif(complex_: SimplicialComplex, vertices: Iterable[int]) -> Motif:
+    """The motif on ``vertices``, memoized on the complex.
+
+    Its star, closed star and link come from the boundary tables: every
+    non-empty induced face holds a chosen vertex, which is itself an induced
+    face, so their star is the star of the chosen vertices, and the star of
+    their closure is that star again.
+    """
     vs = tuple(sorted(set(vertices)))
     if not vs:
         raise InvalidMotifError("a motif needs at least one vertex")
-    for v in vs:
-        if (v,) not in complex_:
-            raise UnknownFaceError(f"vertex {v} not in complex")
-    vset = set(vs)
-    induced_faces = [
-        f
-        for d in range(-1, complex_.dim + 1)
-        for f in complex_.faces_by_dim[d]
-        if set(f) <= vset
-    ]
-    induced = SimplicialComplex(induced_faces)
-    _, st, lk = closure_star_link(complex_, [f for f in induced_faces if f])
-    return Motif(vs, induced, lk, tuple(st))
+    key = ("motif", vs)
+    if key not in complex_._memo:
+        star = _no_marks(complex_)
+        for v in vs:
+            row = complex_._find((v,))
+            if row < 0:
+                raise UnknownFaceError(f"vertex {v} not in complex")
+            star[1][row] = True
+        # The induced subcomplex: every face whose vertices are all chosen.
+        induced = [star[0] | True] + [star[1][layer].all(axis=1) for layer in complex_._layers[1:]]
+        star = _star_marks(complex_, star)
+        closed = _closure_marks(complex_, [m.copy() for m in star])
+        complex_._memo[key] = Motif(
+            vs,
+            _subcomplex(complex_, induced),
+            _subcomplex(complex_, [a & ~b for a, b in zip(closed, star)]),
+            tuple(_marked_faces(complex_, star)),
+            _subcomplex(complex_, closed),
+        )
+    return complex_._memo[key]

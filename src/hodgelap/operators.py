@@ -388,11 +388,11 @@ def entrywise_laplacian(
     weighted table or solve.
     """
     wmap = _weights(complex_, scheme)
-    faces = complex_.faces_by_dim[i]
+    faces = complex_.faces(i)
     n = len(faces)
     out = np.zeros((n, n))
     if direction in ("up", "full"):
-        for g in complex_.faces_by_dim.get(i + 1, []):
+        for g in complex_.faces(i + 1):
             subs = [(g[:k] + g[k + 1 :], -1 if k % 2 else 1) for k in range(len(g))]
             for fa, sa in subs:
                 a = complex_.index(fa)
