@@ -120,13 +120,11 @@ class SimplicialComplex:
             try:
                 key = [row[f[:-1]] * n + f[-1] for f in ids]
             except KeyError:
-                key = []
-            if len(key) < len(ids) or not ids:
-                raise ValueError("the faces are not closed under inclusion")
+                raise ValueError("the faces are not closed under inclusion") from None
             count = len(ids)
             layers.append(np.fromiter(chain.from_iterable(ids), np.int64, count * size).reshape(count, size))
             keys.append(np.fromiter(key, np.int64, count))
-            row = dict(zip(ids, range(len(ids))))
+            row = dict(zip(ids, range(count)))
             tuples[size - 1] = level
         self._setup(labels, layers, keys)
         self._tuples.update(tuples)
@@ -309,24 +307,6 @@ def _closure_bound(faces: list[Face]) -> int:
     )
 
 
-def _unique(values: np.ndarray, inverse: bool = True):
-    """The sorted distinct values and, with ``inverse``, the position of each among them.
-
-    What ``np.unique`` returns, without its per-call overhead, which the
-    many small complexes of the corpus would pay.
-    """
-    order = values.argsort()
-    ordered = values[order]
-    new = np.empty(len(values), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    if not inverse:
-        return ordered[new]
-    position = np.empty(len(values), dtype=np.int64)
-    position[order] = new.cumsum() - 1
-    return ordered[new], position
-
-
 def _relabel(faces: list, flat: list) -> tuple[list, dict[int, np.ndarray]]:
     """The sorted vertex labels and, per face size, the faces as rows of ids.
 
@@ -334,14 +314,8 @@ def _relabel(faces: list, flat: list) -> tuple[list, dict[int, np.ndarray]]:
     id is the rank of its label, and each row is sorted ascending.  Labels
     that do not all fit in int64 are sorted as Python ints, on the same path.
     """
-    vertices = set(flat)
-    low, high = (min(vertices), max(vertices)) if vertices else (0, -1)
-    if low == 0 and high == len(vertices) - 1:
-        labels, ids = list(range(len(vertices))), np.array(flat, dtype=np.int64)
-    else:
-        fits = _INT64[0] <= low and high < _INT64[1]
-        labels, ids = _unique(np.array(flat, dtype=np.int64 if fits else object))
-        labels = labels.tolist()
+    fits = _INT64[0] <= min(flat) and max(flat) < _INT64[1]
+    labels, ids = np.unique(np.array(flat, dtype=np.int64 if fits else object), return_inverse=True)
     sizes = set(map(len, faces))
     if len(sizes) == 1:
         size = sizes.pop()
@@ -355,7 +329,7 @@ def _relabel(faces: list, flat: list) -> tuple[list, dict[int, np.ndarray]]:
         }
     for rows in groups.values():
         rows.sort(axis=1)
-    return labels, groups
+    return labels.tolist(), groups
 
 
 @functools.cache
@@ -398,15 +372,12 @@ def _closure(labels: list, groups: dict[int, np.ndarray]) -> SimplicialComplex:
         for size in sizes:
             prefix, last = _subsets(size, k)
             parts.append(rank[size][:, prefix] * n + groups[size][:, last])
-        values = np.concatenate(parts, axis=None) if len(parts) > 1 else parts[0].ravel()
-        if k == top:
-            key = _unique(values, inverse=False)
-        else:
-            key, inverse = _unique(values)
-            start = 0
-            for size, part in zip(sizes, parts):
-                rank[size] = inverse[start : start + part.size].reshape(part.shape)
-                start += part.size
+        # Asked for the inverse, np.unique sorts and leaves numpy.ma unloaded.
+        key, inverse = np.unique(np.concatenate(parts, axis=None), return_inverse=True)
+        start = 0
+        for size, part in zip(sizes, parts):
+            rank[size] = inverse[start : start + part.size].reshape(part.shape)
+            start += part.size
         row, vertex = np.divmod(key, n)
         layer = np.empty((len(key), k), dtype=np.int64)
         layer[:, :-1] = layers[-1][row]

@@ -535,3 +535,30 @@ def test_huge_document_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"facets": [list(range(40))]}))
     code, _, stderr = run_cli(["betti", str(path)], capsys)
     assert code == EXIT_BAD_DOCUMENT and "more than" in stderr
+
+
+def test_betti_takes_vertex_labels_past_int64(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"facets": [[0, 1, 1 << 70], [1, 1 << 64]]}))
+    code, stdout, stderr = run_cli(["betti", str(path)], capsys)
+    assert code == EXIT_OK, stderr
+    assert json.loads(stdout) == {"b~-1": 0, "b~0": 0, "b~1": 0, "b~2": 0}
+
+
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        ("[[0, true]]", "facet [0, True] must be a list of integers"),
+        ("[[0, 1.5]]", "facet [0, 1.5] must be a list of integers"),
+        ("[[0, 1], [-1, 2]]", "vertex ids must be non-negative ints: [-1, 2]"),
+        ("[[0, 1], [2, 3, 2]]", "repeated vertex in face [2, 3, 2]"),
+        ("[[0, 1], []]", "facets must be non-empty vertex lists"),
+    ],
+    ids=["bool", "float", "negative", "repeated", "empty"],
+)
+def test_betti_rejects_malformed_vertex_lists(tmp_path, capsys, facets, message):
+    path = tmp_path / "bad.json"
+    path.write_text('{"facets": %s}' % facets)
+    code, stdout, stderr = run_cli(["betti", str(path)], capsys)
+    assert code == EXIT_BAD_DOCUMENT and stdout == ""
+    assert stderr == f"error: {message}\n"

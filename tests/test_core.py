@@ -1,6 +1,7 @@
 """Face lattice, signs, subcomplex selectors, duals, balance, chromatic."""
 
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 import numpy as np
@@ -448,3 +449,92 @@ def test_closure_past_the_budget_raises_before_enumerating(monkeypatch):
         closure_of([range(6)])
     with pytest.raises(ResourceError):
         closure_of(combinations(range(7), 3))
+
+
+def _closure_reference(facets):
+    faces = {()}
+    for f in facets:
+        for k in range(1, len(f) + 1):
+            faces.update(combinations(sorted(f), k))
+    return faces
+
+
+# Small ids, and sparse labels on both sides of 2**63 and past it.
+_LABELS = st.one_of(
+    st.integers(0, 9),
+    st.integers(2**62, 2**62 + 6),
+    st.integers(2**63 - 3, 2**63 + 3),
+    st.integers(2**70, 2**70 + 6),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(_LABELS, min_size=1, max_size=5, unique=True), min_size=1, max_size=7
+    )
+)
+def test_array_lattice_matches_itertools_and_dict_references(facets):
+    facets = facets + [facets[0], facets[0][:1]]  # a repeated and a non-maximal facet
+    ref = _closure_reference(facets)
+    by_dim = {d: sorted(f for f in ref if len(f) == d + 1) for d in range(-1, 5)}
+    maximal = [f for d in range(5) for f in by_dim[d] if not any(set(f) < set(g) for g in ref)]
+    built = []
+    # Below the threshold the closure is enumerated with Python sets, above
+    # it with numpy; both must give the same arrays.
+    for threshold in (0, 1 << 20):
+        saved, core._SMALL_CLOSURE = core._SMALL_CLOSURE, threshold
+        try:
+            k = from_facets(facets)
+        finally:
+            core._SMALL_CLOSURE = saved
+        built.append(k)
+        assert k.dim == max(map(len, facets)) - 1
+        assert all(k.faces(d) == by_dim[d] for d in range(-1, k.dim + 1))
+        assert k.facets() == maximal and k.vertices() == [f[0] for f in by_dim[0]]
+        assert hash(k) == hash(tuple(tuple(by_dim[d]) for d in range(-1, k.dim + 1)))
+        for d in range(-1, k.dim + 1):
+            rows = {f: r for r, f in enumerate(by_dim[d])}
+            assert all(k.index(f) == r and f in k for f, r in rows.items())
+            if d < k.dim:
+                expected = [
+                    [rows[g[:j] + g[j + 1 :]] for j in range(d + 2)] for g in by_dim[d + 1]
+                ]
+                assert coboundary_matrix(k, d).index.tolist() == expected
+        v = by_dim[0][0][0]
+        star = [f for d in range(k.dim + 1) for f in by_dim[d] if v in f]
+        link = sorted((f for f in ref if v not in f and tuple(sorted(f + (v,))) in ref),
+                      key=lambda f: (len(f), f))
+        sig = motif(k, [v])
+        assert list(sig.star) == star and sig.link.all_faces() == link
+        assert sig.closed_star == closure_of(star)
+        assert (by_dim[0][-1][0] + 1,) not in k and (v, v) not in k
+    assert built[0] == built[1] == core.SimplicialComplex(ref)
+
+
+def test_the_16_vertex_simplex_fits_the_face_keys():
+    # Mixed-radix keys over 16 vertices would reach 16**16 = 2**64; the keys
+    # of a face count rows one dimension down instead.
+    k = from_facets([list(range(16))])
+    far = from_facets([[(1 << 70) + j for j in range(16)]])
+    for d in range(16):
+        assert k.n_faces(d) == far.n_faces(d) == comb(16, d + 1)
+    for i in range(15):
+        index = coboundary_matrix(k, i).index
+        assert np.array_equal(index, coboundary_matrix(far, i).index)
+        upper, lower = k._layers[i + 2], k._layers[i + 1]
+        for j in range(i + 2):
+            assert np.array_equal(lower[index[:, j]], np.delete(upper, j, axis=1))
+    assert far.faces(15) == [tuple((1 << 70) + j for j in range(16))]
+
+
+def test_closure_budget_refuses_before_any_face_is_enumerated(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("a face was enumerated")
+
+    for name in ("_relabel", "_closure", "combinations"):
+        monkeypatch.setattr(core, name, enumerated)
+    with pytest.raises(ResourceError):
+        closure_of([range(64)])
+    with pytest.raises(ResourceError):
+        from_facets([list(range(40)), [40, 41]])

@@ -326,3 +326,32 @@ def test_one_pass_balance_matches_each_component_on_the_corpus():
             assert [[faces[j] for j in members] for members, _ in got] == comps, (name, i)
             for (_, balanced), comp in zip(got, comps):
                 assert balanced == signed_balance(closure_of(comp), i + 1, "parallel").balanced
+
+
+def test_a_spent_chromatic_budget_leaves_a_note_not_an_abort(tmp_path, capsys, monkeypatch):
+    import functools
+
+    from hodgelap import core
+    from hodgelap.cli import cli_main
+
+    # G(40, 1/2) needs hundreds of search nodes; every corpus complex needs
+    # at most 13, so under a budget of 20 only the user complex runs out.
+    rng = np.random.default_rng(0)
+    edges = [[a, b] for a in range(40) for b in range(a + 1, 40) if rng.random() < 0.5]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"facets": edges, "name": "dense"}))
+    monkeypatch.setattr(
+        theorems, "chromatic_number_1skel",
+        functools.partial(core.chromatic_number_1skel, max_steps=20),
+    )
+    code = cli_main(["verify", str(path), "--suite", "boundary", "--random-count", "0"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code in (0, 1)
+    dense = [r for r in records if r["inputs"]["complex"] == "user-dense"]
+    assert len(dense) == 1
+    assert dense[0]["certificates"]["chromatic_number"] is None
+    assert any("chromatic condition not decided" in note for note in dense[0]["notes"])
+    names = [check["name"] for check in dense[0]["checks"]]
+    assert "balance-iff-i+2-present" in names and "component-0/balance-iff-i+2" in names
+    others = [r for r in records if r["inputs"]["complex"] != "user-dense"]
+    assert others and all(type(r["certificates"]["chromatic_number"]) is int for r in others)
