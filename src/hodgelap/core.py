@@ -48,7 +48,7 @@ import functools
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -111,32 +111,46 @@ class SimplicialComplex:
         by_size: dict[int, list[Face]] = {}
         for f in faces:
             by_size.setdefault(len(f), []).append(f)
-        layers, keys = [_EMPTY_LAYER], [_EMPTY_KEYS]
-        tuples: dict[int, list[Face]] = {}
+        top = max(by_size, default=0)
+        levels = [sorted(by_size.get(size, ())) for size in range(1, top + 1)]
+        ids = levels if position is None else [
+            [tuple(map(position.__getitem__, f)) for f in level] for level in levels
+        ]
+        key: list[int] = []
         row = {(): 0}  # the row of each face one dimension down, by its vertex ids
-        for size in range(1, max(by_size, default=0) + 1):
-            level = sorted(by_size.get(size, ()))
-            ids = level if position is None else [tuple(map(position.__getitem__, f)) for f in level]
+        for level in ids:
             try:
-                key = [row[f[:-1]] * n + f[-1] for f in ids]
+                key += [row[f[:-1]] * n + f[-1] for f in level]
             except KeyError:
                 raise ValueError("the faces are not closed under inclusion") from None
-            count = len(ids)
-            layers.append(np.fromiter(chain.from_iterable(ids), np.int64, count * size).reshape(count, size))
-            keys.append(np.fromiter(key, np.int64, count))
-            row = dict(zip(ids, range(count)))
-            tuples[size - 1] = level
+            row = dict(zip(level, range(len(level))))
+        # One buffer for all vertex ids and one for all keys, cut per dimension.
+        counts = list(map(len, levels))
+        vertex_ids = np.fromiter(chain.from_iterable(chain.from_iterable(ids)), np.int64)
+        key_array = np.fromiter(key, np.int64, len(key))
+        vertex_ids.setflags(write=False)  # and so every view cut from it
+        key_array.setflags(write=False)
+        layers, keys = [_EMPTY_LAYER], [_EMPTY_KEYS]
+        start = offset = 0
+        for size, count in enumerate(counts, start=1):
+            layers.append(vertex_ids[offset : offset + count * size].reshape(count, size))
+            keys.append(key_array[start : start + count])
+            start += count
+            offset += count * size
         self._setup(labels, layers, keys)
-        self._tuples.update(tuples)
+        self._tuples.update(enumerate(levels))
 
     @classmethod
     def _of(cls, labels: list, layers: list, keys: list) -> "SimplicialComplex":
         """A complex from its sorted labels and its face arrays and keys per dimension."""
+        for array in (*layers, *keys):
+            array.setflags(write=False)
         complex_ = cls.__new__(cls)
         complex_._setup(labels, layers, keys)
         return complex_
 
     def _setup(self, labels, layers, keys):
+        """Store the labels and the read-only face arrays and keys."""
         n = len(labels)
         if not n or (labels[0] == 0 and labels[-1] == n - 1):
             label_array = None  # the ids are the labels
@@ -144,8 +158,6 @@ class SimplicialComplex:
             label_array = np.array(labels, dtype=np.int64)
         else:
             label_array = np.array(labels, dtype=object)
-        for array in (*layers, *keys):
-            array.setflags(write=False)
         self.dim = len(layers) - 2
         self._labels = labels
         self._label_array = label_array
@@ -716,22 +728,25 @@ def _marked_faces(complex_: SimplicialComplex, marks: list[np.ndarray]) -> list[
 def _subcomplex(complex_: SimplicialComplex, marks: list[np.ndarray]) -> SimplicialComplex:
     """The subcomplex of the marked faces; the marks must be closed downwards.
 
+    ``marks`` holds one array per dimension from -1, and may stop early.
+
     The kept vertices are relabelled to 0..m-1 in order, so each kept row
     stays in lexicographic order; its key takes the new row of its prefix.
     """
     n = len(complex_._labels)
     layers, keys, labels = [_EMPTY_LAYER], [_EMPTY_KEYS], []
-    for d in range(complex_.dim + 1):
-        mark = marks[d + 1]
+    prefix_row = _EMPTY_KEYS  # the new row of each kept face one dimension down
+    for d, mark in enumerate(marks[1:]):
         if not mark.any():
             break
+        new_row = np.cumsum(mark) - 1
         if d == 0:
-            vertex_id = np.cumsum(mark) - 1
-            labels = [complex_._labels[v] for v in np.flatnonzero(mark).tolist()]
-        prefix_row = np.cumsum(marks[d]) - 1
-        old = complex_._keys[d + 1][mark]
-        keys.append(prefix_row[old // n] * len(labels) + vertex_id[old % n])
+            vertex_id = new_row
+            labels = list(compress(complex_._labels, mark.tolist()))
+        row, last = np.divmod(complex_._keys[d + 1][mark], n)
+        keys.append(prefix_row[row] * len(labels) + vertex_id[last])
         layers.append(vertex_id[complex_._layers[d + 1][mark]])
+        prefix_row = new_row
     return SimplicialComplex._of(labels, layers, keys)
 
 
@@ -1065,7 +1080,9 @@ def motif(complex_: SimplicialComplex, vertices: Iterable[int]) -> Motif:
                 raise UnknownFaceError(f"vertex {v} not in complex")
             star[1][row] = True
         # The induced subcomplex: every face whose vertices are all chosen.
-        induced = [star[0] | True] + [star[1][layer].all(axis=1) for layer in complex_._layers[1:]]
+        induced = [star[0] | True] + [
+            star[1][layer].all(axis=1) for layer in complex_._layers[1 : len(vs) + 1]
+        ]
         star = _star_marks(complex_, star)
         closed = _closure_marks(complex_, [m.copy() for m in star])
         complex_._memo[key] = Motif(
