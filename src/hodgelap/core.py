@@ -17,9 +17,12 @@ down, times n, plus its last vertex.  Keys sort like the rows, so they are
 strictly increasing, and stay below n_{d-1} * n, so they cannot overflow.
 :func:`closure_of` builds each dimension with one ``np.unique`` over the
 keys of all subsets of that size, and the table of ``D_i`` is one
-``searchsorted`` of keys read off the table of ``D_{i-1}``.  Face tuples
-are decoded one dimension at a time, only for the callers that ask for
-them (:meth:`SimplicialComplex.faces`); face lookups walk the keys.
+``searchsorted`` of keys read off the table of ``D_{i-1}``.  A closure of
+at most ``_SMALL_CLOSURE`` subsets, the size of nearly every complex of
+the corpus, is enumerated with Python sets instead and ranked face by face
+into the same arrays, since numpy's per-call cost would outweigh the work.
+Face tuples are decoded one dimension at a time, only for the callers that
+ask for them (:meth:`SimplicialComplex.faces`); face lookups walk the keys.
 
 The signed incidence of i-faces in (i+1)-faces lives in one place, the
 boundary-index table of the coboundary ``D_i`` (:class:`CoboundaryMatrix`):
@@ -152,15 +155,13 @@ class SimplicialComplex:
     def _setup(self, labels, layers, keys):
         """Store the labels and the read-only face arrays and keys."""
         n = len(labels)
-        if not n or (labels[0] == 0 and labels[-1] == n - 1):
-            label_array = None  # the ids are the labels
-        elif _INT64[0] <= labels[0] and labels[-1] < _INT64[1]:
-            label_array = np.array(labels, dtype=np.int64)
-        else:
-            label_array = np.array(labels, dtype=object)
         self.dim = len(layers) - 2
         self._labels = labels
-        self._label_array = label_array
+        # None when the ids are the labels; Python ints, whatever their size.
+        self._label_array = (
+            None if not n or (labels[0] == 0 and labels[-1] == n - 1)
+            else np.array(labels, dtype=object)
+        )
         self._layers = tuple(layers)
         self._keys = tuple(keys)
         self._tuples: dict[int, list[Face]] = {}
@@ -748,19 +749,6 @@ def _subcomplex(complex_: SimplicialComplex, marks: list[np.ndarray]) -> Simplic
         layers.append(vertex_id[complex_._layers[d + 1][mark]])
         prefix_row = new_row
     return SimplicialComplex._of(labels, layers, keys)
-
-
-def _star_facets(star: Iterable[Face]) -> list[Face]:
-    """The faces of a star that no other face of the star contains.
-
-    A star is closed upwards in its complex, so a face of it that lies in
-    another one lies in one with a single vertex more.  These faces have
-    the same closure as the whole star, and ``closure_of`` then enumerates
-    the subsets of each facet once, not of every face in the star.
-    """
-    star = list(star)
-    covered = {h for g in star for h in combinations(g, len(g) - 1)}
-    return [g for g in star if g not in covered]
 
 
 # ---------------------------------------------------------------------------

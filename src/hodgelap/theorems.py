@@ -638,16 +638,17 @@ def check_duplication(
     l_dup = lap_dup.matrix
     n_dup = dup.n_faces(i)
     worst_residual = 0.0
-    images = [[primed.get(v, v) for v in face] for face in star_ifaces]
-    rows = [dup.index(face) for face in star_ifaces]
-    image_rows = [dup.index(tuple(sorted(image))) for image in images]
-    parities = [permutation_parity(image) for image in images]
+    # Each star face's row in the duplicate, and its primed image's row and sign.
+    entries = []
+    for face in star_ifaces:
+        image = [primed.get(v, v) for v in face]
+        entries.append((dup.index(face), dup.index(tuple(sorted(image))), permutation_parity(image)))
     for col in range(len(lam_restricted)):
         f_vec = u_restricted[:, col] / np.sqrt(weights_sel)
         g = np.zeros(n_dup)
-        for local in range(len(star_ifaces)):
-            g[rows[local]] += f_vec[local]
-            g[image_rows[local]] -= parities[local] * f_vec[local]
+        for local, (row, image_row, parity) in enumerate(entries):
+            g[row] += f_vec[local]
+            g[image_row] -= parity * f_vec[local]
         residual = np.linalg.norm(l_dup @ g - lam_restricted[col] * g)
         worst_residual = max(worst_residual, residual / np.linalg.norm(g))
     report.add("antisymmetric-eigenfunction-residual", 0.0, worst_residual, worst_residual, tol)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from hodgelap import core
 from hodgelap.core import (
-    _star_facets,
     boundary_sign,
     chromatic_number_1skel,
     closure_of,
@@ -123,11 +122,11 @@ def test_closure_star_link_unknown_face():
         closure_star_link(k, [(5,)])
 
 
-def test_star_facets_have_the_closure_of_the_whole_star():
+def test_closed_star_is_the_closure_of_the_whole_star():
     for k in full_corpus(0).values():
         for v in k.vertices():
             _, st, _ = closure_star_link(k, [(v,)])
-            assert closure_of(_star_facets(st)) == closure_of(st)
+            assert motif(k, [v]).closed_star == closure_of(st)
 
 
 def test_motif_of_a_large_simplex_closes_only_its_star_facets(monkeypatch):
