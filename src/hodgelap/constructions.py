@@ -43,6 +43,7 @@ from .core import (
     Face,
     Motif,
     SimplicialComplex,
+    _closed_star_faces,
     closure_of,
     from_facets,
     motif as make_motif,
@@ -261,8 +262,8 @@ def duplicate_motif(
         if fs & vset and fs <= vset | link_vertices:
             faces.add(tuple(sorted(primed.get(v, v) for v in f)))
     dup = SimplicialComplex(faces)
-    image = {tuple(sorted(primed.get(v, v) for v in f)) for f in sig.closed_star.all_faces()}
-    if set(make_motif(dup, primed.values()).closed_star.all_faces()) != image:
+    image = {tuple(sorted(primed.get(v, v) for v in f)) for f in sig.closed_star.all_faces() if f}
+    if set(_closed_star_faces(dup, primed.values())) != image:
         raise InvalidMotifError("duplication failed: primed star is not isomorphic")
     return dup, primed
 

@@ -1061,17 +1061,11 @@ def motif(complex_: SimplicialComplex, vertices: Iterable[int]) -> Motif:
         raise InvalidMotifError("a motif needs at least one vertex")
     key = ("motif", vs)
     if key not in complex_._memo:
-        star = _no_marks(complex_)
-        for v in vs:
-            row = complex_._find((v,))
-            if row < 0:
-                raise UnknownFaceError(f"vertex {v} not in complex")
-            star[1][row] = True
+        star = _star_of_vertices(complex_, vs)
         # The induced subcomplex: every face whose vertices are all chosen.
         induced = [star[0] | True] + [
             star[1][layer].all(axis=1) for layer in complex_._layers[1 : len(vs) + 1]
         ]
-        star = _star_marks(complex_, star)
         closed = _closure_marks(complex_, [m.copy() for m in star])
         complex_._memo[key] = Motif(
             vs,
@@ -1081,3 +1075,19 @@ def motif(complex_: SimplicialComplex, vertices: Iterable[int]) -> Motif:
             _subcomplex(complex_, closed),
         )
     return complex_._memo[key]
+
+
+def _star_of_vertices(complex_: SimplicialComplex, vertices: Iterable[int]) -> list[np.ndarray]:
+    """Marks of the faces that hold one of ``vertices``."""
+    marks = _no_marks(complex_)
+    for v in vertices:
+        row = complex_._find((v,))
+        if row < 0:
+            raise UnknownFaceError(f"vertex {v} not in complex")
+        marks[1][row] = True
+    return _star_marks(complex_, marks)
+
+
+def _closed_star_faces(complex_: SimplicialComplex, vertices: Iterable[int]) -> list[Face]:
+    """The non-empty faces of the closed star of ``vertices``, in canonical order."""
+    return _marked_faces(complex_, _closure_marks(complex_, _star_of_vertices(complex_, vertices)))

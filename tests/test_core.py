@@ -507,6 +507,14 @@ def test_array_lattice_matches_itertools_and_dict_references(facets):
         sig = motif(k, [v])
         assert list(sig.star) == star and sig.link.all_faces() == link
         assert sig.closed_star == closure_of(star)
+        seed = set(facets[0])
+        cl, st_seed, lk = closure_star_link(k, [tuple(seed)])
+        below = {f for f in ref if set(f) <= seed}
+        star = [f for d in range(k.dim + 1) for f in by_dim[d] if seed <= set(f)]
+        star_of_closure = {g for g in ref if any(h and set(h) <= set(g) for h in below)}
+        closure_of_star = {h for g in star for h in ref if set(h) <= set(g)}
+        assert st_seed == star and set(cl.all_faces()) == below
+        assert set(lk.all_faces()) == closure_of_star - star_of_closure
         assert (by_dim[0][-1][0] + 1,) not in k and (v, v) not in k
     assert built[0] == built[1] == core.SimplicialComplex(ref)
 
