@@ -338,7 +338,7 @@ def _relabel(faces: list, flat: list) -> tuple[list, dict[int, np.ndarray]]:
         start = lengths.cumsum() - lengths
         groups = {
             size: ids[start[lengths == size][:, None] + np.arange(size)]
-            for size in sorted(sizes - {0})
+            for size in sorted(sizes)
         }
     for rows in groups.values():
         rows.sort(axis=1)
