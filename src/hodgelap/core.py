@@ -1063,7 +1063,7 @@ def motif(complex_: SimplicialComplex, vertices: Iterable[int]) -> Motif:
     if key not in complex_._memo:
         star = _star_of_vertices(complex_, vs)
         # The induced subcomplex: every face whose vertices are all chosen.
-        induced = [star[0] | True] + [
+        induced = [np.ones(1, dtype=bool)] + [
             star[1][layer].all(axis=1) for layer in complex_._layers[1 : len(vs) + 1]
         ]
         closed = _closure_marks(complex_, [m.copy() for m in star])
