@@ -39,7 +39,6 @@ from .operators import (
     WeightScheme,
     laplacian,
     normalized_weight_map,
-    weight_map,
 )
 from .spectra import (
     BettiProfile,
@@ -98,5 +97,4 @@ __all__ = [
     "signed_balance",
     "spectrum",
     "wedge",
-    "weight_map",
 ]

@@ -181,12 +181,8 @@ def wedge(
         if v not in relabel:
             relabel[v] = fresh
             fresh += 1
-    faces = set(k1.all_faces())
-    faces.update(
-        tuple(sorted(relabel[v] for v in f))
-        for f in k2.all_faces()
-    )
-    return SimplicialComplex(faces), relabel
+    facets = k1.facets() + [tuple(map(relabel.__getitem__, f)) for f in k2.facets()]
+    return closure_of(facets), relabel
 
 
 def join(
@@ -195,23 +191,19 @@ def join(
     """Join: every union of a face of ``k1`` with a shifted face of ``k2``.
 
     ``k2`` is relabeled above the largest vertex of ``k1`` (the classical
-    cardinality shift, made collision-safe for non-contiguous labels).
+    cardinality shift, made collision-safe for non-contiguous labels).  The
+    facets of the join are the unions of a facet of each.
     """
     shift = max(k1.vertices(), default=-1) + 1
     relabel = {v: v + shift for v in k2.vertices()}
-    faces = set()
-    for fa in k1.all_faces():
-        for fb in k2.all_faces():
-            faces.add(fa + tuple(relabel[v] for v in fb))
-    return SimplicialComplex(faces), relabel
+    shifted = [tuple(map(relabel.__getitem__, f)) for f in k2.facets()]
+    return closure_of(fa + fb for fa in k1.facets() for fb in shifted), relabel
 
 
 def cone(k: SimplicialComplex) -> tuple[SimplicialComplex, int]:
     """Cone: join with a single fresh apex vertex (labels of ``k`` kept)."""
     apex = max(k.vertices(), default=-1) + 1
-    faces = set(k.all_faces())
-    faces.update(f + (apex,) for f in k.all_faces())
-    return SimplicialComplex(faces), apex
+    return closure_of(f + (apex,) for f in k.facets()), apex
 
 
 def split_join_face(face: Face, shift: int) -> tuple[Face, Face]:
@@ -245,23 +237,21 @@ def duplicate_motif(
 ) -> tuple[SimplicialComplex, dict[int, int]]:
     """Duplicate a motif: add a primed copy glued through the motif's link.
 
-    For every face of ``k`` made of motif vertices (at least one) and link
-    vertices, the face with the motif part primed is added.  The closed
-    stars of the motif and of its primed copy are isomorphic in the result;
-    this is asserted.  Returns the duplicated complex and the map from
-    motif vertices to their primed labels.
+    For every face of ``k`` that holds a motif vertex, the face with its
+    motif vertices primed is added; the rest of such a face lies in the
+    motif's link, so the copy is glued through the link.  The result is
+    the closure of the facets of ``k`` and the primed copies of the facets
+    that hold a motif vertex, which enumerates the primed faces only once.
+    The closed stars of the motif and of its primed copy are isomorphic in
+    the result; this is asserted.  Returns the duplicated complex and the
+    map from motif vertices to their primed labels.
     """
     sig = sigma if isinstance(sigma, Motif) else make_motif(k, sigma)
-    vset = set(sig.vertices)
-    link_vertices = set(sig.link.vertices())
     fresh = max(k.vertices()) + 1
-    primed = {v: fresh + rank for rank, v in enumerate(sorted(vset))}
-    faces = set(k.all_faces())
-    for f in k.all_faces():
-        fs = set(f)
-        if fs & vset and fs <= vset | link_vertices:
-            faces.add(tuple(sorted(primed.get(v, v) for v in f)))
-    dup = SimplicialComplex(faces)
+    primed = {v: fresh + rank for rank, v in enumerate(sig.vertices)}
+    facets = k.facets()
+    copies = [tuple(primed.get(v, v) for v in f) for f in facets if not primed.keys().isdisjoint(f)]
+    dup = closure_of(facets + copies)
     image = {tuple(sorted(primed.get(v, v) for v in f)) for f in sig.closed_star.all_faces() if f}
     if set(_closed_star_faces(dup, primed.values())) != image:
         raise InvalidMotifError("duplication failed: primed star is not isomorphic")

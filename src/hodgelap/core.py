@@ -15,14 +15,21 @@ lexicographic order, and beside it their face keys: the key of a face is
 the row of its prefix (the face without its last vertex) one dimension
 down, times n, plus its last vertex.  Keys sort like the rows, so they are
 strictly increasing, and stay below n_{d-1} * n, so they cannot overflow.
-:func:`closure_of` builds each dimension with one ``np.unique`` over the
-keys of all subsets of that size, and the table of ``D_i`` is one
-``searchsorted`` of keys read off the table of ``D_{i-1}``.  A closure of
-at most ``_SMALL_CLOSURE`` subsets, the size of nearly every complex of
-the corpus, is enumerated with Python sets instead and ranked face by face
-into the same arrays, since numpy's per-call cost would outweigh the work.
-Face tuples are decoded one dimension at a time, only for the callers that
-ask for them (:meth:`SimplicialComplex.faces`); face lookups walk the keys.
+
+There is one way from faces to a complex, :func:`from_facets`: it checks
+the faces, refuses a closure past the closure budget and builds it.
+:func:`closure_of` is the same with empty faces dropped, and every
+construction of :mod:`hodgelap.constructions` hands it generated facets.
+A closure builds each dimension with one ``np.unique`` over the keys of
+all subsets of that size.  A closure of at most ``_SMALL_CLOSURE``
+subsets, the size of nearly every complex of the corpus, is enumerated
+with Python sets instead and ranked face by face into the same arrays,
+since numpy's per-call cost would outweigh the work.  Other complexes --
+pure parts, closures, links and closed stars inside a complex -- are cut
+from its arrays by row selection.  The table of ``D_i`` is one
+``searchsorted`` of keys read off the table of ``D_{i-1}``.  Face tuples
+are decoded one dimension at a time, only for the callers that ask for
+them (:meth:`SimplicialComplex.faces`); face lookups walk the keys.
 
 The signed incidence of i-faces in (i+1)-faces lives in one place, the
 boundary-index table of the coboundary ``D_i`` (:class:`CoboundaryMatrix`):
@@ -97,63 +104,19 @@ _INT64 = (-(1 << 63), 1 << 63)
 class SimplicialComplex:
     """Downward-closed family of faces over integer vertices.
 
-    Instances are built through :func:`from_facets` (or the other
-    constructors in :mod:`hodgelap.constructions`); the constructor itself
-    expects a face set that is already closed under inclusion.
+    Instances are built through :func:`from_facets` or :func:`closure_of`,
+    which every construction of :mod:`hodgelap.constructions` goes through,
+    or cut from another complex.  The constructor takes a face lattice that
+    is already valid: the sorted vertex labels and, per dimension from -1,
+    the face array and the face keys described in the module docstring.
+    It makes the arrays read-only and stores them.
     """
 
     __slots__ = ("dim", "_labels", "_label_array", "_layers", "_keys", "_tuples", "_hash", "_memo")
 
-    def __init__(self, faces: Iterable[Face]):
-        faces = set(map(tuple, faces))
-        faces.discard(())
-        labels = sorted(set(chain.from_iterable(faces)))
-        n = len(labels)
-        identity = not n or (labels[0] == 0 and labels[-1] == n - 1)
-        position = None if identity else dict(zip(labels, range(n)))
-        by_size: dict[int, list[Face]] = {}
-        for f in faces:
-            by_size.setdefault(len(f), []).append(f)
-        top = max(by_size, default=0)
-        levels = [sorted(by_size.get(size, ())) for size in range(1, top + 1)]
-        ids = levels if position is None else [
-            [tuple(map(position.__getitem__, f)) for f in level] for level in levels
-        ]
-        key: list[int] = []
-        row = {(): 0}  # the row of each face one dimension down, by its vertex ids
-        for level in ids:
-            try:
-                key += [row[f[:-1]] * n + f[-1] for f in level]
-            except KeyError:
-                raise ValueError("the faces are not closed under inclusion") from None
-            row = dict(zip(level, range(len(level))))
-        # One buffer for all vertex ids and one for all keys, cut per dimension.
-        counts = list(map(len, levels))
-        vertex_ids = np.fromiter(chain.from_iterable(chain.from_iterable(ids)), np.int64)
-        key_array = np.fromiter(key, np.int64, len(key))
-        vertex_ids.setflags(write=False)  # and so every view cut from it
-        key_array.setflags(write=False)
-        layers, keys = [_EMPTY_LAYER], [_EMPTY_KEYS]
-        start = offset = 0
-        for size, count in enumerate(counts, start=1):
-            layers.append(vertex_ids[offset : offset + count * size].reshape(count, size))
-            keys.append(key_array[start : start + count])
-            start += count
-            offset += count * size
-        self._setup(labels, layers, keys)
-        self._tuples.update(enumerate(levels))
-
-    @classmethod
-    def _of(cls, labels: list, layers: list, keys: list) -> "SimplicialComplex":
-        """A complex from its sorted labels and its face arrays and keys per dimension."""
+    def __init__(self, labels: list, layers: Sequence[np.ndarray], keys: Sequence[np.ndarray]):
         for array in (*layers, *keys):
             array.setflags(write=False)
-        complex_ = cls.__new__(cls)
-        complex_._setup(labels, layers, keys)
-        return complex_
-
-    def _setup(self, labels, layers, keys):
-        """Store the labels and the read-only face arrays and keys."""
         n = len(labels)
         self.dim = len(layers) - 2
         self._labels = labels
@@ -397,49 +360,69 @@ def _closure(labels: list, groups: dict[int, np.ndarray]) -> SimplicialComplex:
         layer[:, -1] = vertex
         layers.append(layer)
         keys.append(key)
-    return SimplicialComplex._of(labels, layers, keys)
+    return SimplicialComplex(labels, layers, keys)
 
 
-# Up to this many subsets (the sum of 2**|f| over the faces given), a closure
-# is enumerated with Python sets and ranked by SimplicialComplex(); past it,
-# with numpy, one dimension at a time.  A numpy call costs about a
-# microsecond whatever its size, and the closure makes a dozen of them per
-# dimension, which the corpus, thousands of complexes of a few dozen faces,
-# would pay on every one; the arrays win from about 128 subsets on.
-_SMALL_CLOSURE = 128
+def _small_closure(faces: list) -> SimplicialComplex:
+    """The closure of a few small ``faces``, enumerated with Python sets.
 
-
-def _closure_complex(faces: list, flat: list) -> SimplicialComplex:
-    """The closure of non-empty ``faces``; ``flat`` holds their vertices one after another.
-
-    Raises :class:`ResourceError` when :func:`_closure_bound` passes
-    ``_CLOSURE_BUDGET``, before enumerating any face.
+    Each dimension's faces are sorted as tuples and ranked one by one into
+    the same arrays and keys that :func:`_closure` builds; the tuples are
+    kept, so the complex decodes none of them again.
     """
-    sizes = Counter(map(len, faces))
-    subsets = sum(count << size for size, count in sizes.items())
-    if subsets > _CLOSURE_BUDGET and _closure_bound(faces) > _CLOSURE_BUDGET:
-        raise ResourceError(
-            f"the closure would have more than {_CLOSURE_BUDGET} faces; "
-            f"the largest face given has {max(sizes)} vertices"
-        )
-    if subsets > _SMALL_CLOSURE:
-        return _closure(*_relabel(faces, flat))
-    closed = set()
+    by_size: dict[int, set] = {}
     for f in faces:
         f = tuple(sorted(f))
         for k in range(1, len(f) + 1):
-            closed.update(combinations(f, k))
-    return SimplicialComplex(closed)
+            by_size.setdefault(k, set()).update(combinations(f, k))
+    levels = [sorted(by_size[size]) for size in range(1, len(by_size) + 1)]
+    labels = [f[0] for f in levels[0]] if levels else []
+    n = len(labels)
+    ids = levels
+    # The labels are distinct non-negative ints, so they are their own ranks
+    # exactly when the last one is n-1; otherwise relabel to the ranks.
+    if n and labels[-1] != n - 1:
+        position = dict(zip(labels, range(n)))
+        ids = [[tuple(map(position.__getitem__, f)) for f in level] for level in levels]
+    key: list[int] = []
+    row = {(): 0}  # the row of each face one dimension down, by its vertex ids
+    for level in ids:
+        key += [row[f[:-1]] * n + f[-1] for f in level]
+        row = dict(zip(level, range(len(level))))
+    # One buffer for all vertex ids and one for all keys, cut per dimension.
+    vertex_ids = np.fromiter(chain.from_iterable(chain.from_iterable(ids)), np.int64)
+    key_array = np.fromiter(key, np.int64, len(key))
+    layers, keys = [_EMPTY_LAYER], [_EMPTY_KEYS]
+    start = offset = 0
+    for size, level in enumerate(levels, start=1):
+        count = len(level)
+        layers.append(vertex_ids[offset : offset + count * size].reshape(count, size))
+        keys.append(key_array[start : start + count])
+        start += count
+        offset += count * size
+    complex_ = SimplicialComplex(labels, layers, keys)
+    complex_._tuples.update(enumerate(levels))
+    return complex_
 
 
-def closure_of(faces: Iterable[Face]) -> SimplicialComplex:
+# Up to this many subsets (the sum of 2**|f| over the faces given), a closure
+# is enumerated with Python sets (_small_closure); past it, with numpy, one
+# dimension at a time (_closure).  A numpy call costs about a microsecond
+# whatever its size, and the closure makes a dozen of them per dimension,
+# which the corpus, thousands of complexes of a few dozen faces, would pay
+# on every one; the arrays win from about 128 subsets on.
+_SMALL_CLOSURE = 128
+
+
+def closure_of(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Inclusion closure of a face set (plus the empty face).
 
-    When :func:`_closure_bound` passes ``_CLOSURE_BUDGET`` this raises
-    :class:`ResourceError` before enumerating any face.
+    This is :func:`from_facets` with the empty faces dropped: a malformed
+    face raises :class:`MalformedFacetError`, a closure past the budget
+    raises :class:`ResourceError` before any face is enumerated, and the
+    size of the closure picks its enumeration.
     """
-    faces = [f for f in map(tuple, faces) if f]
-    return _closure_complex(faces, list(chain.from_iterable(faces)))
+    return from_facets([f for f in map(list, faces) if f])
 
 
 def _check_facets(facets: list[list]):
@@ -447,7 +430,10 @@ def _check_facets(facets: list[list]):
     for vs in facets:
         if not vs:
             raise MalformedFacetError("facets must be non-empty vertex lists")
-        ordered = sorted(vs)
+        try:
+            ordered = sorted(vs)
+        except TypeError:  # vertices that do not compare, such as None or a str
+            raise MalformedFacetError(f"vertex ids must be non-negative ints: {vs!r}") from None
         if len(set(ordered)) != len(ordered):
             raise MalformedFacetError(f"repeated vertex in face {vs!r}")
         if any((not isinstance(v, int)) or isinstance(v, bool) or v < 0 for v in ordered):
@@ -461,7 +447,9 @@ def from_facets(facets: Sequence[Iterable[int]]) -> SimplicialComplex:
     result recovers the maximal faces only.  Every facet must be a
     non-empty list of distinct non-negative ints; the checks run over all
     facets at once, and only a failing input is walked facet by facet to
-    report the first malformed one.
+    report the first malformed one.  When :func:`_closure_bound` passes
+    ``_CLOSURE_BUDGET`` this raises :class:`ResourceError` before
+    enumerating any face.
     """
     facets = list(map(list, facets))
     flat = list(chain.from_iterable(facets))
@@ -472,7 +460,16 @@ def from_facets(facets: Sequence[Iterable[int]]) -> SimplicialComplex:
         or sum(map(len, map(set, facets))) != len(flat)
     ):
         _check_facets(facets)
-    return _closure_complex(facets, flat)
+    sizes = Counter(map(len, facets))
+    subsets = sum(count << size for size, count in sizes.items())
+    if subsets > _CLOSURE_BUDGET and _closure_bound(facets) > _CLOSURE_BUDGET:
+        raise ResourceError(
+            f"the closure would have more than {_CLOSURE_BUDGET} faces; "
+            f"the largest face given has {max(sizes)} vertices"
+        )
+    if subsets > _SMALL_CLOSURE:
+        return _closure(*_relabel(facets, flat))
+    return _small_closure(facets)
 
 
 def boundary_sign(coface: Face, face: Face) -> int:
@@ -748,7 +745,7 @@ def _subcomplex(complex_: SimplicialComplex, marks: list[np.ndarray]) -> Simplic
         keys.append(prefix_row[row] * len(labels) + vertex_id[last])
         layers.append(vertex_id[complex_._layers[d + 1][mark]])
         prefix_row = new_row
-    return SimplicialComplex._of(labels, layers, keys)
+    return SimplicialComplex(labels, layers, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,18 +1024,18 @@ def is_regular(
 
 @dataclass(frozen=True)
 class Motif:
-    """Induced subcomplex on a vertex set, together with its link.
+    """A vertex set of a complex, with its link, star and closed star.
 
-    Validity per the duplication construction: the subcomplex contains every
-    face of the ambient complex whose faces all lie in it (guaranteed here
-    by taking the induced subcomplex), and the link dimension identifies the
-    operator order the motif interacts with.  ``star`` holds the faces that
-    contain a motif vertex, in canonical order, and ``closed_star`` their
-    closure.
+    The motif is the subcomplex induced on ``vertices``: every face of the
+    ambient complex whose vertices all lie in the set, which is what the
+    duplication construction asks of a motif.  ``star`` holds the faces that
+    contain a motif vertex, in canonical order, ``closed_star`` their
+    closure, and ``link`` the faces of the closed star that hold no motif
+    vertex; the link dimension identifies the operator order the motif
+    interacts with.
     """
 
     vertices: tuple[int, ...]
-    induced: SimplicialComplex
     link: SimplicialComplex
     star: tuple[Face, ...] = field(repr=False, default=())
     closed_star: SimplicialComplex | None = field(repr=False, compare=False, default=None)
@@ -1062,14 +1059,9 @@ def motif(complex_: SimplicialComplex, vertices: Iterable[int]) -> Motif:
     key = ("motif", vs)
     if key not in complex_._memo:
         star = _star_of_vertices(complex_, vs)
-        # The induced subcomplex: every face whose vertices are all chosen.
-        induced = [np.ones(1, dtype=bool)] + [
-            star[1][layer].all(axis=1) for layer in complex_._layers[1 : len(vs) + 1]
-        ]
         closed = _closure_marks(complex_, [m.copy() for m in star])
         complex_._memo[key] = Motif(
             vs,
-            _subcomplex(complex_, induced),
             _subcomplex(complex_, [a & ~b for a, b in zip(closed, star)]),
             tuple(_marked_faces(complex_, star)),
             _subcomplex(complex_, closed),

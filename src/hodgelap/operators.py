@@ -34,16 +34,16 @@ first use and memoized on the complex; a dimension above the top has the
 empty vector.  :func:`laplacian` takes ``W_i`` from it, and
 :func:`weighted_coboundary`, the normalized degrees and
 :func:`hodgelap.spectra.bounds_report` read it too; no face-keyed dict is
-built on that path.  :func:`weight_map` and :func:`normalized_weight_map`
-still return face -> weight dicts, built from the vectors.  Each weighted
-table is built once per complex, dimension and scheme, and memoized on the
-complex as well, so every :func:`laplacian` of one complex and scheme --
-L_j^up and L_{j+1}^down alike, whoever builds them -- holds the same
-``B_j`` and reads its solved sides.  The built-in schemes are keyed by
-their kind.  A custom map is a dict, which cannot be hashed, so it is
-keyed by its identity; the memo keeps a reference to the map, so that
-identity cannot pass to another map while the complex lives, and the map
-must not be changed once used.  The vectors and tables are read-only.
+built on that path.  :func:`normalized_weight_map` still returns a face
+-> weight dict, built from the vectors.  Each weighted table is built once
+per complex, dimension and scheme, and memoized on the complex as well, so
+every :func:`laplacian` of one complex and scheme -- L_j^up and
+L_{j+1}^down alike, whoever builds them -- holds the same ``B_j`` and
+reads its solved sides.  The built-in schemes are keyed by their kind.
+A custom map is a dict, which cannot be hashed, so it is keyed by its
+identity; the memo keeps a reference to the map, so that identity cannot
+pass to another map while the complex lives, and the map must not be
+changed once used.  The vectors and tables are read-only.
 Every memo lives on the complex (and the pair layout on ``D_j``), so it is
 freed with the complex.
 
@@ -148,22 +148,6 @@ def normalized_weight_map(
     return _as_map(complex_, vectors, range(complex_.dim, -2, -1))
 
 
-def weight_map(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, float]:
-    """Full face -> weight map for a scheme, validated positive, memoized on the complex.
-
-    The map is built from the memoized weight vectors; the package itself
-    reads the vectors.
-    """
-    key = ("wmap", _scheme_key(scheme))
-    if key not in complex_._memo:
-        # The entry keeps a custom map alive, so its id names no other map.
-        complex_._memo[key] = (
-            scheme.custom,
-            _weights(complex_, scheme, _weight_vectors(complex_, scheme)),
-        )
-    return complex_._memo[key][1]
-
-
 def _scheme_key(scheme: WeightScheme):
     """A scheme's memo key: its kind, or the identity of its custom map, a dict."""
     return id(scheme.custom) if scheme.kind == CUSTOM else scheme.kind
@@ -261,14 +245,15 @@ def _as_map(
     return out
 
 
-def _weights(complex_: SimplicialComplex, scheme: WeightScheme, vectors=None) -> dict[Face, float]:
-    """The map of :func:`weight_map`, from ``vectors`` or from vectors built afresh.
+def _weights(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, float]:
+    """Every face's weight under a scheme, as a face -> weight dict built afresh.
 
-    The normalized map goes by descending dimension, the others ascending.
+    The vectors are built anew and not memoized, so the map shares nothing
+    with the weighted tables.  The normalized map goes by descending
+    dimension, the others ascending.
     """
-    if vectors is None:
-        vectors = _build_vectors(complex_, scheme)
     dims = range(-1, complex_.dim + 1)
+    vectors = _build_vectors(complex_, scheme)
     return _as_map(complex_, vectors, reversed(dims) if scheme.kind == NORMALIZED else dims)
 
 

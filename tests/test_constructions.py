@@ -6,7 +6,9 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hodgelap import core
 from hodgelap.constructions import (
     FamilySpec,
     cartesian_product,
@@ -22,6 +24,7 @@ from hodgelap.core import from_facets, signed_balance
 from hodgelap.errors import DimensionError, FamilyParameterError
 from hodgelap.operators import WeightScheme, laplacian
 from hodgelap.spectra import spectrum
+from test_core import _LABELS, _closure_reference
 
 NORM = WeightScheme.normalized()
 
@@ -165,6 +168,70 @@ def test_duplication_composes():
     # both copies attach to the same link {1, 2}
     for p in (primed1[0], primed2[0]):
         assert (1, p) in twice and (2, p) in twice
+
+
+def _canonical(faces):
+    """Faces by dimension, then lexicographic: the order of ``all_faces()``."""
+    return sorted(faces, key=lambda f: (len(f), f))
+
+
+_FACETS = st.lists(
+    st.lists(_LABELS, min_size=1, max_size=4, unique=True), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(facets1=_FACETS, facets2=_FACETS, pick=st.integers(0, 2**16))
+def test_constructions_match_itertools_references(facets1, facets2, pick):
+    ref1, ref2 = _closure_reference(facets1), _closure_reference(facets2)
+    v1 = sorted(v for (v,) in (f for f in ref1 if len(f) == 1))
+    v2 = sorted(v for (v,) in (f for f in ref2 if len(f) == 1))
+    # Wedge faces of a common size (the empty face gives the disjoint union),
+    # and a one- and a two-vertex motif of the first complex.
+    size = pick % (min(map(len, facets1 + facets2)) + 1)
+    sized1 = _canonical(f for f in ref1 if len(f) == size)
+    sized2 = _canonical(f for f in ref2 if len(f) == size)
+    f1, f2 = sized1[pick % len(sized1)], sized2[pick // 7 % len(sized2)]
+    at = pick % len(v1)
+    motifs = [(v1[at],)] + ([(v1[at - 1], v1[at])] if len(v1) > 1 else [])
+
+    fresh = max(v1) + 1
+    wedge_map = dict(zip(f2, f1))
+    for v in v2:
+        if v not in wedge_map:
+            wedge_map[v], fresh = fresh, fresh + 1
+    wedged = ref1 | {tuple(sorted(wedge_map[v] for v in f)) for f in ref2}
+    join_map = {v: v + max(v1) + 1 for v in v2}
+    joined = {fa + tuple(join_map[v] for v in fb) for fa in ref1 for fb in ref2}
+    apex = max(v1) + 1
+    coned = ref1 | {f + (apex,) for f in ref1}
+    duplicated = []
+    for motif in motifs:
+        primed = {v: max(v1) + 1 + r for r, v in enumerate(sorted(motif))}
+        # The faces made of motif vertices, at least one, and link vertices.
+        link = set().union(*(set(f) - set(motif) for f in ref1 if set(f) & set(motif)))
+        copies = {
+            tuple(sorted(primed.get(v, v) for v in f))
+            for f in ref1
+            if set(f) & set(motif) and set(f) <= set(motif) | link
+        }
+        duplicated.append((motif, primed, ref1 | copies))
+
+    # Below the threshold every closure is enumerated with Python sets,
+    # above it with numpy; both must give the reference faces.
+    for threshold in (0, 1 << 20):
+        saved, core._SMALL_CLOSURE = core._SMALL_CLOSURE, threshold
+        try:
+            k1, k2 = from_facets(facets1), from_facets(facets2)
+            built = [wedge(k1, k2, f1, f2), join(k1, k2), cone(k1)]
+            built += [duplicate_motif(k1, motif) for motif, _, _ in duplicated]
+        finally:
+            core._SMALL_CLOSURE = saved
+        expected = [(wedged, wedge_map), (joined, join_map), (coned, apex)]
+        expected += [(faces, primed) for _, primed, faces in duplicated]
+        for (complex_, labels), (faces, ref_labels) in zip(built, expected):
+            assert complex_.all_faces() == _canonical(faces)
+            assert labels == ref_labels
 
 
 def test_cartesian_product_k2_k2_is_c4():

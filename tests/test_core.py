@@ -62,6 +62,19 @@ def test_from_facets_rejects_malformed():
         from_facets([[0, -1]])
 
 
+@pytest.mark.parametrize(
+    "faces",
+    [[(0, 0, 1)], [(-1, 2)], [(True, 2)], [(0.5, 1)], [(None, 1)], [(0, 1), (), (2, 2)]],
+    ids=["repeated", "negative", "bool", "float", "none", "after-empty"],
+)
+def test_closure_of_rejects_malformed_faces_as_from_facets_does(faces):
+    with pytest.raises(MalformedFacetError) as expected:
+        from_facets([f for f in faces if f])
+    with pytest.raises(MalformedFacetError) as got:
+        closure_of(faces)
+    assert str(got.value) == str(expected.value)
+
+
 def test_boundary_sign_examples():
     assert boundary_sign((0, 1, 2), (1, 2)) == 1
     assert boundary_sign((0, 1, 2), (0, 2)) == -1
@@ -516,7 +529,7 @@ def test_array_lattice_matches_itertools_and_dict_references(facets):
         assert st_seed == star and set(cl.all_faces()) == below
         assert set(lk.all_faces()) == closure_of_star - star_of_closure
         assert (by_dim[0][-1][0] + 1,) not in k and (v, v) not in k
-    assert built[0] == built[1] == core.SimplicialComplex(ref)
+    assert built[0] == built[1] == closure_of(ref)
 
 
 def test_the_16_vertex_simplex_fits_the_face_keys():

@@ -14,10 +14,10 @@ from hodgelap.operators import (
     LaplacianMatrix,
     WeightScheme,
     _gram,
+    _weights,
     coboundary_matrix,
     entrywise_laplacian,
     laplacian,
-    weight_map,
     weighted_coboundary,
 )
 from hodgelap.spectra import (
@@ -448,7 +448,7 @@ def test_writing_into_a_spectrum_leaves_the_solve_memo_intact(facets):
 
 def _oracle_spectrum(k, i, direction, scheme):
     """eigvalsh of the W^{1/2}-conjugated entrywise operator, with no table or memo."""
-    sqrt_w = np.sqrt([weight_map(k, scheme)[f] for f in k.faces(i)])
+    sqrt_w = np.sqrt([_weights(k, scheme)[f] for f in k.faces(i)])
     oracle = entrywise_laplacian(k, i, direction, scheme)
     return np.linalg.eigvalsh(oracle * sqrt_w[:, None] / sqrt_w[None, :])
 
@@ -467,7 +467,7 @@ def test_euler_identity_and_up_down_duality(facets, seed):
     chi_c, chi_b = betti(k).euler_characteristics()
     assert chi_c == chi_b == sum((-1) ** (j % 2) * k.n_faces(j) for j in range(-1, k.dim + 1))
     for scheme in (WeightScheme.combinatorial(), NORM, deterministic_custom_scheme(k, seed)):
-        wmap = weight_map(k, scheme)
+        wmap = _weights(k, scheme)
         for i in range(-1, k.dim):
             up = spectrum(laplacian(k, i, "up", scheme))
             down = spectrum(laplacian(k, i + 1, "down", scheme))
