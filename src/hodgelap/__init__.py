@@ -25,7 +25,6 @@ from .core import (
     boundary_sign,
     chromatic_number_1skel,
     closure_of,
-    closure_star_link,
     coboundary_matrix,
     dual_graph,
     from_facets,
@@ -75,7 +74,6 @@ __all__ = [
     "cartesian_product",
     "chromatic_number_1skel",
     "closure_of",
-    "closure_star_link",
     "coboundary_matrix",
     "cone",
     "dual_graph",

@@ -33,7 +33,7 @@ four steps, each on what the one before leaves:
 The rows pivoted on by steps 2 and 3 are recorded for the clearing of the
 next dimension; those of step 4 are not, which only clears fewer columns.
 
-``exhaustive_balance`` is the brute-force reference for the BFS balance
+``exhaustive_balance`` is the brute-force reference for the signed balance
 test in :mod:`hodgelap.core`; the tests compare the two.
 """
 

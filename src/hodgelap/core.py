@@ -42,10 +42,14 @@ cofaces, stars and regularity, and, in :mod:`hodgelap.operators`, the
 weighted coboundaries, normalized weights and Gram matrices.
 :func:`boundary_sign` gives one sign from two face tuples.
 
-Besides these, the module provides closure / star / link of a face set,
-path-connectivity at a dimension, signed balance (which encodes both
-orientability and the top-eigenvalue orientation condition), exact
-chromatic number of the 1-skeleton, and motifs.
+Besides these, the module provides path-connectivity at a dimension,
+signed balance (which encodes both orientability and the top-eigenvalue
+orientation condition), exact chromatic number of the 1-skeleton, and
+motifs with their stars, closed stars and links.  Path components and
+balance come from one labeller, :func:`_labels`: components are labelled
+on the graph of a table, and balance on the signed double cover of the
+down dual graph, where a component is balanced exactly when no face meets
+its own negative copy.
 
 All objects are immutable after construction; operations may be called
 concurrently on shared complexes (internal memo tables are populated with
@@ -614,39 +618,52 @@ def _pair_layout(index: np.ndarray, of: str):
     return layout
 
 
-def _components(table: CoboundaryMatrix) -> np.ndarray:
-    """Connected-component labels of the faces joined by one table ``D_j``.
+def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component labels of the graph on nodes 0..n-1 with edges ``(a[k], b[k])``.
 
-    The graph has a node for every j-face, then one for every (j+1)-face,
-    each dimension in canonical order, and one edge per stored entry, from
-    a face to one of its boundary faces.  Every node is labelled with the
-    smallest node of its component.
-
-    Each round hooks the larger root of every edge whose ends still have
+    Every node is labelled with the smallest node of its component.  Each
+    round hooks the larger root of every edge whose ends still have
     different roots onto the smaller one, then jumps pointers until every
-    node points at a root.  A round costs O(nnz) numpy work and merges at
+    node points at a root.  A round costs O(edges) numpy work and merges at
     least one pair of trees in every component that still has several.
     Few rounds are needed in practice: at most 6 on random 2-complexes of
     3000 triangles, and 2 on long strips, paths and simplex skeleta.
     """
-    rows, width = table.index.shape
-    face = np.arange(table.n_cols, table.n_cols + rows).repeat(width)
-    boundary = table.index.ravel()
-    parent = np.arange(table.n_cols + rows)
+    parent = np.arange(n)
     while True:
-        a, b = parent[face], parent[boundary]
-        apart = a != b
+        root_a, root_b = parent[a], parent[b]
+        apart = root_a != root_b
         if not apart.any():
             return parent
-        face, boundary = face[apart], boundary[apart]
         a, b = a[apart], b[apart]
+        root_a, root_b = root_a[apart], root_b[apart]
         # Every pointer goes to a smaller node, so no cycle can form.
-        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
         while True:
             grand = parent[parent]
             if (grand == parent).all():
                 break
             parent = grand
+
+
+def _components(table: CoboundaryMatrix) -> np.ndarray:
+    """Connected-component labels of the faces joined by one table ``D_j``.
+
+    The graph has a node for every j-face, then one for every (j+1)-face,
+    each dimension in canonical order, and one edge per stored entry, from
+    a face to one of its boundary faces.
+    """
+    rows, width = table.index.shape
+    face = np.arange(table.n_cols, table.n_cols + rows).repeat(width)
+    return _labels(table.n_cols + rows, face, table.index.ravel())
+
+
+def _grouped(labels: np.ndarray) -> list[list[int]]:
+    """The indices of the non-negative ``labels`` grouped by label, groups by ascending label."""
+    order = labels.argsort(kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1)).tolist()
+    order = order.tolist()
+    return [order[start:stop] for start, stop in zip(starts, starts[1:] + [len(order)])]
 
 
 def _degrees(complex_: SimplicialComplex, i: int, weights=None) -> np.ndarray:
@@ -666,32 +683,6 @@ def _degrees(complex_: SimplicialComplex, i: int, weights=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closure / star / link
 # ---------------------------------------------------------------------------
-
-
-def closure_star_link(
-    complex_: SimplicialComplex, faces: Iterable[Face]
-) -> tuple[SimplicialComplex, list[Face], SimplicialComplex]:
-    """Closure, star and link of a face set.
-
-    The closure is the smallest subcomplex containing the set; the star is
-    every simplex of the complex having a (non-empty) face in the set; the
-    link is the face set of ``cl st`` minus ``st cl``.  The empty face is
-    ignored for star membership (every simplex contains it).  The star
-    comes in canonical order: by dimension, then lexicographic.
-    """
-    seeds = _no_marks(complex_)
-    for f in faces:
-        f = tuple(sorted(f))
-        row = complex_._find(f)
-        if row < 0:
-            raise UnknownFaceError(f"face {f!r} not in complex")
-        seeds[len(f)][row] = True
-    cl = _closure_marks(complex_, [m.copy() for m in seeds])
-    st = _star_marks(complex_, seeds)
-    cl_st = _closure_marks(complex_, [m.copy() for m in st])
-    st_cl = _star_marks(complex_, [m.copy() for m in cl])
-    lk = [a & ~b for a, b in zip(cl_st, st_cl)]
-    return _subcomplex(complex_, cl), _marked_faces(complex_, st), _subcomplex(complex_, lk)
 
 
 def _no_marks(complex_: SimplicialComplex) -> list[np.ndarray]:
@@ -775,11 +766,14 @@ class DualGraph:
         return closure_of(faces)
 
 
-def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
+def _dual_pairs(complex_: SimplicialComplex, i: int, flavor: str):
+    """The edges of the signed dual graph at dimension ``i``: arrays ``a < b`` and their signs.
+
+    Two i-faces share at most one (i-1)-face and lie in at most one common
+    (i+1)-face, so each edge comes from exactly one pair of entries.
+    """
     if not 0 <= i <= complex_.dim:
         raise DimensionError(f"dual graph dimension {i} out of range 0..{complex_.dim}")
-    # Two i-faces share at most one (i-1)-face and lie in at most one common
-    # (i+1)-face, so each edge comes from exactly one pair of entries.
     if flavor == "down":
         a, b, sign = _entry_pairs(coboundary_matrix(complex_, i - 1), "rows")
     elif flavor == "up":
@@ -787,7 +781,11 @@ def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
     else:
         raise ValueError(f"flavor must be 'down' or 'up', got {flavor!r}")
     keep = a < b
-    a, b, sign = a[keep], b[keep], sign[keep]
+    return a[keep], b[keep], sign[keep]
+
+
+def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
+    a, b, sign = _dual_pairs(complex_, i, flavor)
     order = np.lexsort((b, a))
     edges = zip(a[order].tolist(), b[order].tolist(), sign[order].tolist())
     return DualGraph(tuple(complex_.faces(i)), tuple(edges), flavor)
@@ -802,22 +800,19 @@ def path_connected_components(complex_: SimplicialComplex, i: int) -> list[list[
     if not 1 <= i <= complex_.dim:
         raise DimensionError(f"path connectivity needs 1 <= i <= dim, got {i}")
     # Two i-faces are joined in the down dual graph exactly when they reach
-    # each other through shared (i-1)-faces in the graph of D_{i-1}.
-    d = coboundary_matrix(complex_, i - 1)
-    components: dict[int, list[Face]] = {}
-    for face, label in zip(complex_.faces(i), _components(d)[d.n_cols :].tolist()):
-        components.setdefault(label, []).append(face)
-    # A label is the smallest (i-1)-face of its component, which is the
+    # each other through shared (i-1)-faces in the graph of D_{i-1}.  A
+    # label is the smallest (i-1)-face of its component, which is the
     # component's first i-face without its last vertex, so the labels order
     # the components by their first face.
-    return [components[label] for label in sorted(components)]
+    d = coboundary_matrix(complex_, i - 1)
+    faces = complex_.faces(i)
+    return [[faces[j] for j in group] for group in _grouped(_components(d)[d.n_cols :])]
 
 
 @dataclass(frozen=True)
 class BalanceResult:
     balanced: bool
     assignment: Mapping[Face, int] | None
-    violating_cycle: tuple[Face, ...] | None
 
 
 def signed_balance(complex_: SimplicialComplex, q: int, mode: str) -> BalanceResult:
@@ -827,87 +822,53 @@ def signed_balance(complex_: SimplicialComplex, q: int, mode: str) -> BalanceRes
     q-dimensional part: an orientation exists in which every shared
     (q-1)-face receives opposite induced orientations.  ``parallel`` mode
     (target +1) is the orientation condition under which the top eigenvalue
-    q+1 of the (q-1)-up operator is attained.  Solved by BFS 2-coloring of
-    the signed down dual graph, one component at a time; on failure the
-    fundamental cycle that witnesses the conflict is returned.
+    q+1 of the (q-1)-up operator is attained.  Decided on the signed double
+    cover of the down dual graph (:func:`_cover_labels`); a solution puts
+    +1 on the first face of each component.
     """
     if mode not in ("antiparallel", "parallel"):
         raise ValueError(f"mode must be 'antiparallel' or 'parallel', got {mode!r}")
-    dual, x, parent, components = _colourings(complex_, q, -1 if mode == "antiparallel" else 1)
-    for _, conflict in components:
-        if conflict is not None:
-            cycle = _bfs_cycle(parent, *conflict)
-            return BalanceResult(False, None, tuple(dual.nodes[k] for k in cycle))
-    assignment = {dual.nodes[k]: x[k] for k in range(len(x))}
-    return BalanceResult(True, assignment, None)
+    plus, minus = _cover_labels(complex_, q, -1 if mode == "antiparallel" else 1)
+    if (plus == minus).any():
+        return BalanceResult(False, None)
+    signs = np.where(plus < minus, 1, -1).tolist()
+    return BalanceResult(True, dict(zip(complex_.faces(q), signs)))
 
 
-def _colourings(complex_: SimplicialComplex, q: int, target: int):
-    """BFS 2-colouring of the signed down dual graph at q, one component at a time.
+def _cover_labels(complex_: SimplicialComplex, q: int, target: int):
+    """Component labels of both copies of each q-face in the signed double cover.
 
-    An edge of sign s between faces a and b asks for x[b] = target * s * x[a].
-    Returns ``(dual, x, parent, components)``: ``components`` is a generator
-    that colours the next component each time it is advanced and yields its
-    face indices in BFS order with the first conflicting edge ``(v, w)``, or
-    None when the component is balanced.  ``x`` and ``parent`` (the BFS
-    tree) fill in as it goes.  Each start is the first q-face not yet
-    reached, so the components come in the order of
-    :func:`path_connected_components`.
+    Face a has the nodes a+ = a and a- = a + n.  An edge of the down dual
+    graph with sign s joins a+ to b+ and a- to b- when ``target * s == 1``,
+    and a+ to b- and a- to b+ otherwise.  Signs x solving the edge
+    equations exist on a component exactly when no face has both nodes in
+    one component of the cover (Harary, Michigan Math. J. 2, 1953); then
+    x_a = +1 on the copy that holds the component's first face.  Returns
+    the labels ``(plus, minus)`` of the two nodes of every face, so
+    ``min(plus[a], minus[a])`` is the first face of a's component.
     """
-    dual = dual_graph(complex_, q, "down")
-    n = len(dual.nodes)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, s in dual.edges:
-        adj[a].append((b, s))
-        adj[b].append((a, s))
-    x = [0] * n
-    parent: list[int | None] = [None] * n
-
-    def components():
-        for start in range(n):
-            if x[start]:
-                continue
-            x[start] = 1
-            members = [start]  # also the BFS queue
-            conflict = None
-            for v in members:
-                for w, s in adj[v]:
-                    want = target * s * x[v]
-                    if x[w] == 0:
-                        x[w] = want
-                        parent[w] = v
-                        members.append(w)
-                    elif x[w] != want and conflict is None:
-                        conflict = (v, w)
-            yield members, conflict
-
-    return dual, x, parent, components()
+    a, b, sign = _dual_pairs(complex_, q, "down")
+    n = complex_.n_faces(q)
+    flip = n * (target * sign != 1)
+    labels = _labels(2 * n, np.concatenate([a, a + n]), np.concatenate([b + flip, b + n - flip]))
+    return labels[:n], labels[n:]
 
 
 def _component_balance(complex_: SimplicialComplex, q: int) -> list[tuple[list[int], bool]]:
     """Every component of the signed down dual graph at q, with its parallel balance.
 
-    One pass of :func:`_colourings` with target +1 that goes on past a
-    conflict.  Returns ``(members, balanced)`` per component, in the order
-    of :func:`path_connected_components`: the sorted indices of its q-faces,
+    One labelling of the double cover with target +1 (:func:`_cover_labels`).
+    Returns ``(members, balanced)`` per component, in the order of
+    :func:`path_connected_components`: the sorted indices of its q-faces,
     and whether it alone is balanced.  A component's edges are those of its
     own closure, so its balance is that of
     ``signed_balance(closure_of(component), q, "parallel")``.
     """
-    _, _, _, components = _colourings(complex_, q, 1)
-    return [(sorted(members), conflict is None) for members, conflict in components]
-
-
-def _bfs_cycle(parent, v, w):
-    path_v = [v]
-    while parent[path_v[-1]] is not None:
-        path_v.append(parent[path_v[-1]])
-    anc = set(path_v)
-    path_w = [w]
-    while path_w[-1] not in anc:
-        path_w.append(parent[path_w[-1]])
-    meet = path_w[-1]
-    return path_v[: path_v.index(meet) + 1] + path_w[-2::-1]
+    plus, minus = _cover_labels(complex_, q, 1)
+    return [
+        (members, bool(plus[members[0]] != minus[members[0]]))
+        for members in _grouped(np.minimum(plus, minus))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1019,13 @@ def motif(complex_: SimplicialComplex, vertices: Iterable[int]) -> Motif:
         raise InvalidMotifError("a motif needs at least one vertex")
     key = ("motif", vs)
     if key not in complex_._memo:
-        star = _star_of_vertices(complex_, vs)
+        star = _no_marks(complex_)
+        for v in vs:
+            row = complex_._find((v,))
+            if row < 0:
+                raise UnknownFaceError(f"vertex {v} not in complex")
+            star[1][row] = True
+        star = _star_marks(complex_, star)
         closed = _closure_marks(complex_, [m.copy() for m in star])
         complex_._memo[key] = Motif(
             vs,
@@ -1067,19 +1034,3 @@ def motif(complex_: SimplicialComplex, vertices: Iterable[int]) -> Motif:
             _subcomplex(complex_, closed),
         )
     return complex_._memo[key]
-
-
-def _star_of_vertices(complex_: SimplicialComplex, vertices: Iterable[int]) -> list[np.ndarray]:
-    """Marks of the faces that hold one of ``vertices``."""
-    marks = _no_marks(complex_)
-    for v in vertices:
-        row = complex_._find((v,))
-        if row < 0:
-            raise UnknownFaceError(f"vertex {v} not in complex")
-        marks[1][row] = True
-    return _star_marks(complex_, marks)
-
-
-def _closed_star_faces(complex_: SimplicialComplex, vertices: Iterable[int]) -> list[Face]:
-    """The non-empty faces of the closed star of ``vertices``, in canonical order."""
-    return _marked_faces(complex_, _closure_marks(complex_, _star_of_vertices(complex_, vertices)))

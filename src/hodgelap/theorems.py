@@ -676,7 +676,7 @@ def _component_top_eigenvalue_present(
     """Per (i+1)-path component: (parallel-balanced, i+2 in the component's block).
 
     Also returns whether i+2 is in the whole normalized up spectrum, and
-    that spectrum.  One BFS 2-colouring with target +1 over the signed down
+    that spectrum.  One labelling of the signed double cover of the down
     dual graph of the (i+1)-faces yields every component, in the order of
     :func:`path_connected_components`, with its members and its balance;
     no subcomplex is built.  A component's block of the symmetric L_i^up
@@ -697,6 +697,22 @@ def _component_top_eigenvalue_present(
         block_spec = Spectrum.from_values(np.linalg.eigvalsh(block))
         results.append((balanced, block_spec.contains(i + 2, tol)))
     return results, spec.contains(i + 2, tol), spec
+
+
+def _chromatic_outcome(complex_: SimplicialComplex) -> tuple[int | None, str | None]:
+    """The chromatic number of the 1-skeleton, or the note of a spent budget.
+
+    Searched once per complex, since every i asks the same question.  A
+    spent budget is like a hypothesis that fails: the condition is left
+    undecided, and the rest of the report stands.
+    """
+    key = "chromatic"
+    if key not in complex_._memo:
+        try:
+            complex_._memo[key] = (chromatic_number_1skel(complex_), None)
+        except ResourceError as exc:
+            complex_._memo[key] = (None, f"chromatic condition not decided: {exc}")
+    return complex_._memo[key]
 
 
 def check_boundary_eigenvalue(
@@ -725,13 +741,9 @@ def check_boundary_eigenvalue(
         report.add_bool(f"component-{c}/balance-iff-i+2", balanced, present)
     report.certificates["component_balance"] = [b for b, _ in per_comp]
 
-    try:
-        chi = chromatic_number_1skel(complex_)
-    except ResourceError as exc:
-        # Like a hypothesis that fails: the condition is left undecided,
-        # and the rest of the report stands.
-        chi = None
-        report.notes.append(f"chromatic condition not decided: {exc}")
+    chi, undecided = _chromatic_outcome(complex_)
+    if undecided:
+        report.notes.append(undecided)
     report.certificates["chromatic_number"] = chi
     if chi == i + 2 and complex_.n_faces(i + 1) > 0:
         report.add_bool("chromatic-number-forces-i+2", True, present_whole)

@@ -160,6 +160,12 @@ def test_duplicate_vertex_of_filled_triangle():
     assert dup == from_facets([[0, 1, 2], [v, 1, 2]])
 
 
+def test_duplicate_motif_reads_a_foreign_motif_by_its_vertices():
+    hollow = from_facets([[0, 1], [0, 2], [1, 2]])
+    filled = from_facets([[0, 1, 2]])
+    assert duplicate_motif(filled, core.motif(hollow, (0,))) == duplicate_motif(filled, (0,))
+
+
 def test_duplication_composes():
     k3 = from_facets([[0, 1], [0, 2], [1, 2]])
     once, primed1 = duplicate_motif(k3, (0,))

@@ -13,7 +13,6 @@ from hodgelap.core import (
     boundary_sign,
     chromatic_number_1skel,
     closure_of,
-    closure_star_link,
     dual_graph,
     from_facets,
     is_regular,
@@ -105,41 +104,11 @@ def test_downward_closure_property(random_complexes):
                     assert tuple(sub) in k
 
 
-def test_closure_star_link_filled_triangle():
-    k = from_facets([[0, 1, 2]])
-    cl, st, lk = closure_star_link(k, [(0,)])
-    assert set(st) == {(0,), (0, 1), (0, 2), (0, 1, 2)}
-    assert lk.all_faces() == [(), (1,), (2,), (1, 2)]
-    assert cl.all_faces() == [(), (0,)]
-
-
-def test_closure_star_link_shared_edge():
-    k = from_facets([[0, 1, 2], [1, 2, 3]])
-    # Link of vertex 0 via brute force over the definitions.
-    _, st, lk = closure_star_link(k, [(0,)])
-    brute_st = [f for d in range(0, k.dim + 1) for f in k.faces(d) if 0 in f]
-    assert st == brute_st
-    assert lk == closure_of([(1, 2)])
-
-
-def test_closure_of_empty_selection():
-    k = from_facets([[0, 1, 2]])
-    cl, st, lk = closure_star_link(k, [])
-    assert cl.all_faces() == [()]
-    assert st == []
-
-
-def test_closure_star_link_unknown_face():
-    k = from_facets([[0, 1]])
-    with pytest.raises(UnknownFaceError):
-        closure_star_link(k, [(5,)])
-
-
 def test_closed_star_is_the_closure_of_the_whole_star():
     for k in full_corpus(0).values():
         for v in k.vertices():
-            _, st, _ = closure_star_link(k, [(v,)])
-            assert motif(k, [v]).closed_star == closure_of(st)
+            sig = motif(k, [v])
+            assert sig.closed_star == closure_of(sig.star)
 
 
 def test_motif_of_a_large_simplex_closes_only_its_star_facets(monkeypatch):
@@ -223,8 +192,7 @@ def test_cycles_are_orientable_circuits(m):
 def test_c3_parallel_balance_fails_with_cycle_certificate():
     c3 = from_facets([[0, 1], [1, 2], [0, 2]])
     res = signed_balance(c3, 1, "parallel")
-    assert not res.balanced
-    assert res.violating_cycle is not None and len(res.violating_cycle) >= 3
+    assert not res.balanced and res.assignment is None
 
 
 def test_single_simplex_balance_both_modes():
@@ -246,6 +214,70 @@ def test_balance_matches_exhaustive_search(random_complexes):
                 fast = signed_balance(k, q, mode).balanced
                 brute = exhaustive_balance(len(dual.nodes), edges, target) is not None
                 assert fast == brute, (mode, q, edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_balance_properties_on_generated_complexes(facets):
+    from hodgelap._kernels import exhaustive_balance
+
+    k = from_facets(facets)
+    for q in range(0, k.dim + 1):
+        dual = dual_graph(k, q, "down")
+        got = core._component_balance(k, q)
+        assert sorted(j for members, _ in got for j in members) == list(range(k.n_faces(q)))
+        if q >= 1:
+            faces = k.faces(q)
+            comps = path_connected_components(k, q)
+            assert [[faces[j] for j in members] for members, _ in got] == comps
+        for mode, target in (("antiparallel", -1), ("parallel", 1)):
+            res = signed_balance(k, q, mode)
+            if len(dual.nodes) <= 12:
+                brute = exhaustive_balance(len(dual.nodes), dual.edges, target)
+                assert res.balanced == (brute is not None), (mode, q)
+            if mode == "parallel":
+                assert res.balanced == all(balanced for _, balanced in got)
+            if res.balanced:
+                x = [res.assignment[f] for f in dual.nodes]
+                assert all(x[a] * x[b] * s == target for a, b, s in dual.edges)
+                assert all(x[members[0]] == 1 for members, _ in got)  # each first face
+            else:
+                assert res.assignment is None
+
+
+def _grid_surface(m, n, twisted):
+    """The m x n grid, each square cut into two triangles, glued into a torus or Klein bottle."""
+
+    def vertex(i, j):
+        if j == n and twisted:
+            i = -i
+        return (i % m) * n + j % n
+
+    facets = []
+    for i in range(m):
+        for j in range(n):
+            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i, j + 1), vertex(i + 1, j + 1)
+            facets += [[a, b, d], [a, c, d]]
+    return from_facets(facets)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["torus", "klein"])
+def test_grid_surfaces_are_orientable_exactly_when_b2_is_one(twisted):
+    from hodgelap.spectra import betti
+
+    sizes = [(m, n) for m in range(3, 9) for n in range(3, 9)] + [(100, 100)]
+    for m, n in sizes:
+        k = _grid_surface(m, n, twisted)
+        assert [k.n_faces(d) for d in range(3)] == [m * n, 3 * m * n, 2 * m * n]
+        b2 = betti(k)[2]
+        assert b2 == (0 if twisted else 1)
+        assert signed_balance(k, 2, "antiparallel").balanced == (b2 == 1), (m, n)
 
 
 def test_chromatic_number_examples():
@@ -279,7 +311,13 @@ def test_motif_and_links():
     k = from_facets([[0, 1, 2]])
     sig = motif(k, (0,))
     assert sig.link_dim == 1
+    assert sig.star == ((0,), (0, 1), (0, 2), (0, 1, 2))
     assert sig.link.all_faces() == [(), (1,), (2,), (1, 2)]
+    # The star and link of vertex 0 by brute force over the definitions.
+    k = from_facets([[0, 1, 2], [1, 2, 3]])
+    sig = motif(k, (0,))
+    assert list(sig.star) == [f for d in range(0, k.dim + 1) for f in k.faces(d) if 0 in f]
+    assert sig.link == closure_of([(1, 2)])
     g = from_facets([[0, 1], [0, 2], [1, 2]])
     assert motif(g, (0,)).link_dim == 0
     with pytest.raises(UnknownFaceError):
@@ -520,14 +558,6 @@ def test_array_lattice_matches_itertools_and_dict_references(facets):
         sig = motif(k, [v])
         assert list(sig.star) == star and sig.link.all_faces() == link
         assert sig.closed_star == closure_of(star)
-        seed = set(facets[0])
-        cl, st_seed, lk = closure_star_link(k, [tuple(seed)])
-        below = {f for f in ref if set(f) <= seed}
-        star = [f for d in range(k.dim + 1) for f in by_dim[d] if seed <= set(f)]
-        star_of_closure = {g for g in ref if any(h and set(h) <= set(g) for h in below)}
-        closure_of_star = {h for g in star for h in ref if set(h) <= set(g)}
-        assert st_seed == star and set(cl.all_faces()) == below
-        assert set(lk.all_faces()) == closure_of_star - star_of_closure
         assert (by_dim[0][-1][0] + 1,) not in k and (v, v) not in k
     assert built[0] == built[1] == closure_of(ref)
 

@@ -328,6 +328,31 @@ def test_one_pass_balance_matches_each_component_on_the_corpus():
                 assert balanced == signed_balance(closure_of(comp), i + 1, "parallel").balanced
 
 
+def test_the_chromatic_number_is_searched_once_per_complex(monkeypatch):
+    from hodgelap import core
+
+    searches = []
+
+    def counting(complex_, max_steps):
+        searches.append(complex_)
+        return core.chromatic_number_1skel(complex_, max_steps)
+
+    k = from_facets([[0, 1, 2], [1, 2, 3], [3, 4]])
+    monkeypatch.setattr(theorems, "chromatic_number_1skel", lambda c: counting(c, 100))
+    reports = [check_boundary_eigenvalue(k, i, duplication_fixtures=False) for i in (0, 1)]
+    assert len(searches) == 1
+    assert [r.certificates["chromatic_number"] for r in reports] == [3, 3]
+    # A spent budget is spent once too, and both reports carry its note.
+    # The wheel over C_5 has clique number 3 and chromatic number 4.
+    wheel = from_facets([[j, (j + 1) % 5, 5] for j in range(5)])
+    monkeypatch.setattr(theorems, "chromatic_number_1skel", lambda c: counting(c, 1))
+    reports = [check_boundary_eigenvalue(wheel, i, duplication_fixtures=False) for i in (0, 1)]
+    assert searches.count(wheel) == 1
+    for r in reports:
+        assert r.certificates["chromatic_number"] is None
+        assert "chromatic condition not decided" in r.notes[0]
+
+
 def test_a_spent_chromatic_budget_leaves_a_note_not_an_abort(tmp_path, capsys, monkeypatch):
     import functools
 
