@@ -104,6 +104,30 @@ def test_downward_closure_property(random_complexes):
                     assert tuple(sub) in k
 
 
+def test_closure_star_link_filled_triangle():
+    # Closure, star and link of a vertex, the star and link read from its motif.
+    k = from_facets([[0, 1, 2]])
+    sig = motif(k, (0,))
+    assert sig.star == ((0,), (0, 1), (0, 2), (0, 1, 2))
+    assert sig.link.all_faces() == [(), (1,), (2,), (1, 2)]
+    assert closure_of([(0,)]).all_faces() == [(), (0,)]
+
+
+def test_closure_star_link_shared_edge():
+    k = from_facets([[0, 1, 2], [1, 2, 3]])
+    # Star and link of vertex 0 via brute force over the definitions.
+    sig = motif(k, (0,))
+    brute_st = [f for d in range(0, k.dim + 1) for f in k.faces(d) if 0 in f]
+    assert list(sig.star) == brute_st
+    assert sig.link == closure_of([(1, 2)])
+
+
+def test_closure_star_link_unknown_face():
+    k = from_facets([[0, 1]])
+    with pytest.raises(UnknownFaceError):
+        motif(k, (5,))
+
+
 def test_closed_star_is_the_closure_of_the_whole_star():
     for k in full_corpus(0).values():
         for v in k.vertices():
@@ -311,13 +335,7 @@ def test_motif_and_links():
     k = from_facets([[0, 1, 2]])
     sig = motif(k, (0,))
     assert sig.link_dim == 1
-    assert sig.star == ((0,), (0, 1), (0, 2), (0, 1, 2))
     assert sig.link.all_faces() == [(), (1,), (2,), (1, 2)]
-    # The star and link of vertex 0 by brute force over the definitions.
-    k = from_facets([[0, 1, 2], [1, 2, 3]])
-    sig = motif(k, (0,))
-    assert list(sig.star) == [f for d in range(0, k.dim + 1) for f in k.faces(d) if 0 in f]
-    assert sig.link == closure_of([(1, 2)])
     g = from_facets([[0, 1], [0, 2], [1, 2]])
     assert motif(g, (0,)).link_dim == 0
     with pytest.raises(UnknownFaceError):
