@@ -426,7 +426,7 @@ def closure_of(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     raises :class:`ResourceError` before any face is enumerated, and the
     size of the closure picks its enumeration.
     """
-    return from_facets([f for f in map(list, faces) if f])
+    return _from_lists([f for f in map(list, faces) if f])
 
 
 def _check_facets(facets: list[list]):
@@ -455,7 +455,11 @@ def from_facets(facets: Sequence[Iterable[int]]) -> SimplicialComplex:
     ``_CLOSURE_BUDGET`` this raises :class:`ResourceError` before
     enumerating any face.
     """
-    facets = list(map(list, facets))
+    return _from_lists(list(map(list, facets)))
+
+
+def _from_lists(facets: list[list]) -> SimplicialComplex:
+    """:func:`from_facets` of facets already copied into fresh lists."""
     flat = list(chain.from_iterable(facets))
     if (
         not all(facets)

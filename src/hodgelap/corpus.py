@@ -8,6 +8,8 @@ joins, cones, duplications, graph products) the suites exercise.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .constructions import FamilySpec, generate
@@ -72,17 +74,17 @@ def family_specs(max_i: int = 3, max_m: int = 12, max_n: int = 8) -> list[Family
     return specs
 
 
+def family_name(spec: FamilySpec) -> str:
+    """The corpus name of the family fixture generated from ``spec``."""
+    if spec.family == "simplex":
+        return f"simplex-n{spec.n}"
+    if spec.family == "moebius-circuit":
+        return "moebius-circuit"
+    return f"{spec.family}-i{spec.i}-m{spec.m}"
+
+
 def family_fixtures(max_i: int = 3, max_m: int = 12, max_n: int = 8) -> dict[str, SimplicialComplex]:
-    out = {}
-    for spec in family_specs(max_i, max_m, max_n):
-        if spec.family == "simplex":
-            name = f"simplex-n{spec.n}"
-        elif spec.family == "moebius-circuit":
-            name = "moebius-circuit"
-        else:
-            name = f"{spec.family}-i{spec.i}-m{spec.m}"
-        out[name] = generate(spec)
-    return out
+    return {family_name(spec): generate(spec) for spec in family_specs(max_i, max_m, max_n)}
 
 
 def random_complex(rng: np.random.Generator, max_faces: int = RANDOM_MAX_FACES,
@@ -90,20 +92,22 @@ def random_complex(rng: np.random.Generator, max_faces: int = RANDOM_MAX_FACES,
     """A random small complex: greedy accumulation of random facets.
 
     Candidate facets of dimension <= max_dim are drawn over a small vertex
-    pool and accepted while the closure stays within the face budget.
+    pool and accepted while the closure stays within the face budget.  The
+    closure is counted as a set of face tuples; the complex is built once,
+    from the accepted facets.
     """
     n_vertices = int(rng.integers(4, 9))
     pool = list(range(n_vertices))
     facets: list[list[int]] = [[v] for v in pool]
-    current = from_facets(facets)
+    faces = {(v,) for v in pool}
     for _ in range(int(rng.integers(3, 12))):
         size = int(rng.integers(2, max_dim + 2))
         cand = sorted(rng.choice(pool, size=size, replace=False).tolist())
-        trial = from_facets(facets + [cand])
-        if sum(trial.n_faces(d) for d in range(0, trial.dim + 1)) <= max_faces:
+        trial = faces.union(*(combinations(cand, k) for k in range(1, size + 1)))
+        if len(trial) <= max_faces:
             facets.append(cand)
-            current = trial
-    return current
+            faces = trial
+    return from_facets(facets)
 
 
 def random_corpus(seed: int = 0, count: int = RANDOM_COUNT) -> dict[str, SimplicialComplex]:

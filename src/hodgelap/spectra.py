@@ -365,8 +365,10 @@ def predicted_zero_multiplicity(
 ) -> int:
     """Zero multiplicity predicted from cochain dimensions and Betti numbers.
 
-    ``up`` evaluates both stated formulas and insists they agree; ``down``
-    uses the single stated formula; ``full`` is b~_i by the Hodge theorem.
+    ``up`` evaluates both stated formulas and insists they agree (they do
+    exactly when the profile satisfies the Euler identity), raising
+    :class:`NumericError` otherwise; ``down`` uses the single stated
+    formula; ``full`` is b~_i by the Hodge theorem.
     """
     p = profile or betti(complex_)
     d = p.top_dim
@@ -375,7 +377,7 @@ def predicted_zero_multiplicity(
     if direction == "up":
         f1, f2 = predicted_zero_multiplicity_formulas(complex_, i, p)
         if f1 != f2:
-            raise AssertionError(
+            raise NumericError(
                 f"zero-count formulas disagree at i={i}: {f1} vs {f2}"
             )
         return f1

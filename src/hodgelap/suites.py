@@ -2,23 +2,31 @@
 
 Each suite yields :class:`CheckReport` objects; ``run_suites`` aggregates
 them deterministically (sorted by theorem id, then input hash).  The corpus
-suites ``hodge``, ``bounds`` and ``boundary`` take the (name, complex)
-entries to check: ``run_suites`` builds the corpus once and hands each
-complex to every selected corpus suite before dropping it, so the complex's
-memo tables (coboundaries, ranks, Betti numbers, weights, pure parts) are
-built once for all three.  The CLI ``verify`` subcommand is a thin wrapper
-over :func:`run_suites`.
+suites ``families``, ``hodge``, ``bounds``, ``boundary`` and ``regular``
+take the (name, complex) entries to check.  ``run_suites`` builds the corpus
+once and walks its distinct complexes: equal entries share one object,
+which gets every selected corpus suite's checks before it is dropped, so
+its memo tables (coboundaries, ranks, Betti numbers, weights, pure parts,
+solved sides) are built once for all five.  A complex filed under several
+names is checked once for each distinct value of what a suite reads from
+the name (whether the boundary suite also runs its duplication checks,
+whether the name is in the regular suite's set); every other name gets a
+copy of those reports under its own name.  The CLI ``verify`` subcommand
+is a thin wrapper over :func:`run_suites`.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from types import MappingProxyType
+from typing import Hashable, Iterable, Mapping
 
 from . import corpus
+from .constructions import FamilySpec
 from .core import SimplicialComplex
 from .spectra import DEFAULT_VALUE_TOL
 from .theorems import (
+    CheckItem,
     CheckReport,
     check_boundary_eigenvalue,
     check_bounds,
@@ -42,33 +50,31 @@ SUITES = (
     "boundary",
     "regular",
 )
-# Suites that check every entry of the corpus; run_suites walks it once for all.
-_CORPUS_SUITES = ("hodge", "bounds", "boundary")
+# Suites whose checks read one corpus complex at a time; run_suites walks
+# the corpus once for all of them.
+_CORPUS_SUITES = ("families", "hodge", "bounds", "boundary", "regular")
 
 
-def suite_families(tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
-    from .constructions import FamilySpec
+@functools.cache
+def _family_checks() -> Mapping[str, tuple[FamilySpec, ...]]:
+    """The specs checked against their closed form, by family fixture name.
 
-    for spec in corpus.family_specs():
-        if spec.family == "simplex":
-            for i in range(-1, spec.n):
-                yield check_family(FamilySpec("simplex", n=spec.n, i=i), tol)
-        else:
-            yield check_family(spec, tol)
-
-
-def _corpus(seed: int, extra: dict[str, SimplicialComplex] | None, random_count: int):
-    """Yield the corpus entries in order, dropping each from the corpus.
-
-    Equal entries share one object, so a complex and its memo tables
-    (coboundaries, ranks, pure parts) are freed once its last entry has been
-    checked instead of living until the run ends.
+    A simplex is checked at every dimension i = -1..n-1.
     """
-    fixtures = corpus.full_corpus(seed, random_count)
-    if extra:
-        fixtures.update(extra)
-    for name in list(fixtures):
-        yield name, fixtures.pop(name)
+    return MappingProxyType({
+        corpus.family_name(spec): (
+            tuple(FamilySpec("simplex", n=spec.n, i=i) for i in range(-1, spec.n))
+            if spec.family == "simplex"
+            else (spec,)
+        )
+        for spec in corpus.family_specs()
+    })
+
+
+def suite_families(entries, tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
+    for name, k in entries:
+        for spec in _family_checks()[name]:
+            yield check_family(spec, tol, k)
 
 
 def suite_hodge(
@@ -112,27 +118,30 @@ def _duplication_fixture_names() -> frozenset[str]:
     return frozenset(names)
 
 
+def _runs_duplication(name: str, k: SimplicialComplex) -> bool:
+    """Small standard and duplication fixtures also get the duplication checks."""
+    return k.n_faces(0) <= 8 and name in _duplication_fixture_names()
+
+
 def suite_boundary(entries, tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
     for name, k in entries:
-        # Small standard and duplication fixtures also get the duplication checks.
-        run_dup = k.n_faces(0) <= 8 and name in _duplication_fixture_names()
+        run_dup = _runs_duplication(name, k)
         for i in range(0, k.dim):
             yield check_boundary_eigenvalue(
                 k, i, name, tol=tol, duplication_fixtures=run_dup
             )
 
 
-def suite_regular(
-    seed: int = 0,
-    extra: dict[str, SimplicialComplex] | None = None,
-    tol: float = DEFAULT_VALUE_TOL,
-    **_,
-) -> Iterable[CheckReport]:
-    fixtures = dict(corpus.standard_fixtures())
-    fixtures.update(corpus.family_fixtures(max_i=2, max_m=8, max_n=5))
-    if extra:
-        fixtures.update(extra)
-    for name, k in fixtures.items():
+@functools.cache
+def _regular_fixture_names() -> frozenset[str]:
+    """The corpus names the regular suite checks: standard and small family fixtures."""
+    names = set(corpus.standard_fixtures())
+    names.update(map(corpus.family_name, corpus.family_specs(max_i=2, max_m=8, max_n=5)))
+    return frozenset(names)
+
+
+def suite_regular(entries, tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
+    for name, k in entries:
         for i in range(0, k.dim):
             yield check_regular_dual(k, i, name, tol=tol)
 
@@ -149,6 +158,95 @@ _SUITE_FUNCS = {
 }
 
 
+def _setting(suite: str, name: str, k: SimplicialComplex, user: set[str]) -> Hashable:
+    """What the reports of ``suite`` on ``k`` read from ``name``; None skips the entry.
+
+    Entries of one complex with equal settings get equal reports but for
+    the name in their inputs.  The family reports name their spec, not the
+    complex, so every family fixture is its own setting.
+    """
+    if suite == "families":
+        return name if name in _family_checks() and name not in user else None
+    if suite == "boundary":
+        return _runs_duplication(name, k)
+    if suite == "regular":
+        return True if name in user or name in _regular_fixture_names() else None
+    return True
+
+
+def _fresh(value):
+    """``value`` with every list and dict in it copied.
+
+    A :class:`CheckItem` is frozen, so it is copied only when its expected
+    or observed value is a list.
+    """
+    if isinstance(value, list):
+        return [_fresh(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _fresh(v) for k, v in value.items()}
+    if isinstance(value, CheckItem) and (
+        isinstance(value.expected, list) or isinstance(value.observed, list)
+    ):
+        return CheckItem(value.name, _fresh(value.expected), _fresh(value.observed),
+                         value.deviation, value.tol)
+    return value
+
+
+def _renamed(report: CheckReport, name: str) -> CheckReport:
+    """A copy of ``report`` on the complex named ``name``.
+
+    Reports hold lists, dicts and immutable values, so copying the lists
+    and dicts leaves the copy no mutable state in common with ``report``.
+    """
+    return CheckReport(
+        report.theorem_id,
+        {**report.inputs, "complex": name},
+        _fresh(report.items),
+        _fresh(report.certificates),
+        report.applicable,
+        list(report.notes),
+    )
+
+
+def _walk(
+    suites: list[str],
+    seed: int,
+    extra: dict[str, SimplicialComplex] | None,
+    random_count: int,
+    tol: float,
+) -> Iterable[CheckReport]:
+    """The reports of the corpus ``suites``, walking each distinct complex once.
+
+    The corpus names (and the user documents of ``extra``) are grouped by
+    their object, in order of first appearance.  Each complex gets its
+    checks once per suite and setting (:func:`_setting`), and is dropped
+    with its memo tables once its group is done.
+    """
+    fixtures = corpus.full_corpus(seed, random_count)
+    user = set(extra or ())
+    fixtures.update(extra or {})
+    groups: dict[int, tuple[SimplicialComplex, list[str]]] = {}
+    for name, k in fixtures.items():
+        groups.setdefault(id(k), (k, []))[1].append(name)
+    fixtures.clear()
+    for key in list(groups):
+        k, names = groups.pop(key)
+        done: dict[tuple[str, Hashable], list[CheckReport]] = {}
+        for name in names:
+            for suite in suites:
+                setting = _setting(suite, name, k, user)
+                if setting is None:
+                    continue
+                first = done.get((suite, setting))
+                if first is None:
+                    first = done[(suite, setting)] = list(
+                        _SUITE_FUNCS[suite]([(name, k)], seed=seed, tol=tol)
+                    )
+                    yield from first
+                else:
+                    yield from (_renamed(report, name) for report in first)
+
+
 def run_suites(
     names: Iterable[str] = ("all",),
     seed: int = 0,
@@ -156,21 +254,20 @@ def run_suites(
     tol: float = DEFAULT_VALUE_TOL,
     random_count: int = corpus.RANDOM_COUNT,
 ) -> list[CheckReport]:
-    """Run the requested suites and return reports in deterministic order."""
+    """Run the requested suites and return reports in deterministic order.
+
+    The corpus suites (``families``, ``hodge``, ``bounds``, ``boundary``,
+    ``regular``) share one walk over the distinct corpus complexes and the
+    user documents of ``extra``; the others build their own instances.
+    """
     selected = list(SUITES) if "all" in names else [n for n in SUITES if n in set(names)]
     unknown = set(names) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    reports: list[CheckReport] = []
     walked = [name for name in selected if name in _CORPUS_SUITES]
-    if walked:
-        # One walk: each corpus complex gets every walked suite's checks
-        # before it is dropped, so its memo tables are built once.  Each
-        # suite has its own theorem ids, so the interleaving does not
-        # change the sorted order.
-        for entry in _corpus(seed, extra, random_count):
-            for name in walked:
-                reports.extend(_SUITE_FUNCS[name]([entry], seed=seed, tol=tol))
+    # Each suite has its own theorem ids and each report names its input,
+    # so the order of the walk does not change the sorted order.
+    reports = list(_walk(walked, seed, extra, random_count, tol)) if walked else []
     for name in selected:
         if name not in walked:
             reports.extend(_SUITE_FUNCS[name](seed=seed, extra=extra, tol=tol))

@@ -195,13 +195,22 @@ def _full_size_spectrum(lap: LaplacianMatrix) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-def check_family(spec: FamilySpec, tol: float = DEFAULT_VALUE_TOL) -> CheckReport:
-    """Computed spectrum of a generated family against its closed form."""
+def check_family(
+    spec: FamilySpec,
+    tol: float = DEFAULT_VALUE_TOL,
+    complex_: SimplicialComplex | None = None,
+) -> CheckReport:
+    """Computed spectrum of a generated family against its closed form.
+
+    ``complex_``, when given, must equal ``generate(spec)``; the corpus walk
+    passes its corpus complex, so the check reads the tables built there.
+    """
     report = CheckReport(
         "family-closed-form-spectrum",
         {"family": spec.family, "n": spec.n, "i": spec.i, "m": spec.m},
     )
-    complex_ = generate(spec)
+    if complex_ is None:
+        complex_ = generate(spec)
     scheme = WeightScheme.normalized()
     if spec.family == "simplex":
         got = spectrum(laplacian(complex_, spec.i, "up", scheme))

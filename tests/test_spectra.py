@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodgelap._kernels import bareiss_rank_pyint
 from hodgelap.core import _components, from_facets, is_regular
+from hodgelap.errors import NumericError
 from hodgelap.operators import (
     LaplacianMatrix,
     WeightScheme,
@@ -22,6 +23,7 @@ from hodgelap.operators import (
 )
 from hodgelap.spectra import (
     BLOCK_MIN_ROWS,
+    BettiProfile,
     Spectrum,
     _block_eigvalsh,
     betti,
@@ -130,6 +132,16 @@ def test_predicted_zero_multiplicity_examples():
     assert predicted_zero_multiplicity(filled, 2, "up") == filled.n_faces(2)
     f1, f2 = predicted_zero_multiplicity_formulas(filled, 1)
     assert f1 == f2 == 2
+
+
+def test_disagreeing_zero_count_formulas_raise_a_numeric_error():
+    # The hollow triangle has b~1 = 1; a profile that says 0 breaks the
+    # Euler identity, so the two up-formulas disagree at i = 0 (1 vs 0).
+    hollow = from_facets([[0, 1], [1, 2], [0, 2]])
+    wrong = BettiProfile(reduced=(0, 0, 0), cochain_dims=(1, 3, 3))
+    assert predicted_zero_multiplicity_formulas(hollow, 0, wrong) == (1, 0)
+    with pytest.raises(NumericError, match="formulas disagree at i=0"):
+        predicted_zero_multiplicity(hollow, 0, "up", wrong)
 
 
 def test_zero_counts_match_observed(fixtures, random_complexes):

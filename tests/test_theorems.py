@@ -290,11 +290,12 @@ def test_bounds_after_the_hodge_check_solve_nothing(kind, monkeypatch):
     assert calls == []
 
 
+_WALKED = ("families", "hodge", "bounds", "boundary", "regular")
+
+
 def test_corpus_suites_share_one_walk(monkeypatch):
-    one_at_a_time = [
-        r for name in ("hodge", "bounds", "boundary") for r in run_suites([name], random_count=2)
-    ]
-    one_at_a_time.sort(key=lambda r: (r.theorem_id, r.input_hash()))
+    # Each suite run alone gives exactly its share of the joint run.
+    alone = {name: run_suites([name], random_count=2) for name in _WALKED}
     build = corpus.full_corpus
     calls = []
 
@@ -303,11 +304,120 @@ def test_corpus_suites_share_one_walk(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(corpus, "full_corpus", counting)
-    together = run_suites(["hodge", "bounds", "boundary"], random_count=2)
+    together = run_suites(list(_WALKED), random_count=2)
     assert len(calls) == 1
-    assert json.dumps([r.to_dict() for r in together]) == json.dumps(
-        [r.to_dict() for r in one_at_a_time]
+    shares = {name: [] for name in _WALKED}
+    theorem_suite = {r.theorem_id: name for name, reports in alone.items() for r in reports}
+    for report in together:
+        shares[theorem_suite[report.theorem_id]].append(report)
+    for name in _WALKED:
+        assert alone[name], name
+        assert json.dumps([r.to_dict() for r in shares[name]]) == json.dumps(
+            [r.to_dict() for r in alone[name]]
+        ), name
+
+
+def _containers(value):
+    """Every list and dict inside ``value``, reports and their items included."""
+    if isinstance(value, theorems.CheckReport):
+        fields = (value.inputs, value.items, value.certificates, value.notes)
+        return [c for field in fields for c in _containers(field)]
+    if isinstance(value, theorems.CheckItem):
+        return _containers(value.expected) + _containers(value.observed)
+    if isinstance(value, list):
+        return [value] + [c for v in value for c in _containers(v)]
+    if isinstance(value, dict):
+        return [value] + [c for v in value.values() for c in _containers(v)]
+    return []
+
+
+def test_the_hodge_check_runs_once_per_distinct_corpus_complex(monkeypatch):
+    from hodgelap import suites
+
+    checked = []
+
+    def counting(complex_, name, **kwargs):
+        checked.append(complex_)
+        return check_hodge_and_duality(complex_, name, **kwargs)
+
+    monkeypatch.setattr(suites, "check_hodge_and_duality", counting)
+    reports = run_suites(["hodge", "boundary", "regular"], random_count=5)
+    fixtures = corpus.full_corpus(0, random_count=5)
+    assert len({id(k) for k in fixtures.values()}) < len(fixtures)
+    assert len(checked) == len({id(k) for k in checked}) == len(set(fixtures.values()))
+    hodge_id = "hodge-duality-zero-counts"
+    hodge = [r for r in reports if r.theorem_id == hodge_id]
+    assert sorted(r.inputs["complex"] for r in hodge) == sorted(fixtures)
+    # The copies filed under the other names of one complex differ from its
+    # reports only in the name, and no two reports hold one list or dict.
+    by_name = {r.inputs["complex"]: r for r in hodge}
+    names = [name for name, k in fixtures.items() if k == fixtures["delta3"]]
+    assert len(names) > 1
+    first = by_name[names[0]].to_dict()
+    for name in names[1:]:
+        assert by_name[name].to_dict() == {**first, "inputs": {**first["inputs"], "complex": name}}
+    # Each name gets the boundary and regular checks its own name asks for:
+    # delta3 is a duplication fixture, simplex-n4 a regular fixture only.
+    assert {"delta3", "simplex-n4", "path-i3-m1"} <= set(names)
+    fresh = from_facets([[0, 1, 2, 3]])
+    dup_names = set(corpus.standard_fixtures())
+    dup_names.update(name for name, _, _ in corpus.duplication_instances())
+    regular_names = set(corpus.standard_fixtures())
+    regular_names.update(corpus.family_fixtures(max_i=2, max_m=8, max_n=5))
+    for name in names:
+        got = [r for r in reports if r.inputs["complex"] == name and r.theorem_id != hodge_id]
+        want = [
+            check_boundary_eigenvalue(fresh, i, name, duplication_fixtures=name in dup_names)
+            for i in range(fresh.dim)
+        ]
+        if name in regular_names:
+            want += [check_regular_dual(fresh, i, name) for i in range(fresh.dim)]
+        want.sort(key=lambda r: (r.theorem_id, r.input_hash()))
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want], name
+    owner = {}
+    for n, report in enumerate(reports):
+        for c in _containers(report):
+            assert owner.setdefault(id(c), n) == n, report.inputs
+
+
+def test_a_user_document_equal_to_a_fixture_gets_its_own_checks():
+    def fresh():
+        return from_facets([[0, 1, 2, 3]])
+
+    name = "user-delta3"
+    walked = [
+        r for r in run_suites(list(_WALKED), extra={name: fresh()}, random_count=0)
+        if r.inputs.get("complex") == name
+    ]
+    k = fresh()
+    direct = [check_hodge_and_duality(k, name)]
+    direct += [
+        check_bounds(k, i, kind, name)
+        for i in range(k.dim)
+        for kind in ("combinatorial", "normalized", "custom")
+    ]
+    # A user document is not a duplication fixture, unlike delta3 itself.
+    direct += [check_boundary_eigenvalue(k, i, name, duplication_fixtures=False)
+               for i in range(k.dim)]
+    direct += [check_regular_dual(k, i, name) for i in range(k.dim)]
+    direct.sort(key=lambda r: (r.theorem_id, r.input_hash()))
+    assert json.dumps([r.to_dict() for r in walked]) == json.dumps(
+        [r.to_dict() for r in direct]
     )
+
+
+def test_a_family_check_on_a_given_complex_equals_one_on_a_generated_one():
+    from hodgelap.suites import _family_checks
+
+    fixtures = corpus.full_corpus(0, random_count=0)
+    specs = _family_checks()
+    assert sum(map(len, specs.values())) == 147
+    for name, family in specs.items():
+        k = fixtures[name]
+        # Warm memo tables, as the walk leaves them, must not change the check.
+        check_hodge_and_duality(k, name)
+        for spec in family:
+            assert check_family(spec, complex_=k).to_dict() == check_family(spec).to_dict(), spec
 
 
 def test_one_pass_balance_matches_each_component_on_the_corpus():
