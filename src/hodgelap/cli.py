@@ -121,8 +121,7 @@ def parse_document(text: str) -> ComplexDocument:
     return doc
 
 
-def document_dict(complex_: SimplicialComplex, name: str | None = None,
-                  weights: dict[str, float] | None = None) -> dict:
+def document_dict(complex_: SimplicialComplex, name: str | None = None) -> dict:
     if complex_.dim < 0:
         # Its only facet is the empty face, and a document's facets must be
         # non-empty vertex lists, so no document describes it.
@@ -130,8 +129,6 @@ def document_dict(complex_: SimplicialComplex, name: str | None = None,
     out: dict = {"facets": [list(f) for f in complex_.facets()]}
     if name:
         out["name"] = name
-    if weights:
-        out["weights"] = weights
     return out
 
 
@@ -173,12 +170,20 @@ def main_group():
 
 @main_group.command("generate")
 @click.argument("family", type=click.Choice(["simplex", "circuit", "path", "star", "moebius-circuit"]))
-@click.option("--i", "i", type=int, default=None, help="order parameter of the family")
-@click.option("--m", "m", type=int, default=None, help="length parameter")
+@click.option("--i", "i", type=int, default=None, help="order parameter (circuit, path, star)")
+@click.option("--m", "m", type=int, default=None, help="length parameter (circuit, path, star)")
 @click.option("--n", "n", type=int, default=None, help="vertex count (simplex)")
 @click.option("-o", "--output", default=None, help="write the document here instead of stdout")
 def cmd_generate(family, i, m, n, output):
-    """Emit the complex document of a named family instance."""
+    """Emit the complex document of a named family instance.
+
+    --n applies to simplex only, --i and --m to circuit, path and star
+    only; an option the family does not read is refused.
+    """
+    reads = {"simplex": ("--n",), "moebius-circuit": ()}.get(family, ("--i", "--m"))
+    for option, value in (("--i", i), ("--m", m), ("--n", n)):
+        if value is not None and option not in reads:
+            raise DocumentError(f"{option} does not apply to {family}")
     spec = FamilySpec(family, n=n, i=i, m=m)
     complex_ = generate(spec)
     label = family if family in ("moebius-circuit",) else (

@@ -82,21 +82,8 @@ Face = tuple  # strictly increasing tuple of non-negative ints; () is the empty 
 
 def permutation_parity(seq: Sequence[int]) -> int:
     """+1 / -1 parity of the permutation that sorts ``seq`` ascending."""
-    order = sorted(range(len(seq)), key=lambda k: seq[k])
-    seen = [False] * len(seq)
-    sign = 1
-    for start in range(len(seq)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 # The dimension -1 layer: one empty face, whose key is 0.
@@ -205,21 +192,18 @@ class SimplicialComplex:
         return out + self._decode(self._layers[-1])
 
     def cofaces(self, face: Face) -> tuple[Face, ...]:
-        """Faces one dimension up that contain ``face``."""
+        """Faces one dimension up that contain ``face``, in canonical order.
+
+        They are the rows of ``D_d`` that hold the face's column; nothing
+        is memoized.
+        """
         row = self.index(face)
         d = len(face) - 1
         if d == self.dim:
             return ()
-        key = ("cofaces", d)
-        if key not in self._memo:
-            table = coboundary_matrix(self, d)
-            # Rows of D_d grouped by boundary face, each group in row order.
-            order = table.index.ravel().argsort(kind="stable") // (d + 2)
-            start = np.bincount(table.index.ravel(), minlength=table.n_cols).cumsum()
-            self._memo[key] = (order.tolist(), [0] + start.tolist())
-        order, start = self._memo[key]
+        rows = np.flatnonzero((coboundary_matrix(self, d).index == row).any(axis=1))
         up = self.faces(d + 1)
-        return tuple(up[r] for r in order[start[row] : start[row + 1]])
+        return tuple(up[r] for r in rows.tolist())
 
     # -- derived complexes -------------------------------------------------
 
@@ -268,6 +252,10 @@ class SimplicialComplex:
 # hundred MB, about 19 times the largest bound that an input of the corpus, the
 # tests or the benchmark reaches (55 578, for 10 000 random triangles).
 _CLOSURE_BUDGET = 1 << 20
+
+# Most search nodes that chromatic_number_1skel may visit before it raises
+# ResourceError.  Every complex of the corpus needs at most 13.
+_CHROMATIC_BUDGET = 5_000_000
 
 
 def _closure_bound(faces: list[Face]) -> int:
@@ -503,8 +491,9 @@ class CoboundaryMatrix:
     """A coboundary matrix, rows S_{i+1} and columns S_i, as a boundary-index table.
 
     Every (i+1)-face has exactly i+2 boundary faces, so row r has exactly
-    i+2 stored entries: column ``index[r, k]`` -- the face that omits the
-    k-th vertex of the row's face -- with value ``values[r, k]``.  For
+    i+2 stored entries, and i is ``index.shape[1] - 2``: column
+    ``index[r, k]`` -- the face that omits the k-th vertex of the row's
+    face -- with value ``values[r, k]``.  For
     ``D_i`` the values are the boundary signs ``(-1)**k``; for the weighted
     ``B_i`` they are those signs times ``sqrt(w_{i+1}[r] / w_i[index[r, k]])``.
     The tables that :func:`coboundary_matrix` and
@@ -517,7 +506,6 @@ class CoboundaryMatrix:
     built from ``D_i`` shares the one dict of ``D_i``.
     """
 
-    i: int
     index: np.ndarray  # (|S_{i+1}|, i+2) int64 column indices
     n_cols: int
     values: np.ndarray  # same shape as index
@@ -574,7 +562,7 @@ def coboundary_matrix(complex_: SimplicialComplex, i: int) -> CoboundaryMatrix:
         values[:, 1::2] = -1  # the face that omits vertex k has sign (-1)**k
         index.setflags(write=False)
         values.setflags(write=False)
-        complex_._memo[key] = CoboundaryMatrix(i, index, complex_.n_faces(i), values)
+        complex_._memo[key] = CoboundaryMatrix(index, complex_.n_faces(i), values)
     return complex_._memo[key]
 
 
@@ -750,7 +738,7 @@ def _subcomplex(complex_: SimplicialComplex, marks: list[np.ndarray]) -> Simplic
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Signed graph on the i-faces of a complex.
+    """Signed graph on the i-faces of a complex; :func:`dual_graph` builds either flavor.
 
     ``down`` flavor: nodes are adjacent when their intersection is a face of
     one dimension lower; the sign is the product of the boundary signs of
@@ -761,7 +749,6 @@ class DualGraph:
 
     nodes: tuple[Face, ...]
     edges: tuple[tuple[int, int, int], ...]
-    flavor: str
 
     def to_complex(self) -> SimplicialComplex:
         """The underlying unsigned graph as a 1-dimensional complex."""
@@ -792,7 +779,7 @@ def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
     a, b, sign = _dual_pairs(complex_, i, flavor)
     order = np.lexsort((b, a))
     edges = zip(a[order].tolist(), b[order].tolist(), sign[order].tolist())
-    return DualGraph(tuple(complex_.faces(i)), tuple(edges), flavor)
+    return DualGraph(tuple(complex_.faces(i)), tuple(edges))
 
 
 def path_connected_components(complex_: SimplicialComplex, i: int) -> list[list[Face]]:
@@ -880,13 +867,13 @@ def _component_balance(complex_: SimplicialComplex, q: int) -> list[tuple[list[i
 # ---------------------------------------------------------------------------
 
 
-def chromatic_number_1skel(complex_: SimplicialComplex, max_steps: int = 5_000_000) -> int:
+def chromatic_number_1skel(complex_: SimplicialComplex) -> int:
     """Exact chromatic number of the 1-skeleton.
 
     Backtracking over k-colorings between a greedy-clique lower bound and a
     greedy-coloring upper bound, with first-new-color symmetry breaking.
-    ``max_steps`` bounds the number of search nodes; exceeding it raises
-    :class:`ResourceError` rather than returning an approximation.
+    ``_CHROMATIC_BUDGET`` bounds the number of search nodes; exceeding it
+    raises :class:`ResourceError` rather than returning an approximation.
     """
     n = complex_.n_faces(0)
     if not n:
@@ -913,7 +900,7 @@ def chromatic_number_1skel(complex_: SimplicialComplex, max_steps: int = 5_000_0
         greedy[v] = c
     upper = max(greedy.values()) + 1 if greedy else 1
 
-    budget = [max_steps]
+    budget = [_CHROMATIC_BUDGET]
 
     def colorable(k: int) -> bool:
         colors = [-1] * n
@@ -962,25 +949,22 @@ def chromatic_number_1skel(complex_: SimplicialComplex, max_steps: int = 5_000_0
 def is_regular(
     complex_: SimplicialComplex,
     i: int,
-    coface_weights: Mapping[Face, float] | Sequence[float] | None = None,
-    rel_tol: float = 1e-9,
+    coface_weights: Sequence[float] | None = None,
 ):
-    """Whether all i-faces have the same degree.
+    """Whether all i-faces have the same degree, to a relative 1e-9.
 
-    Degrees are sums of (i+1)-coface weights (all 1 when no weights are
-    given), given as a map from each (i+1)-face to its weight or as the
-    vector of those weights in canonical face order.  Returns ``(True, r)`` or ``(False, (face_a, face_b))`` with a
-    witness pair of differing degrees.
+    Degrees are sums of (i+1)-coface weights, given as the vector of those
+    weights in canonical face order (all 1 when none is given).  Returns
+    ``(True, r)`` or ``(False, (face_a, face_b))`` with a witness pair of
+    differing degrees.
     """
     if not 0 <= i < max(complex_.dim, 1):
         raise DimensionError(f"regularity dimension {i} out of range")
     if not complex_.n_faces(i):
         return True, 0.0
-    if isinstance(coface_weights, Mapping):
-        coface_weights = [coface_weights[g] for g in complex_.faces(i + 1)]
     degs = _degrees(complex_, i, coface_weights).astype(float)
     r = float(degs[0])
-    off = np.flatnonzero(np.abs(degs - r) > rel_tol * max(1.0, abs(r)))
+    off = np.flatnonzero(np.abs(degs - r) > 1e-9 * max(1.0, abs(r)))
     if off.size:
         faces = complex_.faces(i)
         return False, (faces[0], faces[off[0]])

@@ -83,25 +83,25 @@ def family_name(spec: FamilySpec) -> str:
     return f"{spec.family}-i{spec.i}-m{spec.m}"
 
 
-def family_fixtures(max_i: int = 3, max_m: int = 12, max_n: int = 8) -> dict[str, SimplicialComplex]:
-    return {family_name(spec): generate(spec) for spec in family_specs(max_i, max_m, max_n)}
+def family_fixtures() -> dict[str, SimplicialComplex]:
+    return {family_name(spec): generate(spec) for spec in family_specs()}
 
 
-def random_complex(rng: np.random.Generator, max_faces: int = RANDOM_MAX_FACES,
-                   max_dim: int = RANDOM_MAX_DIM) -> SimplicialComplex:
+def random_complex(rng: np.random.Generator,
+                   max_faces: int = RANDOM_MAX_FACES) -> SimplicialComplex:
     """A random small complex: greedy accumulation of random facets.
 
-    Candidate facets of dimension <= max_dim are drawn over a small vertex
-    pool and accepted while the closure stays within the face budget.  The
-    closure is counted as a set of face tuples; the complex is built once,
-    from the accepted facets.
+    Candidate facets of dimension <= ``RANDOM_MAX_DIM`` are drawn over a
+    small vertex pool and accepted while the closure stays within the face
+    budget.  The closure is counted as a set of face tuples; the complex is
+    built once, from the accepted facets.
     """
     n_vertices = int(rng.integers(4, 9))
     pool = list(range(n_vertices))
     facets: list[list[int]] = [[v] for v in pool]
     faces = {(v,) for v in pool}
     for _ in range(int(rng.integers(3, 12))):
-        size = int(rng.integers(2, max_dim + 2))
+        size = int(rng.integers(2, RANDOM_MAX_DIM + 2))
         cand = sorted(rng.choice(pool, size=size, replace=False).tolist())
         trial = faces.union(*(combinations(cand, k) for k in range(1, size + 1)))
         if len(trial) <= max_faces:

@@ -35,10 +35,10 @@ empty vector.  :func:`laplacian` takes ``W_i`` from it, and
 :func:`weighted_coboundary`, the normalized degrees and
 :func:`hodgelap.spectra.bounds_report` read it too; no face-keyed dict is
 built on that path.  :func:`normalized_weight_map` still returns a face
--> weight dict, built from the vectors.  Each weighted table is built once
-per complex, dimension and scheme, and memoized on the complex as well, so
-every :func:`laplacian` of one complex and scheme -- L_j^up and
-L_{j+1}^down alike, whoever builds them -- holds the same ``B_j`` and
+-> weight dict, built from vectors of its own.  Each weighted table is
+built once per complex, dimension and scheme, and memoized on the complex
+as well, so every :func:`laplacian` of one complex and scheme -- L_j^up
+and L_{j+1}^down alike, whoever builds them -- holds the same ``B_j`` and
 reads its solved sides.  The built-in schemes are keyed by their kind.
 A custom map is a dict, which cannot be hashed, so it is keyed by its
 identity; the memo keeps a reference to the map, so that identity cannot
@@ -133,18 +133,15 @@ def normalized_weight_map(
     ``facet_base``); every other face gets its degree, computed by
     descending dimension so that higher-dimensional weights are already
     known.  The empty face gets the sum of the vertex weights.  The map is
-    a fresh dict, built from the weight vectors, by descending dimension.
+    a fresh dict, built from fresh weight vectors, by descending dimension.
     """
-    if facet_base is None:
-        vectors = _weight_vectors(complex_, WeightScheme.normalized())
-    else:
-        base = {}
-        for f, w in facet_base.items():
-            f = tuple(sorted(f))
-            if w <= 0:
-                raise WeightError(f"facet base weight for {f!r} must be positive")
-            base[f] = float(w)
-        vectors = _normalized_vectors(complex_, base)
+    base = {}
+    for f, w in (facet_base or {}).items():
+        f = tuple(sorted(f))
+        if w <= 0:
+            raise WeightError(f"facet base weight for {f!r} must be positive")
+        base[f] = float(w)
+    vectors = _normalized_vectors(complex_, base)
     return _as_map(complex_, vectors, range(complex_.dim, -2, -1))
 
 
@@ -273,7 +270,7 @@ def weighted_coboundary(
         sqrt_hi = np.sqrt(_weight_vector(complex_, scheme, i + 1))
         values = d.values * (sqrt_hi[:, None] / sqrt_lo[d.index])
         values.setflags(write=False)
-        complex_._memo[key] = CoboundaryMatrix(i, d.index, d.n_cols, values, d._pairs)
+        complex_._memo[key] = CoboundaryMatrix(d.index, d.n_cols, values, d._pairs)
     return complex_._memo[key]
 
 

@@ -181,7 +181,15 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, or of each in a stack of them."""
     try:
         return np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+
+
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a symmetric matrix."""
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
 
 
@@ -318,7 +326,7 @@ def _coboundary_rank(complex_: SimplicialComplex, j: int) -> int:
             cleared = np.zeros(d.n_cols, dtype=bool)
             cleared[complex_._memo[("pivots", j - 1)]] = True
             values = np.where(cleared[d.index], 0, d.values)
-            d = CoboundaryMatrix(j, d.index, d.n_cols, values)
+            d = CoboundaryMatrix(d.index, d.n_cols, values)
         pivots: list[int] = []
         complex_._memo[key] = exact_rank(d, pivots) if d.index.size else 0
         rows = np.array(pivots, dtype=np.int64)

@@ -68,6 +68,7 @@ from .spectra import (
     spectrum,
     subset_deviation,
     union_mod_zeros,
+    _eigh,
     _eigvalsh,
     _nonzero_part,
 )
@@ -175,9 +176,9 @@ def _scheme_for(complex_: SimplicialComplex, kind: str, seed: int = 0) -> Weight
 def _eigenpairs(complex_: SimplicialComplex, i: int, scheme: WeightScheme):
     """(eigenvalues, eigenvectors of the operator itself) for the up Laplacian."""
     lap = laplacian(complex_, i, "up", scheme)
-    vals, vecs = np.linalg.eigh(lap.symmetric)
+    vals, vecs = _eigh(lap.symmetric)
     inv_sqrt = 1.0 / np.sqrt(lap.weights)
-    return vals, vecs * inv_sqrt[:, None], lap
+    return vals, vecs * inv_sqrt[:, None]
 
 
 def _full_size_spectrum(lap: LaplacianMatrix) -> Spectrum:
@@ -327,14 +328,13 @@ def check_bounds(
     i: int,
     scheme_kind: str,
     name: str = "",
-    slack: float = DEFAULT_BOUND_SLACK,
     seed: int = 0,
 ) -> CheckReport:
     """Upper, trace-lower and degree-lower bounds at one (i, scheme)."""
     report = CheckReport(
         "spectral-bounds", {"complex": name, "i": i, "scheme": scheme_kind}
     )
-    rep = bounds_report(complex_, i, _scheme_for(complex_, scheme_kind, seed), slack)
+    rep = bounds_report(complex_, i, _scheme_for(complex_, scheme_kind, seed))
     if not rep.applicable:
         report.applicable = False
         report.notes.append("no (i+1)-faces; up operator is the zero map")
@@ -344,7 +344,7 @@ def check_bounds(
         f"lambda_max <= {rep.upper_bound}",
         rep.lambda_max,
         max(0.0, rep.lambda_max - rep.upper_bound),
-        slack,
+        DEFAULT_BOUND_SLACK,
     )
     for label, bound in (
         ("trace-lower", rep.trace_lower),
@@ -358,7 +358,7 @@ def check_bounds(
             f"lambda_max >= {bound}",
             rep.lambda_max,
             max(0.0, bound - rep.lambda_max),
-            slack,
+            DEFAULT_BOUND_SLACK,
         )
     report.certificates["bounds"] = {
         "lambda_max": rep.lambda_max,
@@ -418,8 +418,8 @@ def check_wedge(
         report.notes.append("wedge theorems cover k < i and k = i only")
         return report
 
-    vals1, vecs1, lap1 = _eigenpairs(k1, i, scheme)
-    vals2, vecs2, lap2 = _eigenpairs(k2, i, scheme)
+    vals1, vecs1 = _eigenpairs(k1, i, scheme)
+    vals2, vecs2 = _eigenpairs(k2, i, scheme)
     idx1, idx2 = k1.index(f1), k2.index(f2)
     wedge_spec = spectrum(laplacian(wedged, i, "up", scheme))
 
@@ -631,7 +631,7 @@ def check_duplication(
     star_ifaces = sorted(f for f in sig.star if len(f) - 1 == i)
     sel = np.array([closed_star.index(f) for f in star_ifaces], dtype=int)
     sub = lap_cs.symmetric[np.ix_(sel, sel)]
-    lam_restricted, u_restricted = np.linalg.eigh(sub)
+    lam_restricted, u_restricted = _eigh(sub)
 
     lap_dup = laplacian(dup, i, "up", scheme)
     dup_spec = spectrum(lap_dup)
@@ -662,7 +662,7 @@ def check_duplication(
         worst_residual = max(worst_residual, residual / np.linalg.norm(g))
     report.add("antisymmetric-eigenfunction-residual", 0.0, worst_residual, worst_residual, tol)
 
-    mu = np.linalg.eigvalsh(lap_cs.symmetric)
+    mu = _eigvalsh(lap_cs.symmetric)
     gap = sig.link.n_faces(i)
     worst = 0.0
     for j in range(len(lam_restricted)):
@@ -703,7 +703,7 @@ def _component_top_eigenvalue_present(
         in_block[lap.up.index[members]] = True
         rows = np.flatnonzero(in_block)
         block = lap.symmetric[np.ix_(rows, rows)]
-        block_spec = Spectrum.from_values(np.linalg.eigvalsh(block))
+        block_spec = Spectrum.from_values(_eigvalsh(block))
         results.append((balanced, block_spec.contains(i + 2, tol)))
     return results, spec.contains(i + 2, tol), spec
 

@@ -530,6 +530,46 @@ def test_huge_complexes_exit_2(args, capsys):
     assert stdout == "" and "more than" in stderr and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize(
+    "family, own, refused",
+    [
+        ("simplex", ["--n", "3"], ["--m", "7"]),
+        ("simplex", ["--n", "3"], ["--i", "1"]),
+        ("circuit", ["--i", "1", "--m", "4"], ["--n", "9"]),
+        ("path", ["--i", "2", "--m", "3"], ["--n", "4"]),
+        ("star", ["--i", "1", "--m", "3"], ["--n", "2"]),
+        ("moebius-circuit", [], ["--i", "2"]),
+        ("moebius-circuit", [], ["--m", "5"]),
+    ],
+)
+def test_generate_refuses_an_option_its_family_does_not_read(family, own, refused, capsys):
+    code, stdout, _ = run_cli(["generate", family, *own], capsys)
+    assert code == EXIT_OK and json.loads(stdout)["facets"]
+    code, stdout, stderr = run_cli(["generate", family, *own, *refused], capsys)
+    assert code == EXIT_BAD_DOCUMENT and stdout == ""
+    assert f"{refused[0]} does not apply to {family}" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("solver, suite", [("eigh", "duplication"), ("eigvalsh", "boundary")])
+def test_a_lapack_failure_in_a_theorem_check_exits_3(solver, suite, capsys, monkeypatch):
+    real = getattr(np.linalg, solver)
+
+    def failing(matrix):
+        # Fail the solves a check asks for itself, directly or through the
+        # wrapper in spectra; the spectra it reads still solve, so the
+        # failure is not met first inside spectrum().
+        caller = sys._getframe(1)
+        askers = (caller.f_globals["__name__"], caller.f_back.f_globals["__name__"])
+        if "hodgelap.theorems" in askers:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(matrix)
+
+    monkeypatch.setattr(np.linalg, solver, failing)
+    code, _, stderr = run_cli(["verify", "--suite", suite, "--random-count", "0"], capsys)
+    assert code == EXIT_NUMERIC
+    assert "eigensolver failed" in stderr and "Traceback" not in stderr
+
+
 def test_huge_document_exits_2(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"facets": [list(range(40))]}))

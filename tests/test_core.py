@@ -312,11 +312,12 @@ def test_chromatic_number_examples():
     assert chromatic_number_1skel(from_facets([[0], [1]])) == 1
 
 
-def test_chromatic_number_budget():
+def test_chromatic_number_budget(monkeypatch):
     # C_5: clique bound 2 < chromatic number 3, so a search must run.
     c5 = from_facets([[j, (j + 1) % 5] for j in range(5)])
+    monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 1)
     with pytest.raises(ResourceError):
-        chromatic_number_1skel(c5, max_steps=1)
+        chromatic_number_1skel(c5)
 
 
 def test_is_regular():
@@ -578,6 +579,23 @@ def test_array_lattice_matches_itertools_and_dict_references(facets):
         assert sig.closed_star == closure_of(star)
         assert (by_dim[0][-1][0] + 1,) not in k and (v, v) not in k
     assert built[0] == built[1] == closure_of(ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(_LABELS, min_size=1, max_size=5, unique=True), min_size=1, max_size=7
+    )
+)
+def test_cofaces_match_a_scan_of_the_faces_one_dimension_up(facets):
+    k = from_facets(facets)
+    for d in range(-1, k.dim + 1):
+        for f in k.faces(d):
+            assert k.cofaces(f) == tuple(g for g in k.faces(d + 1) if set(f) < set(g)), f
+    assert k.cofaces(()) == tuple(k.faces(0))
+    assert all(k.cofaces(f) == () for f in k.faces(k.dim))
+    with pytest.raises(UnknownFaceError):
+        k.cofaces((max(k.vertices()) + 1,))
 
 
 def test_the_16_vertex_simplex_fits_the_face_keys():

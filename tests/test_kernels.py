@@ -120,7 +120,7 @@ def test_non_unit_inputs_go_to_bareiss(monkeypatch):
     # A hollow triangle whose coboundary signs are all doubled: rank 2, and
     # no entry is a unit, so the whole table is the residual.
     index = np.array([[0, 1], [0, 2], [1, 2]])
-    table = CoboundaryMatrix(0, index, 3, np.array([[-2, 2]] * 3))
+    table = CoboundaryMatrix(index, 3, np.array([[-2, 2]] * 3))
     assert exact_rank(table) == 2
     assert calls[-1] == (3, 3)
 
@@ -150,7 +150,7 @@ def test_table_and_dense_inputs_agree():
         width = min(width, n_cols)
         index = np.array([rng.choice(n_cols, width, replace=False) for _ in range(n_rows)])
         values = rng.integers(-3, 4, size=(n_rows, width))
-        table = CoboundaryMatrix(width - 2, index, n_cols, values)
+        table = CoboundaryMatrix(index, n_cols, values)
         assert exact_rank(table) == exact_rank(table.matrix.toarray())
 
 
@@ -170,7 +170,7 @@ def test_table_rank_matches_dense_bareiss(facets, scale):
         # The coboundary itself, and its table with each row scaled by an
         # integer, which leaves non-unit entries for the residual phase.
         factors = np.resize(np.array(scale, dtype=np.int64), len(d.index))[:, None]
-        scaled = CoboundaryMatrix(i, d.index, d.n_cols, d.values * factors)
+        scaled = CoboundaryMatrix(d.index, d.n_cols, d.values * factors)
         for table in (d, scaled):
             expected = bareiss_rank_pyint(table.matrix.toarray())
             assert exact_rank(table) == expected
@@ -240,9 +240,9 @@ def test_exact_rank_reads_entries_past_int64_as_python_ints():
     assert exact_rank([[big, 2 * big], [1, 2]]) == 1
     assert exact_rank(np.array([[big, 3], [1, 2]], dtype=object)) == 2
     index = np.array([[0, 1], [1, 2]])
-    table = CoboundaryMatrix(0, index, 3, np.array([[big, 2 * big], [1, 2]], dtype=object))
+    table = CoboundaryMatrix(index, 3, np.array([[big, 2 * big], [1, 2]], dtype=object))
     assert exact_rank(table) == 2
-    table = CoboundaryMatrix(0, index[:1], 3, np.array([[big, -big]], dtype=object))
+    table = CoboundaryMatrix(index[:1], 3, np.array([[big, -big]], dtype=object))
     assert _row_dicts(*_nonzero_entries(table)) == {0: {0: big, 1: -big}}
     assert exact_rank(table) == 1
 

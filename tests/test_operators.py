@@ -152,7 +152,7 @@ def test_gram_matches_sparse_products(shape):
     index = np.array(
         [rng.choice(pool, size=width, replace=False) for _ in range(n_rows)], dtype=np.int64
     ).reshape(n_rows, width)
-    b = CoboundaryMatrix(width - 2, index, n_cols, rng.normal(size=(n_rows, width)))
+    b = CoboundaryMatrix(index, n_cols, rng.normal(size=(n_rows, width)))
     dense = b.matrix.toarray()
     assert dense.shape == (n_rows, n_cols)
     np.testing.assert_allclose(_gram(b, "columns"), dense.T @ dense, atol=1e-12)

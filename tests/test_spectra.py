@@ -239,9 +239,9 @@ def test_degrees_add_cofaces_in_canonical_order():
     edges = {(0, 1): 1.0, (0, 2): 1e-16, (0, 3): 1e-16}
     scheme = WeightScheme.from_map({**edges, (0,): 1.0, (1,): 1.0, (2,): 1.0, (3,): 1.0})
     assert bounds_report(k, 0, scheme).max_degree == 1.0
-    # is_regular sees the same degrees: with no tolerance the center (1.0)
-    # first differs from leaf 2 (1e-16), not from leaf 1 (1.0).
-    assert is_regular(k, 0, edges, rel_tol=0.0) == (False, ((0,), (2,)))
+    # is_regular sees the same degrees, from the edge weights in face order:
+    # the center (1.0) first differs from leaf 2 (1e-16), not from leaf 1 (1.0).
+    assert is_regular(k, 0, [edges[f] for f in k.faces(1)]) == (False, ((0,), (2,)))
 
 
 def _random_part(seed, n_vertices, n_triangles, n_edges):

@@ -363,7 +363,7 @@ def test_the_hodge_check_runs_once_per_distinct_corpus_complex(monkeypatch):
     dup_names = set(corpus.standard_fixtures())
     dup_names.update(name for name, _, _ in corpus.duplication_instances())
     regular_names = set(corpus.standard_fixtures())
-    regular_names.update(corpus.family_fixtures(max_i=2, max_m=8, max_n=5))
+    regular_names.update(map(corpus.family_name, corpus.family_specs(max_i=2, max_m=8, max_n=5)))
     for name in names:
         got = [r for r in reports if r.inputs["complex"] == name and r.theorem_id != hodge_id]
         want = [
@@ -443,19 +443,20 @@ def test_the_chromatic_number_is_searched_once_per_complex(monkeypatch):
 
     searches = []
 
-    def counting(complex_, max_steps):
+    def counting(complex_):
         searches.append(complex_)
-        return core.chromatic_number_1skel(complex_, max_steps)
+        return core.chromatic_number_1skel(complex_)
 
     k = from_facets([[0, 1, 2], [1, 2, 3], [3, 4]])
-    monkeypatch.setattr(theorems, "chromatic_number_1skel", lambda c: counting(c, 100))
+    monkeypatch.setattr(theorems, "chromatic_number_1skel", counting)
+    monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 100)
     reports = [check_boundary_eigenvalue(k, i, duplication_fixtures=False) for i in (0, 1)]
     assert len(searches) == 1
     assert [r.certificates["chromatic_number"] for r in reports] == [3, 3]
     # A spent budget is spent once too, and both reports carry its note.
     # The wheel over C_5 has clique number 3 and chromatic number 4.
     wheel = from_facets([[j, (j + 1) % 5, 5] for j in range(5)])
-    monkeypatch.setattr(theorems, "chromatic_number_1skel", lambda c: counting(c, 1))
+    monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 1)
     reports = [check_boundary_eigenvalue(wheel, i, duplication_fixtures=False) for i in (0, 1)]
     assert searches.count(wheel) == 1
     for r in reports:
@@ -464,8 +465,6 @@ def test_the_chromatic_number_is_searched_once_per_complex(monkeypatch):
 
 
 def test_a_spent_chromatic_budget_leaves_a_note_not_an_abort(tmp_path, capsys, monkeypatch):
-    import functools
-
     from hodgelap import core
     from hodgelap.cli import cli_main
 
@@ -475,10 +474,7 @@ def test_a_spent_chromatic_budget_leaves_a_note_not_an_abort(tmp_path, capsys, m
     edges = [[a, b] for a in range(40) for b in range(a + 1, 40) if rng.random() < 0.5]
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({"facets": edges, "name": "dense"}))
-    monkeypatch.setattr(
-        theorems, "chromatic_number_1skel",
-        functools.partial(core.chromatic_number_1skel, max_steps=20),
-    )
+    monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 20)
     code = cli_main(["verify", str(path), "--suite", "boundary", "--random-count", "0"])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code in (0, 1)
