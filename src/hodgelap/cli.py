@@ -280,26 +280,15 @@ def cmd_construct(operation, files, faces, motif, output):
     complexes = [_load(f).to_complex() for f in files]
     if operation == "wedge":
         parsed = [_vertices("--face", f) for f in faces]
-        f1 = parsed[0]
-        f2 = parsed[1] if len(parsed) > 1 else parsed[0]
-        result, _ = wedge(complexes[0], complexes[1], f1, f2)
-        label = "wedge"
-    elif operation == "join":
-        result, _ = join(complexes[0], complexes[1])
-        label = "join"
-    elif operation == "cone":
-        result, _ = cone(complexes[0])
-        label = "cone"
+        result, _ = wedge(*complexes, parsed[0], parsed[-1])
     elif operation == "duplicate":
         if motif is None:
             raise DocumentError("duplicate needs --motif v1,v2,...")
-        verts = _vertices("--motif", motif)
-        result, _ = duplicate_motif(complexes[0], verts)
-        label = "duplicate"
+        result, _ = duplicate_motif(complexes[0], _vertices("--motif", motif))
     else:
-        result, _ = cartesian_product(complexes[0], complexes[1])
-        label = "product"
-    _emit(json.dumps(document_dict(result, label), indent=2), output)
+        build = {"join": join, "cone": cone, "product": cartesian_product}[operation]
+        result, _ = build(*complexes)
+    _emit(json.dumps(document_dict(result, operation), indent=2), output)
 
 
 @main_group.command("verify")

@@ -204,23 +204,21 @@ def cone(k: SimplicialComplex) -> tuple[SimplicialComplex, int]:
     return closure_of(f + (apex,) for f in k.facets()), apex
 
 
-def split_join_face(face: Face, shift: int) -> tuple[Face, Face]:
-    """Decompose a face of a join into its two factors (second unshifted)."""
-    left = tuple(v for v in face if v < shift)
-    right = tuple(v - shift for v in face if v >= shift)
-    return left, right
-
-
 def product_weight_map(
     joined: SimplicialComplex,
     shift: int,
     w1: Mapping[Face, float],
     w2: Mapping[Face, float],
 ) -> dict[Face, float]:
-    """Product weights on a join: w(F1 * F2) = w1(F1) * w2(F2)."""
+    """Product weights on a join: w(F1 * F2) = w1(F1) * w2(F2).
+
+    A face of the join splits at ``shift``: its vertices below it form F1,
+    and the others, shifted back down by ``shift``, form F2.
+    """
     out = {}
     for f in joined.all_faces():
-        a, b = split_join_face(f, shift)
+        a = tuple(v for v in f if v < shift)
+        b = tuple(v - shift for v in f if v >= shift)
         out[f] = w1[a] * w2[b]
     return out
 

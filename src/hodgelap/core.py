@@ -871,9 +871,9 @@ def chromatic_number_1skel(complex_: SimplicialComplex) -> int:
     """Exact chromatic number of the 1-skeleton.
 
     Backtracking over k-colorings between a greedy-clique lower bound and a
-    greedy-coloring upper bound, with first-new-color symmetry breaking.
-    ``_CHROMATIC_BUDGET`` bounds the number of search nodes; exceeding it
-    raises :class:`ResourceError` rather than returning an approximation.
+    greedy-coloring upper bound, in DSATUR order, with first-new-color
+    symmetry breaking.  A loop, not a recursion: only ``_CHROMATIC_BUDGET``
+    search nodes bound it, past which it raises :class:`ResourceError`.
     """
     n = complex_.n_faces(0)
     if not n:
@@ -900,40 +900,34 @@ def chromatic_number_1skel(complex_: SimplicialComplex) -> int:
         greedy[v] = c
     upper = max(greedy.values()) + 1 if greedy else 1
 
-    budget = [_CHROMATIC_BUDGET]
+    budget = _CHROMATIC_BUDGET
 
     def colorable(k: int) -> bool:
+        nonlocal budget
         colors = [-1] * n
-
-        def pick() -> int:
-            best, best_key = -1, (-1, -1)
-            for v in range(n):
-                if colors[v] >= 0:
-                    continue
-                sat = len({colors[u] for u in adj[v] if colors[u] >= 0})
-                key = (sat, len(adj[v]))
-                if key > best_key:
-                    best, best_key = v, key
-            return best
-
-        def extend(used: int) -> bool:
-            budget[0] -= 1
-            if budget[0] < 0:
+        trail = []  # [vertex, next color to try] per colored vertex
+        while True:
+            budget -= 1
+            if budget < 0:
                 raise ResourceError("chromatic number search budget exceeded")
-            v = pick()
-            if v < 0:
+            uncolored = [v for v in range(n) if colors[v] < 0]
+            if not uncolored:
                 return True
-            forbidden = {colors[u] for u in adj[v] if colors[u] >= 0}
-            for c in range(min(k, used + 1)):
-                if c in forbidden:
-                    continue
-                colors[v] = c
-                if extend(max(used, c + 1)):
-                    return True
+            v = max(uncolored, key=lambda v: (len({colors[u] for u in adj[v]} - {-1}), len(adj[v])))
+            trail.append([v, 0])
+            while trail:
+                v, c = trail[-1]
                 colors[v] = -1
-            return False
-
-        return extend(0)
+                forbidden = {colors[u] for u in adj[v]}
+                # Colors 0..max(colors) are in use; try at most one new one.
+                c = next((c for c in range(c, min(k, max(colors) + 2)) if c not in forbidden), -1)
+                if c >= 0:
+                    colors[v] = c
+                    trail[-1][1] = c + 1
+                    break
+                trail.pop()
+            else:
+                return False
 
     for k in range(lower, upper):
         if colorable(k):

@@ -34,8 +34,8 @@ first use and memoized on the complex; a dimension above the top has the
 empty vector.  :func:`laplacian` takes ``W_i`` from it, and
 :func:`weighted_coboundary`, the normalized degrees and
 :func:`hodgelap.spectra.bounds_report` read it too; no face-keyed dict is
-built on that path.  :func:`normalized_weight_map` still returns a face
--> weight dict, built from vectors of its own.  Each weighted table is
+built on that path.  :func:`normalized_weight_map` returns a face ->
+weight dict, built from vectors of its own.  Each weighted table is
 built once per complex, dimension and scheme, and memoized on the complex
 as well, so every :func:`laplacian` of one complex and scheme -- L_j^up
 and L_{j+1}^down alike, whoever builds them -- holds the same ``B_j`` and
@@ -58,14 +58,14 @@ general the up spectrum lies in [0, i+2].
 ``custom`` takes an explicit finite positive weight per face, gathered and
 checked one dimension at a time; the first face, in canonical order, that
 is missing or not finite and positive is named in the error.  The helper
-:func:`normalized_weight_map` produces the weighted-normalized maps (free
-positive base weights on the facets, degrees below) in custom-map form.
+:func:`normalized_weight_map` gives the normalized weights in custom-map
+form, the factor weights of the product weights on a join or graph product.
 
 i-faces with no coface have degree zero: their rows of the up operator
 are zero and each contributes one zero eigenvalue, which keeps the
 zero-multiplicity counting exactly right while avoiding any division by a
 zero degree.  Under the normalized scheme such faces are maximal and
-therefore carry base weight 1, so no weight is ever zero.
+therefore carry weight 1, so no weight is ever zero.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -124,25 +124,15 @@ class WeightScheme:
         return cls(CUSTOM, {tuple(k): float(v) for k, v in mapping.items()})
 
 
-def normalized_weight_map(
-    complex_: SimplicialComplex, facet_base: Mapping[Face, float] | None = None
-) -> dict[Face, float]:
-    """Weights of the (weighted) normalized Laplacian, as an explicit map.
+def normalized_weight_map(complex_: SimplicialComplex) -> dict[Face, float]:
+    """Weights of the normalized Laplacian, as an explicit map.
 
-    Every maximal face gets its base weight (1 unless overridden through
-    ``facet_base``); every other face gets its degree, computed by
-    descending dimension so that higher-dimensional weights are already
-    known.  The empty face gets the sum of the vertex weights.  The map is
-    a fresh dict, built from fresh weight vectors, by descending dimension.
+    Every maximal face gets weight 1; every other face gets its degree, the
+    sum of the weights of its cofaces, so the empty face gets the sum of the
+    vertex weights.  The map is a fresh dict, built from fresh weight
+    vectors, by descending dimension.
     """
-    base = {}
-    for f, w in (facet_base or {}).items():
-        f = tuple(sorted(f))
-        if w <= 0:
-            raise WeightError(f"facet base weight for {f!r} must be positive")
-        base[f] = float(w)
-    vectors = _normalized_vectors(complex_, base)
-    return _as_map(complex_, vectors, range(complex_.dim, -2, -1))
+    return _weights(complex_, WeightScheme.normalized())
 
 
 def _scheme_key(scheme: WeightScheme):
@@ -186,14 +176,12 @@ def _build_vectors(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[in
     return vectors
 
 
-def _normalized_vectors(
-    complex_: SimplicialComplex, base: Mapping[Face, float] | None = None
-) -> dict[int, np.ndarray]:
+def _normalized_vectors(complex_: SimplicialComplex) -> dict[int, np.ndarray]:
     """Normalized weights by descending dimension, read from the boundary tables.
 
     A d-face with a coface gets its degree, the sum of the weights of its
     (d+1)-cofaces added in canonical order (as :func:`_degrees` adds them);
-    a d-face without one gets its base weight, 1 unless ``base`` names it.
+    a d-face without one gets weight 1.
     """
     vectors = {}
     upper = _NO_FACES
@@ -201,11 +189,7 @@ def _normalized_vectors(
         index = coboundary_matrix(complex_, d).index.ravel()
         n = complex_.n_faces(d)
         degree = np.bincount(index, weights=upper.repeat(d + 2), minlength=n)
-        if base:
-            own = np.array([base.get(f, 1.0) for f in complex_.faces(d)])
-        else:
-            own = 1.0
-        upper = vectors[d] = np.where(np.bincount(index, minlength=n) > 0, degree, own)
+        upper = vectors[d] = np.where(np.bincount(index, minlength=n) > 0, degree, 1.0)
     return vectors
 
 
@@ -232,16 +216,6 @@ def _custom_vector(
     return w
 
 
-def _as_map(
-    complex_: SimplicialComplex, vectors: dict[int, np.ndarray], dims
-) -> dict[Face, float]:
-    """Weight vectors as a fresh face -> weight dict, dimension by dimension in ``dims``."""
-    out: dict[Face, float] = {}
-    for d in dims:
-        out.update(zip(complex_.faces(d), vectors[d].tolist()))
-    return out
-
-
 def _weights(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, float]:
     """Every face's weight under a scheme, as a face -> weight dict built afresh.
 
@@ -251,7 +225,10 @@ def _weights(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, fl
     """
     dims = range(-1, complex_.dim + 1)
     vectors = _build_vectors(complex_, scheme)
-    return _as_map(complex_, vectors, reversed(dims) if scheme.kind == NORMALIZED else dims)
+    out: dict[Face, float] = {}
+    for d in reversed(dims) if scheme.kind == NORMALIZED else dims:
+        out.update(zip(complex_.faces(d), vectors[d].tolist()))
+    return out
 
 
 def weighted_coboundary(

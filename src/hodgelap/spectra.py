@@ -455,6 +455,16 @@ def subset_deviation(sub, full, tol: float = DEFAULT_VALUE_TOL) -> float:
     return worst
 
 
+def _interlacing_violation(mu: np.ndarray, lam: np.ndarray, gap: int) -> float:
+    """How far the sorted ``lam`` is from ``mu_j <= lam_j <= mu_{j+gap}``.
+
+    The largest of ``mu[j] - lam[j]`` and ``lam[j] - mu[j + gap]`` over every
+    j, or 0 when none is positive; an empty ``lam`` reads 0.
+    """
+    n = len(lam)
+    return float(np.maximum(mu[:n] - lam, lam - mu[gap : gap + n]).max(initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # spectral bounds
 # ---------------------------------------------------------------------------

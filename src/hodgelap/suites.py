@@ -74,7 +74,7 @@ def _family_checks() -> Mapping[str, tuple[FamilySpec, ...]]:
 def suite_families(entries, tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
     for name, k in entries:
         for spec in _family_checks()[name]:
-            yield check_family(spec, tol, k)
+            yield check_family(spec, k, tol)
 
 
 def suite_hodge(

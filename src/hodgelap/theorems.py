@@ -30,7 +30,6 @@ from .core import (
     dual_graph,
     is_regular,
     motif as make_motif,
-    path_connected_components,
     permutation_parity,
     signed_balance,
 )
@@ -40,7 +39,6 @@ from .constructions import (
     cartesian_product,
     cone,
     duplicate_motif,
-    generate,
     join,
     product_tensor_weight_map,
     product_weight_map,
@@ -70,6 +68,7 @@ from .spectra import (
     union_mod_zeros,
     _eigh,
     _eigvalsh,
+    _interlacing_violation,
     _nonzero_part,
 )
 
@@ -198,20 +197,18 @@ def _full_size_spectrum(lap: LaplacianMatrix) -> Spectrum:
 
 def check_family(
     spec: FamilySpec,
+    complex_: SimplicialComplex,
     tol: float = DEFAULT_VALUE_TOL,
-    complex_: SimplicialComplex | None = None,
 ) -> CheckReport:
     """Computed spectrum of a generated family against its closed form.
 
-    ``complex_``, when given, must equal ``generate(spec)``; the corpus walk
-    passes its corpus complex, so the check reads the tables built there.
+    ``complex_`` must equal ``generate(spec)``; the corpus walk passes its
+    corpus complex, so the check reads the tables built there.
     """
     report = CheckReport(
         "family-closed-form-spectrum",
         {"family": spec.family, "n": spec.n, "i": spec.i, "m": spec.m},
     )
-    if complex_ is None:
-        complex_ = generate(spec)
     scheme = WeightScheme.normalized()
     if spec.family == "simplex":
         got = spectrum(laplacian(complex_, spec.i, "up", scheme))
@@ -398,10 +395,11 @@ def check_wedge(
     wedged, relabel = wedge(k1, k2, f1, f2)
     scheme = WeightScheme.normalized()
     if k < i:
-        got = spectrum(laplacian(wedged, i, "up", scheme))
         for kind in (NORMALIZED, COMBINATORIAL):
             sch = WeightScheme(kind)
             sw = spectrum(laplacian(wedged, i, "up", sch))
+            if kind == NORMALIZED:
+                report.certificates["wedge_spectrum"] = _json_ready(sw.values)
             s1 = spectrum(laplacian(k1, i, "up", sch))
             s2 = spectrum(laplacian(k2, i, "up", sch))
             report.add(
@@ -411,7 +409,6 @@ def check_wedge(
                 multiset_deviation(sw.nonzero, union_mod_zeros(s1, s2)),
                 tol,
             )
-        report.certificates["wedge_spectrum"] = _json_ready(got.values)
         return report
     if k != i:
         report.applicable = False
@@ -460,15 +457,11 @@ def check_wedge(
         )
 
     union_vals = np.sort(np.concatenate([vals1, vals2]))
-    lam_vals = wedge_spec.values
-    worst = 0.0
-    for j in range(len(lam_vals)):
-        worst = max(worst, union_vals[j] - lam_vals[j], lam_vals[j] - union_vals[j + 1])
     report.add(
         "interlacing",
         "mu_j <= lambda_j <= mu_{j+1}",
         None,
-        max(0.0, worst),
+        _interlacing_violation(union_vals, wedge_spec.values, 1),
         slack,
     )
     report.certificates["preserved"] = preserved
@@ -664,10 +657,8 @@ def check_duplication(
 
     mu = _eigvalsh(lap_cs.symmetric)
     gap = sig.link.n_faces(i)
-    worst = 0.0
-    for j in range(len(lam_restricted)):
-        worst = max(worst, mu[j] - lam_restricted[j], lam_restricted[j] - mu[j + gap])
-    report.add("interlacing", "mu_j <= lambda_j <= mu_{j+|S_i(lk)|}", None, max(0.0, worst), slack)
+    worst = _interlacing_violation(mu, lam_restricted, gap)
+    report.add("interlacing", "mu_j <= lambda_j <= mu_{j+|S_i(lk)|}", None, worst, slack)
     report.certificates.update(
         {"link_dim": i, "n_star_ifaces": len(star_ifaces), "link_i_faces": gap}
     )
@@ -807,6 +798,12 @@ def check_regular_dual(
     (i+2)/2.  Independently of regularity, when i+2 is present, eigenvalue
     1 appears in the i-up spectrum iff it appears in the normalized
     spectrum of the up dual graph, with equal multiplicities.
+
+    Two labellings of the signed double cover of the part's down dual graph
+    decide the hypotheses: the antiparallel one orientability, and the
+    parallel one (:func:`~hodgelap.core._component_balance`) both the
+    (i+1)-path components, so connectivity, and parallel balance, which
+    holds when every component is balanced.
     """
     report = CheckReport("regular-dual-spectra", {"complex": name, "i": i})
     if complex_.n_faces(i + 1) == 0:
@@ -818,8 +815,8 @@ def check_regular_dual(
     regular, r_or_witness = is_regular(part, i, _weight_vector(part, scheme, i + 1))
     lam = spectrum(laplacian(part, i + 1, "down", scheme)).values
     orientable = signed_balance(part, i + 1, "antiparallel").balanced
-    parallel = signed_balance(part, i + 1, "parallel").balanced
-    components = path_connected_components(part, i + 1)
+    components = _component_balance(part, i + 1)
+    parallel = all(balanced for _, balanced in components)
     connected = len(components) == 1
     ran_regular_branch = False
 

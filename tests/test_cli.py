@@ -314,6 +314,18 @@ def test_verify_with_user_complex(tmp_path, capsys):
     assert any("user-user" in line for line in stdout.splitlines())
 
 
+def test_verify_a_cycle_longer_than_the_recursion_limit(tmp_path, capsys):
+    # Shuffled labels make the greedy bound 3, so the search for a
+    # 2-coloring descends through all 1200 vertices.
+    n = 1200
+    label = np.random.default_rng(0).permutation(n).tolist()
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"facets": [[label[j], label[(j + 1) % n]] for j in range(n)]}))
+    code, stdout, _ = run_cli(["verify", str(path), "--suite", "boundary"], capsys)
+    assert code == EXIT_OK
+    assert sum('"complex": "user-' in line for line in stdout.splitlines()) == 1
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     code, stdout, err = run_cli(
         ["verify", "--suite", "duplication", "--tol", "1e-300"], capsys

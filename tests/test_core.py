@@ -312,6 +312,12 @@ def test_chromatic_number_examples():
     assert chromatic_number_1skel(from_facets([[0], [1]])) == 1
 
 
+def test_chromatic_number_of_a_torus_deeper_than_the_recursion_limit():
+    # 1089 vertices: a search that recursed once per colored vertex would
+    # pass the interpreter's default recursion limit of 1000.
+    assert chromatic_number_1skel(_grid_surface(33, 33, False)) == 3
+
+
 def test_chromatic_number_budget(monkeypatch):
     # C_5: clique bound 2 < chromatic number 3, so a search must run.
     c5 = from_facets([[j, (j + 1) % 5] for j in range(5)])
@@ -452,14 +458,14 @@ def _reference_dual_edges(k, i, flavor):
     return edges
 
 
-def _reference_normalized_weights(k, base):
-    """The recursive definition: base weight on facets, else the coface sum."""
+def _reference_normalized_weights(k):
+    """The recursive definition: weight 1 on facets, else the coface sum."""
     weights = {}
     for d in range(k.dim, -2, -1):
         for f in k.faces(d):
             cofaces = k.cofaces(f)
             if not cofaces:
-                weights[f] = base.get(f, 1.0)
+                weights[f] = 1.0
             else:
                 total = 0.0  # left to right, as the definition reads
                 for g in cofaces:
@@ -475,9 +481,8 @@ def _reference_normalized_weights(k, base):
         min_size=1,
         max_size=7,
     ),
-    seed=st.integers(0, 2**32 - 1),
 )
-def test_incidence_consumers_match_face_tuple_references(facets, seed):
+def test_incidence_consumers_match_face_tuple_references(facets):
     k = from_facets(facets)
     for i in range(0, k.dim + 1):
         for flavor in ("down", "up"):
@@ -485,14 +490,11 @@ def test_incidence_consumers_match_face_tuple_references(facets, seed):
             assert dual.nodes == tuple(k.faces(i))
             assert list(dual.edges) == _reference_dual_edges(k, i, flavor), (i, flavor)
             assert all(type(x) is int for edge in dual.edges for x in edge)
-    rng = np.random.default_rng(seed)
-    base = {f: float(10 ** rng.uniform(-3, 3)) for f in k.facets()}
-    for facet_base in (None, base):
-        got = normalized_weight_map(k, facet_base)
-        ref = _reference_normalized_weights(k, facet_base or {})
-        assert got == ref
-        assert list(got) == list(ref)
-        assert all(type(w) is float for w in got.values())
+    got = normalized_weight_map(k)
+    ref = _reference_normalized_weights(k)
+    assert got == ref
+    assert list(got) == list(ref)
+    assert all(type(w) is float for w in got.values())
 
 
 def test_closure_past_the_budget_raises_before_enumerating(monkeypatch):

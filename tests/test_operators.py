@@ -17,7 +17,6 @@ from hodgelap.operators import (
     coboundary_matrix,
     entrywise_laplacian,
     laplacian,
-    normalized_weight_map,
     weighted_coboundary,
 )
 from hodgelap.spectra import predicted_zero_multiplicity, spectrum
@@ -69,12 +68,6 @@ def test_normalized_weights_filled_triangle_vertices():
     k = from_facets([[0, 1, 2]])
     w = _weights(k, WeightScheme.normalized())
     assert all(w[(v,)] == 2 for v in range(3))
-
-
-def test_normalized_weight_map_custom_facet_base():
-    k = from_facets([[0, 1, 2]])
-    w = normalized_weight_map(k, facet_base={(0, 1, 2): 5.0})
-    assert w[(0, 1)] == 5.0 and w[(0,)] == 10.0
 
 
 def test_zero_degree_faces_flagged():
@@ -325,7 +318,7 @@ def _dict_path_weights(k, scheme):
     if scheme.kind == "combinatorial":
         return {f: 1.0 for f in k.all_faces()}
     if scheme.kind == "normalized":
-        return _reference_normalized_weights(k, {})
+        return _reference_normalized_weights(k)
     custom = scheme.custom
     return {f: float(custom.get(f, 1.0) if f == () else custom[f]) for f in k.all_faces()}
 

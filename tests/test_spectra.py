@@ -26,6 +26,7 @@ from hodgelap.spectra import (
     BettiProfile,
     Spectrum,
     _block_eigvalsh,
+    _interlacing_violation,
     betti,
     bounds_report,
     eq_mod_zeros,
@@ -183,6 +184,18 @@ def test_multiset_helpers():
     assert multiset_deviation([1], [1, 1]) == float("inf")
     assert subset_deviation([1.0], [0.5, 1.0 + 1e-9, 3.0]) <= 1e-8
     assert subset_deviation([1.0, 1.0], [1.0, 3.0]) == float("inf")
+
+
+@pytest.mark.parametrize("gap", [1, 3])
+def test_interlacing_violation_matches_the_loop(gap):
+    rng = np.random.default_rng(gap)
+    for n in range(6):
+        mu = np.sort(rng.normal(size=n + gap))
+        for lam in (np.sort(rng.normal(size=n)), mu[:n] + 1e-3):
+            worst = 0.0
+            for j in range(n):
+                worst = max(worst, mu[j] - lam[j], lam[j] - mu[j + gap])
+            assert _interlacing_violation(mu, lam, gap) == max(0.0, worst), (n, lam)
 
 
 def test_spectrum_zero_tol_default():
