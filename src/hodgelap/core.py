@@ -638,16 +638,19 @@ def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             parent = grand
 
 
-def _components(table: CoboundaryMatrix) -> np.ndarray:
-    """Connected-component labels of the faces joined by one table ``D_j``.
+def _components(table: CoboundaryMatrix, of: str) -> np.ndarray:
+    """Connected-component labels of the ``"columns"`` or ``"rows"`` of one table ``D_j``.
 
-    The graph has a node for every j-face, then one for every (j+1)-face,
-    each dimension in canonical order, and one edge per stored entry, from
-    a face to one of its boundary faces.
+    The graph has a node for every j-face (column), then one for every
+    (j+1)-face (row), each dimension in canonical order, and one edge per
+    stored entry, from a face to one of its boundary faces.  A label is the
+    smallest node of its component, so a component with a row is labelled
+    by its smallest column on both sides.
     """
     rows, width = table.index.shape
     face = np.arange(table.n_cols, table.n_cols + rows).repeat(width)
-    return _labels(table.n_cols + rows, face, table.index.ravel())
+    labels = _labels(table.n_cols + rows, face, table.index.ravel())
+    return labels[: table.n_cols] if of == "columns" else labels[table.n_cols :]
 
 
 def _grouped(labels: np.ndarray) -> list[list[int]]:
@@ -797,7 +800,7 @@ def path_connected_components(complex_: SimplicialComplex, i: int) -> list[list[
     # the components by their first face.
     d = coboundary_matrix(complex_, i - 1)
     faces = complex_.faces(i)
-    return [[faces[j] for j in group] for group in _grouped(_components(d)[d.n_cols :])]
+    return [[faces[j] for j in group] for group in _grouped(_components(d, "rows"))]
 
 
 @dataclass(frozen=True)

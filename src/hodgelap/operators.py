@@ -51,10 +51,11 @@ Three weight schemes are supported.  ``combinatorial`` puts weight 1 on
 every face (the classical higher-order Laplacian; at i = 0 up this is the
 graph Laplacian).  ``normalized`` assigns weight 1 to every maximal face
 and the degree -- the sum of the weights of the cofaces -- to every other
-face, computed top-down by dimension from the tables, as one
-``np.bincount`` of the (d+1)-weights over the boundary index of ``D_d`` per
-dimension d; at i = 0 up this is the normalized graph Laplacian, and in
-general the up spectrum lies in [0, i+2].
+face, computed top-down by dimension from the tables: the degrees of the
+d-faces are :func:`hodgelap.core._degrees` of the (d+1)-weights, one
+``np.bincount`` over the boundary index of ``D_d``, and a face is maximal
+exactly when its degree is 0; at i = 0 up this is the normalized graph
+Laplacian, and in general the up spectrum lies in [0, i+2].
 ``custom`` takes an explicit finite positive weight per face, gathered and
 checked one dimension at a time; the first face, in canonical order, that
 is missing or not finite and positive is named in the error.  The helper
@@ -82,6 +83,7 @@ from .core import (
     CoboundaryMatrix,
     Face,
     SimplicialComplex,
+    _degrees,
     _entry_pairs,
     boundary_sign,
     coboundary_matrix,
@@ -179,17 +181,16 @@ def _build_vectors(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[in
 def _normalized_vectors(complex_: SimplicialComplex) -> dict[int, np.ndarray]:
     """Normalized weights by descending dimension, read from the boundary tables.
 
-    A d-face with a coface gets its degree, the sum of the weights of its
-    (d+1)-cofaces added in canonical order (as :func:`_degrees` adds them);
-    a d-face without one gets weight 1.
+    A d-face gets its degree from :func:`_degrees`, the sum of the weights
+    of its (d+1)-cofaces added in canonical order.  Every weight is
+    positive, so a degree is 0 exactly when the face has no coface; such a
+    face gets weight 1.
     """
     vectors = {}
     upper = _NO_FACES
     for d in range(complex_.dim, -2, -1):
-        index = coboundary_matrix(complex_, d).index.ravel()
-        n = complex_.n_faces(d)
-        degree = np.bincount(index, weights=upper.repeat(d + 2), minlength=n)
-        upper = vectors[d] = np.where(np.bincount(index, minlength=n) > 0, degree, 1.0)
+        degree = _degrees(complex_, d, upper)
+        upper = vectors[d] = np.where(degree > 0, degree, 1.0)
     return vectors
 
 

@@ -84,9 +84,10 @@ and match the observed kernels, which the suite checks on every fixture:
 
 ``bounds_report`` evaluates every applicable spectral bound for the up
 operator on the pure (i+1)-dimensional part of the complex: the upper
-bounds (i+2 for the normalized scheme, (i+2) * max degree for the
-combinatorial one, (i+2) * max degree / min weight otherwise), the trace
-lower bound trace / #nonzero, and the max-degree lower bound
+bounds (i+2 for the normalized scheme, (i+2) * max degree / min weight
+otherwise), the trace lower bound trace / #nonzero (the i-face count
+/ #nonzero for the normalized scheme, vol_i / (max weight * #nonzero)
+otherwise), and the max-degree lower bound
 D/d + (i+1)D/(Nd) together with its normalized-scheme specialization
 1 + (i+1)/D.
 """
@@ -102,7 +103,6 @@ from ._kernels import exact_rank
 from .core import CoboundaryMatrix, SimplicialComplex, _components, _degrees, _entry_pairs
 from .errors import DimensionError, NumericError
 from .operators import (
-    COMBINATORIAL,
     NORMALIZED,
     LaplacianMatrix,
     WeightScheme,
@@ -241,10 +241,7 @@ def _side_eigvalsh(table: CoboundaryMatrix, of: str) -> np.ndarray:
     if key not in table._memo:
         size = table.n_cols if of == "columns" else table.shape[0]
         if size >= BLOCK_MIN_ROWS:
-            # The graph of one table numbers its columns first, then its rows.
-            labels = _components(table)
-            labels = labels[: table.n_cols] if of == "columns" else labels[table.n_cols :]
-            vals = _block_eigvalsh(table, of, labels)
+            vals = _block_eigvalsh(table, of, _components(table, of))
         else:
             vals = _eigvalsh(_gram(table, of))
         vals.setflags(write=False)
@@ -521,10 +518,10 @@ def bounds_report(
     big_d = float(degrees.max())
     vol_i = float(degrees.sum())
 
+    # Combinatorial weights are all 1.0, so the general bounds divide by 1.0
+    # exactly and are the combinatorial ones.
     if scheme.kind == NORMALIZED:
         upper = float(i + 2)
-    elif scheme.kind == COMBINATORIAL:
-        upper = (i + 2) * big_d
     else:
         upper = (i + 2) * big_d / float(w_i.min())
 
@@ -537,8 +534,6 @@ def bounds_report(
     if n_nonzero > 0:
         if scheme.kind == NORMALIZED:
             trace_lower = part.n_faces(i) / n_nonzero
-        elif scheme.kind == COMBINATORIAL:
-            trace_lower = vol_i / n_nonzero
         else:
             trace_lower = vol_i / (float(w_i.max()) * n_nonzero)
         at_max = np.abs(degrees - big_d) <= 1e-9 * max(1.0, big_d)

@@ -409,8 +409,7 @@ def test_blocks_are_the_blocks_of_the_whole_side(of, kind):
     facets += [[offset + 2 * j, offset + 2 * j + 1] for j in range(40)]
     k = from_facets(facets)
     table = laplacian(k, 1, "up", _scheme(kind, k)).up
-    labels = _components(table)
-    labels = labels[: table.n_cols] if of == "columns" else labels[table.n_cols :]
+    labels = _components(table, of)
     _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     assert len(np.unique(sizes)) >= 30
     gram = _gram(table, of)

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hodgelap
 from hodgelap import corpus, spectra, theorems
@@ -119,14 +121,14 @@ def test_duplication_residuals_recorded(fixtures):
 
 
 def test_boundary_eigenvalue_p3(fixtures):
-    report = check_boundary_eigenvalue(fixtures["p3-path"], 0, "p3")
+    report = check_boundary_eigenvalue(fixtures["p3-path"], 0, "p3", duplication_fixtures=True)
     assert report.passed
     s = spectrum(laplacian(fixtures["p3-path"], 0, "up", NORM))
     assert s.contains(2.0, 1e-7)  # bipartite
 
 
 def test_boundary_eigenvalue_c3(fixtures):
-    report = check_boundary_eigenvalue(fixtures["k3-graph"], 0, "c3")
+    report = check_boundary_eigenvalue(fixtures["k3-graph"], 0, "c3", duplication_fixtures=True)
     assert report.passed
     s = spectrum(laplacian(fixtures["k3-graph"], 0, "up", NORM))
     assert not s.contains(2.0, 1e-7)
@@ -134,7 +136,7 @@ def test_boundary_eigenvalue_c3(fixtures):
 
 
 def test_boundary_eigenvalue_chromatic_delta3(fixtures):
-    report = check_boundary_eigenvalue(fixtures["delta3"], 2, "delta3")
+    report = check_boundary_eigenvalue(fixtures["delta3"], 2, "delta3", duplication_fixtures=True)
     assert report.passed
     assert report.certificates["chromatic_number"] == 4
     assert any("chromatic" in it.name for it in report.items)
@@ -145,7 +147,7 @@ def test_boundary_eigenvalue_chromatic_delta3(fixtures):
 def test_boundary_eigenvalue_moebius_both_levels(fixtures):
     # at i=1 the Moebius complex is parallel-balanced and 3 is present;
     # at i=2 there are no 3-faces, so 4 must be absent.
-    r1 = check_boundary_eigenvalue(fixtures["moebius"], 1, "moebius")
+    r1 = check_boundary_eigenvalue(fixtures["moebius"], 1, "moebius", duplication_fixtures=True)
     assert r1.passed and r1.certificates["component_balance"] == [True]
     r2 = check_boundary_eigenvalue(fixtures["moebius"], 2, "moebius")
     assert r2.passed and r2.certificates["component_balance"] == []
@@ -203,7 +205,7 @@ def test_report_is_self_contained(fixtures):
 
 
 def test_report_json_roundtrip(fixtures):
-    report = check_boundary_eigenvalue(fixtures["c4-cycle"], 0, "c4")
+    report = check_boundary_eigenvalue(fixtures["c4-cycle"], 0, "c4", duplication_fixtures=True)
     blob = json.dumps(report.to_dict(), default=str)
     parsed = json.loads(blob)
     assert parsed["theorem_id"] == "boundary-eigenvalue-i+2"
@@ -490,3 +492,96 @@ def test_a_spent_chromatic_budget_leaves_a_note_not_an_abort(tmp_path, capsys, m
     assert "balance-iff-i+2-present" in names and "component-0/balance-iff-i+2" in names
     others = [r for r in records if r["inputs"]["complex"] != "user-dense"]
     assert others and all(type(r["certificates"]["chromatic_number"]) is int for r in others)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    facets=st.lists(
+        st.lists(st.integers(0, 7), min_size=2, max_size=4, unique=True),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_component_blocks_hold_i_plus_2_exactly_when_balanced(facets):
+    from hodgelap.core import _component_balance
+    from hodgelap.operators import _gram
+
+    k = from_facets(facets)
+    for i in range(k.dim):
+        lap = laplacian(k, i, "up", NORM)
+        rows_gram = _gram(lap.up, "rows")
+        components = _component_balance(k, i + 1)
+        got, present, _ = theorems._component_top_eigenvalue_present(k, i, 1e-7)
+        assert [b for b, _ in got] == [b for _, b in components]
+        assert present == any(b for _, b in components)
+        for (members, balanced), (_, held) in zip(components, got):
+            # The reference block: the rows of the dense symmetric L_i^up
+            # that belong to the boundary faces of the members.
+            in_block = np.zeros(lap.n, dtype=bool)
+            in_block[lap.up.index[members]] = True
+            faces = np.flatnonzero(in_block)
+            reference = np.linalg.eigvalsh(lap.symmetric[np.ix_(faces, faces)])
+            block = np.linalg.eigvalsh(rows_gram[np.ix_(members, members)])
+            for values in (block, reference):
+                assert spectra.Spectrum.from_values(values).contains(i + 2) == balanced
+            assert held == balanced, (i, members)
+
+
+def _loop_worst_residual(k, motif_vertices):
+    """The worst eigenfunction residual of check_duplication, one candidate per loop pass."""
+    from hodgelap.constructions import duplicate_motif
+    from hodgelap.core import motif, permutation_parity
+
+    sig = motif(k, motif_vertices)
+    i = sig.link_dim
+    dup, primed = duplicate_motif(k, sig)
+    lap_cs = laplacian(sig.closed_star, i, "up", NORM)
+    star_ifaces = sorted(f for f in sig.star if len(f) - 1 == i)
+    sel = np.array([sig.closed_star.index(f) for f in star_ifaces], dtype=int)
+    lam_restricted, u_restricted = np.linalg.eigh(lap_cs.symmetric[np.ix_(sel, sel)])
+    weights_sel = lap_cs.weights[sel]
+    l_dup = laplacian(dup, i, "up", NORM).matrix
+    n_dup = dup.n_faces(i)
+    worst_residual = 0.0
+    entries = []
+    for face in star_ifaces:
+        image = [primed.get(v, v) for v in face]
+        entries.append((dup.index(face), dup.index(tuple(sorted(image))), permutation_parity(image)))
+    for col in range(len(lam_restricted)):
+        f_vec = u_restricted[:, col] / np.sqrt(weights_sel)
+        g = np.zeros(n_dup)
+        for local, (row, image_row, parity) in enumerate(entries):
+            g[row] += f_vec[local]
+            g[image_row] -= parity * f_vec[local]
+        residual = np.linalg.norm(l_dup @ g - lam_restricted[col] * g)
+        worst_residual = max(worst_residual, residual / np.linalg.norm(g))
+    return worst_residual
+
+
+def test_duplication_residuals_equal_those_of_one_candidate_at_a_time():
+    for name, k, verts in corpus.duplication_instances():
+        report = check_duplication(k, verts, name)
+        (item,) = [it for it in report.items if it.name == "antisymmetric-eigenfunction-residual"]
+        assert item.observed == _loop_worst_residual(k, verts), name
+
+
+def test_the_boundary_check_of_a_1089_vertex_torus_ends_within_a_minute():
+    # The 33 x 33 triangulated torus: 1089 vertices, 3267 edges, 2178
+    # triangles.  Duplicating each vertex in turn would take minutes.
+    def v(a, b):
+        return a % 33 * 33 + b % 33
+
+    torus = from_facets(
+        [
+            face
+            for a in range(33)
+            for b in range(33)
+            for face in ([v(a, b), v(a + 1, b), v(a + 1, b + 1)], [v(a, b), v(a, b + 1), v(a + 1, b + 1)])
+        ]
+    )
+    start = time.perf_counter()
+    reports = [check_boundary_eigenvalue(torus, i, "torus") for i in (0, 1)]
+    assert time.perf_counter() - start < 60
+    assert all(r.passed for r in reports)
+    assert [r.certificates["chromatic_number"] for r in reports] == [3, 3]
+    assert not any(it.name.startswith("vertex-") for r in reports for it in r.items)
