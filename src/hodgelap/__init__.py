@@ -30,7 +30,6 @@ from .core import (
     from_facets,
     is_regular,
     motif,
-    path_connected_components,
     signed_balance,
 )
 from .operators import (
@@ -88,7 +87,6 @@ __all__ = [
     "laplacian",
     "motif",
     "normalized_weight_map",
-    "path_connected_components",
     "predicted_zero_multiplicity",
     "reference_spectrum",
     "run_suites",

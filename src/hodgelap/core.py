@@ -42,14 +42,14 @@ cofaces, stars and regularity, and, in :mod:`hodgelap.operators`, the
 weighted coboundaries, normalized weights and Gram matrices.
 :func:`boundary_sign` gives one sign from two face tuples.
 
-Besides these, the module provides path-connectivity at a dimension,
-signed balance (which encodes both orientability and the top-eigenvalue
-orientation condition), exact chromatic number of the 1-skeleton, and
-motifs with their stars, closed stars and links.  Path components and
-balance come from one labeller, :func:`_labels`: components are labelled
-on the graph of a table, and balance on the signed double cover of the
-down dual graph, where a component is balanced exactly when no face meets
-its own negative copy.
+Besides these, the module provides path components, signed balance
+(which encodes both orientability and the top-eigenvalue orientation
+condition), exact chromatic number of the 1-skeleton, and motifs with
+their stars, closed stars and links.  Path components and balance come
+from one labeller, :func:`_labels`: components are labelled on the graph
+of a table, and balance on the signed double cover of the down dual
+graph, where a component is balanced exactly when no face meets its own
+negative copy.
 
 All objects are immutable after construction; operations may be called
 concurrently on shared complexes (internal memo tables are populated with
@@ -639,18 +639,18 @@ def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _components(table: CoboundaryMatrix, of: str) -> np.ndarray:
-    """Connected-component labels of the ``"columns"`` or ``"rows"`` of one table ``D_j``.
+    """Connected-component labels of the ``"rows"`` or ``"columns"`` of one table ``D_j``.
 
-    The graph has a node for every j-face (column), then one for every
-    (j+1)-face (row), each dimension in canonical order, and one edge per
+    The graph has a node for every (j+1)-face (row), then one for every
+    j-face (column), each dimension in canonical order, and one edge per
     stored entry, from a face to one of its boundary faces.  A label is the
-    smallest node of its component, so a component with a row is labelled
-    by its smallest column on both sides.
+    smallest node of its component, so a component is labelled by its first
+    row on both sides, and a column with no coface, alone in its component,
+    by a label past every row.
     """
     rows, width = table.index.shape
-    face = np.arange(table.n_cols, table.n_cols + rows).repeat(width)
-    labels = _labels(table.n_cols + rows, face, table.index.ravel())
-    return labels[: table.n_cols] if of == "columns" else labels[table.n_cols :]
+    labels = _labels(rows + table.n_cols, np.arange(rows).repeat(width), rows + table.index.ravel())
+    return labels[:rows] if of == "rows" else labels[rows:]
 
 
 def _grouped(labels: np.ndarray) -> list[list[int]]:
@@ -785,24 +785,6 @@ def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
     return DualGraph(tuple(complex_.faces(i)), tuple(edges))
 
 
-def path_connected_components(complex_: SimplicialComplex, i: int) -> list[list[Face]]:
-    """Connected components of the down dual graph at dimension ``i``.
-
-    Each component is a sorted list of i-faces, and the components are
-    ordered by their first face.
-    """
-    if not 1 <= i <= complex_.dim:
-        raise DimensionError(f"path connectivity needs 1 <= i <= dim, got {i}")
-    # Two i-faces are joined in the down dual graph exactly when they reach
-    # each other through shared (i-1)-faces in the graph of D_{i-1}.  A
-    # label is the smallest (i-1)-face of its component, which is the
-    # component's first i-face without its last vertex, so the labels order
-    # the components by their first face.
-    d = coboundary_matrix(complex_, i - 1)
-    faces = complex_.faces(i)
-    return [[faces[j] for j in group] for group in _grouped(_components(d, "rows"))]
-
-
 @dataclass(frozen=True)
 class BalanceResult:
     balanced: bool
@@ -852,11 +834,10 @@ def _component_balance(complex_: SimplicialComplex, q: int) -> list[tuple[list[i
     """Every component of the signed down dual graph at q, with its parallel balance.
 
     One labelling of the double cover with target +1 (:func:`_cover_labels`).
-    Returns ``(members, balanced)`` per component, in the order of
-    :func:`path_connected_components`: the sorted indices of its q-faces,
-    and whether it alone is balanced.  A component's edges are those of its
-    own closure, so its balance is that of
-    ``signed_balance(closure_of(component), q, "parallel")``.
+    Returns ``(members, balanced)`` per component, ordered by first face:
+    the sorted indices of its q-faces, and whether it alone is balanced.
+    A component's edges are those of its own closure, so its balance is
+    that of ``signed_balance(closure_of(component), q, "parallel")``.
     """
     plus, minus = _cover_labels(complex_, q, 1)
     return [

@@ -148,24 +148,20 @@ _NO_FACES.setflags(write=False)
 
 
 def _weight_vector(complex_: SimplicialComplex, scheme: WeightScheme, d: int) -> np.ndarray:
-    """The weights of the d-faces in canonical order, read-only and memoized.
+    """The weights of the d-faces in canonical order, read-only.
 
-    Empty for every dimension above the top.
+    The vectors of every dimension are built once per complex and scheme;
+    the vector is empty for every dimension above the top.
     """
-    return _weight_vectors(complex_, scheme).get(d, _NO_FACES)
-
-
-def _weight_vectors(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[int, np.ndarray]:
-    """``{d: weights of the d-faces}`` for d = -1..dim, built once per complex and scheme."""
     key = ("wvec", _scheme_key(scheme))
     if key not in complex_._memo:
         # The entry keeps a custom map alive, so its id names no other map.
         complex_._memo[key] = (scheme.custom, _build_vectors(complex_, scheme))
-    return complex_._memo[key][1]
+    return complex_._memo[key][1].get(d, _NO_FACES)
 
 
 def _build_vectors(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[int, np.ndarray]:
-    """The vectors of :func:`_weight_vectors`, built afresh, validated and read-only."""
+    """The vectors of :func:`_weight_vector`, built afresh, validated and read-only."""
     if scheme.kind == COMBINATORIAL:
         vectors = {d: np.ones(complex_.n_faces(d)) for d in range(-1, complex_.dim + 1)}
     elif scheme.kind == NORMALIZED:

@@ -23,9 +23,10 @@ to ``1e-8 * max(1, largest magnitude)`` and is the only tolerance involved
 in counting zeros.
 
 A table keeps the eigenvalues of each side solved on it, read-only, in
-its ``_memo``, keyed by side, so a side is solved once per table; no Gram
-matrix is kept.  :func:`hodgelap.operators.weighted_coboundary` builds one
-table per complex, dimension and scheme, so every operator built from it
+its ``_memo``, keyed by side, whole or block by block, so a side is
+solved once per table; no Gram matrix is kept.
+:func:`hodgelap.operators.weighted_coboundary` builds one table per
+complex, dimension and scheme, so every operator built from it
 shares its solves: ``B_j`` is the up term of L_j and the down term of
 L_{j+1}, in the Hodge check, in ``bounds_report`` and in any repeated
 call.  L_j^up solves the rows of ``B_j`` when f_{j+1} < f_j and
@@ -46,9 +47,14 @@ rows is solved block by block: the components are labelled from the table
 (:func:`hodgelap.core._components`, O(nnz) numpy work per round), every
 block is summed straight from the table's entry pairs into the stack of
 its size, all blocks of one size go to one stacked ``eigvalsh`` call, and
-the spectrum is the union.  The whole side is never built, so memory
-grows with the squared block sizes and the stored entries, not with the
-square of the side; a single component is one block of the full size.
+the spectrum is the union.  This is the one builder of component blocks:
+the values are kept per component, in the order of the components of
+:func:`hodgelap.core._component_balance`, and the boundary check of
+:mod:`hodgelap.theorems` reads them there, so it never solves again a
+side that ``spectrum`` solved block by block.  The whole side is never
+built, so memory grows with the squared block sizes and the stored
+entries, not with the square of the side; a single component is one
+block of the full size.
 Each block entry sums the same pairs in the same order as the whole side
 would, so every block is bit-identical to that block of the whole side.
 The threshold is a measured crossover, with BLAS on one thread: on random
@@ -193,19 +199,29 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigensolver failed: {exc}") from exc
 
 
-def _block_eigvalsh(table: CoboundaryMatrix, of: str, labels: np.ndarray) -> np.ndarray:
+def _block_eigvalsh(table: CoboundaryMatrix, of: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the ``of`` Gram side of ``table``, one connected block at a time.
 
-    ``labels`` gives the component of every row of the side; no entry pair
-    joins two components.  Each block is summed straight from the table's
-    entry pairs: the blocks, ordered by size and then by component, share
-    one flat buffer, and one ``np.bincount`` adds every pair to its block's
-    entry in the order ``_gram`` adds it to the whole side, so each block
-    equals that block of ``_gram(table, of)`` bit for bit.  The rows of a
-    block keep their ascending order.  All blocks of one size are solved by
-    one stacked call.  The values come unsorted.
+    The components are labelled from the table
+    (:func:`hodgelap.core._components`), so they come ordered by first row,
+    then the columns with no coface; no entry pair joins two of them.  Each
+    block is summed straight from the table's entry pairs: the blocks,
+    ordered by size and then by component, share one flat buffer, and one
+    ``np.bincount`` adds every pair to its block's entry in the order
+    ``_gram`` adds it to the whole side, so each block equals that block of
+    ``_gram(table, of)`` bit for bit.  The rows of a block keep their
+    ascending order.  All blocks of one size are solved by one stacked call.
+
+    Built once per table and side, and kept in ``table._memo`` under
+    ``("blocks", of)``: one read-only array of every value, component by
+    component (unsorted within each), and the offsets where the components
+    after the first begin, so ``np.split(values, cuts)`` gives one array per
+    component without keeping one.
     """
-    _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    key = ("blocks", of)
+    if key in table._memo:
+        return table._memo[key]
+    _, comp, sizes = np.unique(_components(table, of), return_inverse=True, return_counts=True)
     # Position of every row inside its block.
     order = np.argsort(comp, kind="stable")
     pos = np.empty(len(comp), dtype=np.int64)
@@ -225,28 +241,35 @@ def _block_eigvalsh(table: CoboundaryMatrix, of: str, labels: np.ndarray) -> np.
         stop = start + count * size * size
         parts.append(_eigvalsh(flat[start:stop].reshape(count, size, size)).ravel())
         start = stop
-    return np.concatenate(parts)
+    # The values come by block size; put them back in component order.
+    values = np.concatenate(parts)[np.repeat(by_size, sizes[by_size]).argsort(kind="stable")]
+    values.setflags(write=False)
+    table._memo[key] = values, sizes.cumsum()[:-1]
+    return table._memo[key]
 
 
 def _side_eigvalsh(table: CoboundaryMatrix, of: str) -> np.ndarray:
     """Eigenvalues of the ``of`` Gram side of ``table``, solved once per table.
 
-    A side of at least ``BLOCK_MIN_ROWS`` rows is solved block by block
-    over the connected components of the table, each block built from the
-    table directly; a smaller side is built whole and solved at once.  The
-    values are stored read-only in ``table._memo`` under ``("eigvalsh",
-    of)``; the Gram matrix is not kept.  The values come unsorted.
+    A side of at least ``BLOCK_MIN_ROWS`` rows is the union of its blocks
+    (:func:`_block_eigvalsh`).  A smaller side is built whole and solved at
+    once; its values are stored read-only in ``table._memo`` under
+    ``("eigvalsh", of)``, and the Gram matrix is not kept.  The values come
+    unsorted.
     """
+    if (table.n_cols if of == "columns" else table.shape[0]) >= BLOCK_MIN_ROWS:
+        return _block_eigvalsh(table, of)[0]
     key = ("eigvalsh", of)
     if key not in table._memo:
-        size = table.n_cols if of == "columns" else table.shape[0]
-        if size >= BLOCK_MIN_ROWS:
-            vals = _block_eigvalsh(table, of, _components(table, of))
-        else:
-            vals = _eigvalsh(_gram(table, of))
+        vals = _eigvalsh(_gram(table, of))
         vals.setflags(write=False)
         table._memo[key] = vals
     return table._memo[key]
+
+
+def _up_side(lap: LaplacianMatrix) -> str:
+    """The side of the up term ``B_i`` that :func:`spectrum` solves: its rows when fewer than n."""
+    return "rows" if lap.up.shape[0] < lap.n else "columns"
 
 
 def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
@@ -261,7 +284,7 @@ def spectrum(lap: LaplacianMatrix, zero_tol: float | None = None) -> Spectrum:
     n, up, down = lap.n, lap.up, lap.down
     parts = []  # the eigenvalues of each stored term on the side solved
     if up is not None:
-        parts.append(_side_eigvalsh(up, "rows" if up.shape[0] < n else "columns"))
+        parts.append(_side_eigvalsh(up, _up_side(lap)))
     if down is not None:
         parts.append(_side_eigvalsh(down, "columns" if down.shape[1] < n else "rows"))
     vals = np.concatenate(parts) if parts else np.zeros(0)

@@ -40,16 +40,6 @@ from .theorems import (
     check_wedge,
 )
 
-SUITES = (
-    "families",
-    "hodge",
-    "bounds",
-    "wedge",
-    "join",
-    "duplication",
-    "boundary",
-    "regular",
-)
 # Suites whose checks read one corpus complex at a time; run_suites walks
 # the corpus once for all of them.
 _CORPUS_SUITES = ("families", "hodge", "bounds", "boundary", "regular")
@@ -156,6 +146,7 @@ _SUITE_FUNCS = {
     "boundary": suite_boundary,
     "regular": suite_regular,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def _setting(suite: str, name: str, k: SimplicialComplex, user: set[str]) -> Hashable:

@@ -50,7 +50,6 @@ from .operators import (
     NORMALIZED,
     LaplacianMatrix,
     WeightScheme,
-    _gram,
     _weight_vector,
     laplacian,
     normalized_weight_map,
@@ -67,10 +66,12 @@ from .spectra import (
     spectrum,
     subset_deviation,
     union_mod_zeros,
+    _block_eigvalsh,
     _eigh,
     _eigvalsh,
     _interlacing_violation,
     _nonzero_part,
+    _up_side,
 )
 
 
@@ -674,30 +675,29 @@ def _component_top_eigenvalue_present(
 
     Also returns whether i+2 is in the whole normalized up spectrum, and
     that spectrum.  One labelling of the signed double cover of the down
-    dual graph of the (i+1)-faces yields every component, in the order of
-    :func:`path_connected_components`, with its members and its balance;
-    no subcomplex is built.  The members of a component are rows of the
-    table ``B_i``, and no entry pair joins two components, so its block of
-    the rows' Gram ``B_i B_i^T`` has the rows of its members, and its block
-    of the columns' Gram ``B_i^T B_i``, the symmetric L_i^up, the columns
-    of their boundary faces.  Both blocks have the same nonzero
-    eigenvalues.  Each block is sliced from the smaller side, the side
-    :func:`spectrum` solves, and solved on its own; the dense n x n form is
-    not built.
+    dual graph of the (i+1)-faces yields every component, ordered by its
+    first face, with its balance; no subcomplex is built.  No entry pair of
+    ``B_i`` joins two components, so the side of the up term that
+    :func:`spectrum` solves is a direct sum of one block per component.
+    The blocks come from the one builder in :mod:`hodgelap.spectra`, in
+    the same order, and a side it solved block by block for the spectrum
+    is read, not solved again; nothing is solved here.  A block holds i+2
+    when one of its values lies within ``tol`` of it, as
+    :meth:`Spectrum.contains` reads it.  A lone component's block holds
+    every nonzero eigenvalue of the side, and i+2 >= 2 is never a zero, so
+    with one component the whole spectrum answers.
     """
     lap = laplacian(complex_, i, "up", WeightScheme.normalized())
     spec = spectrum(lap)
-    results = []
+    present = spec.contains(i + 2, tol)
     if lap.up is None:
-        return results, spec.contains(i + 2, tol), spec
-    side = "rows" if lap.up.shape[0] < lap.n else "columns"
-    gram = _gram(lap.up, side)
-    for members, balanced in _component_balance(complex_, i + 1):
-        if side == "columns":  # the boundary faces of the members
-            members = np.flatnonzero(np.bincount(lap.up.index[members].ravel(), minlength=lap.n))
-        block = Spectrum.from_values(_eigvalsh(gram[np.ix_(members, members)]))
-        results.append((balanced, block.contains(i + 2, tol)))
-    return results, spec.contains(i + 2, tol), spec
+        return [], present, spec
+    components = _component_balance(complex_, i + 1)
+    held = [present]
+    if len(components) > 1:
+        values, cuts = _block_eigvalsh(lap.up, _up_side(lap))
+        held = np.logical_or.reduceat(np.abs(values - (i + 2)) <= tol, np.r_[0, cuts]).tolist()
+    return [(balanced, h) for (_, balanced), h in zip(components, held)], present, spec
 
 
 def _chromatic_outcome(complex_: SimplicialComplex) -> tuple[int | None, str | None]:
@@ -821,7 +821,6 @@ def check_regular_dual(
     components = _component_balance(part, i + 1)
     parallel = all(balanced for _, balanced in components)
     connected = len(components) == 1
-    ran_regular_branch = False
 
     if regular:
         r = float(r_or_witness)
@@ -835,7 +834,6 @@ def check_regular_dual(
                 float(np.abs(lam - (i + 2)).max()),
                 tol,
             )
-            ran_regular_branch = True
         elif connected and dual.edges:
             mu = spectrum(
                 laplacian(dual.to_complex(), 0, "up", scheme)
@@ -848,7 +846,6 @@ def check_regular_dual(
                     float(np.abs(lam - (i + 2) / 2.0 * mu).max()),
                     tol,
                 )
-                ran_regular_branch = True
             if parallel:
                 coef = (r - 1.0) * (i + 2) / r
                 predicted = (i + 2) - coef * mu[::-1]
@@ -863,7 +860,6 @@ def check_regular_dual(
                     "hypothesis 'i+2 in spectrum' evaluated as parallel balance "
                     "of the signed dual structure"
                 )
-                ran_regular_branch = True
             if orientable and parallel:
                 reflected = np.sort((i + 2) - lam)
                 report.add(
@@ -882,7 +878,7 @@ def check_regular_dual(
         m_g = dual_spec.multiplicity_at(1.0, tol)
         report.add_bool("eigenvalue-1-iff-dual", m_g > 0, m_k > 0)
         report.add("eigenvalue-1-multiplicity", m_g, m_k, abs(m_k - m_g), 0)
-    elif not ran_regular_branch:
+    elif not report.items:
         report.applicable = False
         report.notes.append(
             "hypotheses unmet: "

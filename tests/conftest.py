@@ -1,8 +1,9 @@
+import networkx as nx
 import numpy as np
 import pytest
 
 from hodgelap.constructions import FamilySpec, generate
-from hodgelap.core import from_facets
+from hodgelap.core import dual_graph, from_facets
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +32,23 @@ def random_complexes():
 
     rng = np.random.default_rng(12345)
     return [random_complex(rng, max_faces=40) for _ in range(12)]
+
+
+@pytest.fixture(scope="session")
+def path_components():
+    """The q-path components of a complex, from networkx alone.
+
+    Returns a function of ``(k, q)`` giving the connected components of
+    ``dual_graph(k, q, "down")``, each a sorted list of q-faces, ordered by
+    their first face.
+    """
+
+    def components(k, q):
+        dual = dual_graph(k, q, "down")
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(dual.nodes)))
+        graph.add_edges_from((a, b) for a, b, _ in dual.edges)
+        found = (sorted(dual.nodes[v] for v in comp) for comp in nx.connected_components(graph))
+        return sorted(found, key=lambda comp: comp[0])
+
+    return components

@@ -3,7 +3,6 @@
 from itertools import combinations
 from math import comb
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +16,6 @@ from hodgelap.core import (
     from_facets,
     is_regular,
     motif,
-    path_connected_components,
     signed_balance,
 )
 from hodgelap.errors import (
@@ -190,16 +188,17 @@ def test_dual_graph_down_at_zero_is_complete():
     assert len(d.edges) == 6
 
 
-def test_path_connected_components():
+def test_path_connected_components(path_components):
     shared_edge = from_facets([[0, 1, 2], [1, 2, 3]])
-    assert len(path_connected_components(shared_edge, 2)) == 1
+    assert len(core._component_balance(shared_edge, 2)) == 1
     shared_vertex = from_facets([[0, 1, 2], [2, 3, 4]])
-    assert len(path_connected_components(shared_vertex, 2)) == 2
+    assert len(core._component_balance(shared_vertex, 2)) == 2
     simplex = from_facets([[0, 1, 2, 3]])
-    for i in (1, 2, 3):
-        assert len(path_connected_components(simplex, i)) == 1
+    for i in (0, 1, 2, 3):
+        assert len(core._component_balance(simplex, i)) == 1
+        assert len(path_components(simplex, i)) == 1
     with pytest.raises(DimensionError):
-        path_connected_components(simplex, 0)
+        core._component_balance(simplex, 4)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
@@ -248,7 +247,7 @@ def test_balance_matches_exhaustive_search(random_complexes):
         max_size=8,
     )
 )
-def test_balance_properties_on_generated_complexes(facets):
+def test_balance_properties_on_generated_complexes(facets, path_components):
     from hodgelap._kernels import exhaustive_balance
 
     k = from_facets(facets)
@@ -256,10 +255,8 @@ def test_balance_properties_on_generated_complexes(facets):
         dual = dual_graph(k, q, "down")
         got = core._component_balance(k, q)
         assert sorted(j for members, _ in got for j in members) == list(range(k.n_faces(q)))
-        if q >= 1:
-            faces = k.faces(q)
-            comps = path_connected_components(k, q)
-            assert [[faces[j] for j in members] for members, _ in got] == comps
+        faces = k.faces(q)
+        assert [[faces[j] for j in members] for members, _ in got] == path_components(k, q)
         for mode, target in (("antiparallel", -1), ("parallel", 1)):
             res = signed_balance(k, q, mode)
             if len(dual.nodes) <= 12:
@@ -395,21 +392,15 @@ def test_every_constructor_output_is_closed_and_canonical():
         max_size=12,
     )
 )
-def test_path_connected_components_match_networkx(facets):
+def test_path_connected_components_match_networkx(facets, path_components):
     k = from_facets(facets)
-    for i in range(1, k.dim + 1):
-        dual = dual_graph(k, i, "down")
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(dual.nodes)))
-        graph.add_edges_from((a, b) for a, b, _ in dual.edges)
-        expected = sorted(
-            (sorted(dual.nodes[v] for v in comp) for comp in nx.connected_components(graph)),
-            key=lambda comp: comp[0],
-        )
-        assert path_connected_components(k, i) == expected, i
+    for i in range(0, k.dim + 1):
+        faces = k.faces(i)
+        got = [[faces[j] for j in members] for members, _ in core._component_balance(k, i)]
+        assert got == path_components(k, i), i
 
 
-def test_component_splitting_spectral_union(fixtures):
+def test_component_splitting_spectral_union(fixtures, path_components):
     # the number of path components equals the number of wedge summands:
     # the up spectrum splits as the union over component closures.  On the
     # pure (i+1)-part this holds for the normalized scheme; on the raw
@@ -427,7 +418,7 @@ def test_component_splitting_spectral_union(fixtures):
                 (WeightScheme.normalized(), k.pure_part(i + 1)),
                 (WeightScheme.combinatorial(), k),
             ):
-                comps = path_connected_components(ambient, i + 1)
+                comps = path_components(ambient, i + 1)
                 whole = spectrum(laplacian(ambient, i, "up", scheme))
                 merged = np.concatenate(
                     [
@@ -436,9 +427,7 @@ def test_component_splitting_spectral_union(fixtures):
                     ]
                 )
                 assert eq_mod_zeros(whole.values, np.sort(merged)), (name, i, scheme.kind)
-                assert len(comps) == len(
-                    path_connected_components(ambient, i + 1)
-                )
+                assert len(comps) == len(core._component_balance(ambient, i + 1))
 
 
 def _reference_dual_edges(k, i, flavor):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgelap._kernels import bareiss_rank_pyint
-from hodgelap.core import _components, from_facets, is_regular
+from hodgelap.core import _component_balance, _components, from_facets, is_regular
 from hodgelap.errors import NumericError
 from hodgelap.operators import (
     LaplacianMatrix,
@@ -23,6 +23,7 @@ from hodgelap.operators import (
 )
 from hodgelap.spectra import (
     BLOCK_MIN_ROWS,
+    DEFAULT_VALUE_TOL,
     BettiProfile,
     Spectrum,
     _block_eigvalsh,
@@ -36,7 +37,7 @@ from hodgelap.spectra import (
     spectrum,
     subset_deviation,
 )
-from hodgelap.theorems import deterministic_custom_scheme
+from hodgelap.theorems import _component_top_eigenvalue_present, deterministic_custom_scheme
 
 NORM = WeightScheme.normalized()
 
@@ -397,27 +398,73 @@ def test_block_path_never_allocates_the_whole_side():
     assert peak < side * side * 8 / 20
 
 
-@pytest.mark.parametrize("of", ["rows", "columns"])
-@pytest.mark.parametrize("kind", ["normalized", "combinatorial", "custom"])
-def test_blocks_are_the_blocks_of_the_whole_side(of, kind):
-    # Disjoint strips of 1..30 triangles, each strip one component, plus
-    # isolated edges: blocks of many distinct sizes on both sides of B_1.
+def _strips():
+    """Disjoint strips of 1..30 triangles, each strip one component, plus 40 isolated edges."""
     facets, offset = [], 0
     for length in range(1, 31):
         facets += [[offset + j, offset + j + 1, offset + j + 2] for j in range(length)]
         offset += length + 2
     facets += [[offset + 2 * j, offset + 2 * j + 1] for j in range(40)]
-    k = from_facets(facets)
+    return from_facets(facets)
+
+
+@pytest.mark.parametrize("of", ["rows", "columns"])
+@pytest.mark.parametrize("kind", ["normalized", "combinatorial", "custom"])
+def test_blocks_are_the_blocks_of_the_whole_side(of, kind):
+    # Blocks of many distinct sizes on both sides of B_1.
+    k = _strips()
     table = laplacian(k, 1, "up", _scheme(kind, k)).up
     labels = _components(table, of)
-    _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    assert len(np.unique(sizes)) >= 30
+    values, cuts = _block_eigvalsh(table, of)
+    blocks = np.split(values, cuts)
+    firsts = np.unique(labels)
+    assert len(blocks) == len(firsts) and len({len(b) for b in blocks}) >= 30
     gram = _gram(table, of)
-    expected = []
-    for c in np.argsort(sizes, kind="stable"):
-        rows = np.flatnonzero(comp == c)
-        expected.append(np.linalg.eigvalsh(gram[np.ix_(rows, rows)]))
-    assert np.array_equal(_block_eigvalsh(table, of, labels), np.concatenate(expected))
+    for first, block in zip(firsts, blocks):
+        rows = np.flatnonzero(labels == first)
+        assert np.array_equal(block, np.linalg.eigvalsh(gram[np.ix_(rows, rows)]))
+    # A component is labelled by its first row, the first triangle of its
+    # strip, so the blocks line up with the components of _component_balance;
+    # on the columns side the edges with no coface come after them.
+    components = _component_balance(k, 2)
+    assert [members[0] for members, _ in components] == firsts[: len(components)].tolist()
+    assert (firsts[len(components) :] >= table.shape[0]).all()
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_the_boundary_check_reads_the_blocks_spectrum_solved(i, monkeypatch):
+    # Both sides of B_0 and B_1 have at least BLOCK_MIN_ROWS rows, and every
+    # strip and isolated edge is a component of its own.
+    k = _strips()
+    lap = laplacian(k, i, "up", NORM)
+    assert min(lap.up.shape[0], lap.n) >= BLOCK_MIN_ROWS
+    spectrum(lap)
+    calls = []
+
+    def recording(solve):
+        return lambda matrix: calls.append(np.shape(matrix)) or solve(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    per_comp, present, _ = _component_top_eigenvalue_present(k, i, DEFAULT_VALUE_TOL)
+    assert calls == []
+    assert len(per_comp) == (70 if i == 0 else 30) and present
+    assert all(balanced == held for balanced, held in per_comp)
+
+
+def test_the_boundary_check_never_builds_the_whole_side():
+    k = from_facets(_sparse_triangles(0, 20000, 10000))
+    side = k.n_faces(2)
+    tracemalloc.start()
+    try:
+        per_comp, present, s = _component_top_eigenvalue_present(k, 1, DEFAULT_VALUE_TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(per_comp) > 1 and present and len(s) == k.n_faces(1)
+    assert all(balanced == held for balanced, held in per_comp)
+    # The whole dense side would take side**2 * 8 bytes, about 800 MB.
+    assert peak < side * side * 8 / 20
 
 
 def test_up_spectrum_of_ten_thousand_triangles():
@@ -454,20 +501,22 @@ def test_spectra_and_betti_numbers_ignore_vertex_labels(facets, relabel):
 
 
 @pytest.mark.parametrize(
-    "facets",
-    [[[0, 1, 2], [1, 2, 3]], [[j, j + 1, j + 2] for j in range(248)]],
+    "facets, memo",
+    [([[0, 1, 2], [1, 2, 3]], "eigvalsh"), ([[j, j + 1, j + 2] for j in range(248)], "blocks")],
     ids=["whole-side", "block-side"],
 )
-def test_writing_into_a_spectrum_leaves_the_solve_memo_intact(facets):
+def test_writing_into_a_spectrum_leaves_the_solve_memo_intact(facets, memo):
     k = from_facets(facets)
     lap = laplacian(k, 1, "up", NORM)
     first = spectrum(lap)
     expected = first.values.copy()
     first.values[:] = -1.0
     assert np.array_equal(spectrum(lap).values, expected)
-    # The memo holds one read-only eigenvalue array per solved side, no Gram.
+    # The memo holds one read-only eigenvalue array per solved side, no Gram;
+    # a side solved block by block keeps the cuts between its components too.
     (key, stored), = lap.up._memo.items()
-    assert key[0] == "eigvalsh" and stored.ndim == 1 and not stored.flags.writeable
+    values = stored[0] if memo == "blocks" else stored
+    assert key[0] == memo and values.ndim == 1 and not values.flags.writeable
 
 
 def _oracle_spectrum(k, i, direction, scheme):

@@ -426,17 +426,12 @@ def test_a_family_check_on_a_given_complex_equals_one_on_a_generated_one():
             assert check_family(spec, complex_=k).to_dict() == fresh.to_dict(), spec
 
 
-def test_one_pass_balance_matches_each_component_on_the_corpus():
-    from hodgelap.core import (
-        _component_balance,
-        closure_of,
-        path_connected_components,
-        signed_balance,
-    )
+def test_one_pass_balance_matches_each_component_on_the_corpus(path_components):
+    from hodgelap.core import _component_balance, closure_of, signed_balance
 
     for name, k in corpus.full_corpus(seed=0).items():
         for i in range(0, k.dim):
-            comps = path_connected_components(k, i + 1)
+            comps = path_components(k, i + 1)
             faces = k.faces(i + 1)
             got = _component_balance(k, i + 1)
             assert [[faces[j] for j in members] for members, _ in got] == comps, (name, i)
