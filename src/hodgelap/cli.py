@@ -6,6 +6,9 @@ vertex strings (it must cover every face of the complex), and an optional
 ``name``.  Data goes to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 failed verification, 2 malformed document (with a line/position
 diagnostic when the JSON layer is at fault), 3 numeric failure.
+
+Lines are written with ``print``: ``click.echo`` caches every stream it
+meets, so each buffer that an in-process caller redirects to stays alive.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ def _emit(data: str, out: str | None):
         except OSError as exc:
             raise DocumentError(f"cannot write {out}: {exc}") from exc
     else:
-        click.echo(data)
+        print(data)
 
 
 def _scheme_for(doc: ComplexDocument, kind: str) -> WeightScheme:
@@ -239,7 +242,7 @@ def cmd_spectrum(file, dim, direction, scheme, zero_tol):
             "all_satisfied": rep.all_satisfied,
         },
     }
-    click.echo(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
 
 
 @main_group.command("betti")
@@ -248,7 +251,7 @@ def cmd_betti(file):
     """Reduced Betti numbers (exact integer ranks)."""
     complex_ = _load(file).to_complex()
     profile = betti(complex_)
-    click.echo(json.dumps({f"b~{j}": profile[j] for j in range(-1, profile.top_dim + 1)}))
+    print(json.dumps({f"b~{j}": profile[j] for j in range(-1, profile.top_dim + 1)}))
 
 
 def _vertices(option: str, text: str) -> tuple[int, ...]:
@@ -316,13 +319,10 @@ def cmd_verify(files, suite, seed, tol, random_count):
     failed = n_na = 0
     for report in reports:
         record = report.to_dict()
-        click.echo(json.dumps(record, default=str))
+        print(json.dumps(record, default=str))
         failed += record["status"] == "fail"
         n_na += record["status"] == "not-applicable"
-    click.echo(
-        f"verify: {len(reports)} checks, {failed} failed, {n_na} not applicable",
-        err=True,
-    )
+    print(f"verify: {len(reports)} checks, {failed} failed, {n_na} not applicable", file=sys.stderr)
     if failed:
         raise _VerifyFailed(failed)
 
@@ -339,22 +339,22 @@ def cli_main(argv: list[str] | None = None) -> int:
         main_group.main(args=argv, standalone_mode=False)
         return EXIT_OK
     except _VerifyFailed as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except DocumentError as exc:
         location = ""
         if exc.line is not None:
             location = f" (line {exc.line}, column {exc.column})"
-        click.echo(f"error: {exc}{location}", err=True)
+        print(f"error: {exc}{location}", file=sys.stderr)
         return EXIT_BAD_DOCUMENT
     except NumericError as exc:
-        click.echo(f"numeric error: {exc}", err=True)
+        print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except HodgelapError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DOCUMENT
     except click.ClickException as exc:
-        exc.show()
+        exc.show(sys.stderr)
         return EXIT_BAD_DOCUMENT
     except click.exceptions.Abort:
         return EXIT_BAD_DOCUMENT

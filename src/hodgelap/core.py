@@ -46,10 +46,11 @@ Besides these, the module provides path components, signed balance
 (which encodes both orientability and the top-eigenvalue orientation
 condition), exact chromatic number of the 1-skeleton, and motifs with
 their stars, closed stars and links.  Path components and balance come
-from one labeller, :func:`_labels`: components are labelled on the graph
-of a table, and balance on the signed double cover of the down dual
-graph, where a component is balanced exactly when no face meets its own
-negative copy.
+from one labeller, :func:`_labels`, on the graph of the table ``D_{q-1}``:
+a node per q-face and per (q-1)-face, an edge per stored entry.
+Components are labelled on it, and balance on its double cover signed by
+the entries, where a component is balanced exactly when no face meets its
+own negative copy.  Neither builds the down dual graph (:func:`dual_graph`).
 
 All objects are immutable after construction; operations may be called
 concurrently on shared complexes (internal memo tables are populated with
@@ -653,14 +654,6 @@ def _components(table: CoboundaryMatrix, of: str) -> np.ndarray:
     return labels[:rows] if of == "rows" else labels[rows:]
 
 
-def _grouped(labels: np.ndarray) -> list[list[int]]:
-    """The indices of the non-negative ``labels`` grouped by label, groups by ascending label."""
-    order = labels.argsort(kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order], prepend=-1)).tolist()
-    order = order.tolist()
-    return [order[start:stop] for start, stop in zip(starts, starts[1:] + [len(order)])]
-
-
 def _degrees(complex_: SimplicialComplex, i: int, weights=None) -> np.ndarray:
     """Degree of every i-face: the sum of the weights of its (i+1)-cofaces.
 
@@ -760,8 +753,8 @@ class DualGraph:
         return closure_of(faces)
 
 
-def _dual_pairs(complex_: SimplicialComplex, i: int, flavor: str):
-    """The edges of the signed dual graph at dimension ``i``: arrays ``a < b`` and their signs.
+def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
+    """The signed dual graph at dimension ``i``, edges sorted by their ends ``a < b``.
 
     Two i-faces share at most one (i-1)-face and lie in at most one common
     (i+1)-face, so each edge comes from exactly one pair of entries.
@@ -775,11 +768,7 @@ def _dual_pairs(complex_: SimplicialComplex, i: int, flavor: str):
     else:
         raise ValueError(f"flavor must be 'down' or 'up', got {flavor!r}")
     keep = a < b
-    return a[keep], b[keep], sign[keep]
-
-
-def dual_graph(complex_: SimplicialComplex, i: int, flavor: str) -> DualGraph:
-    a, b, sign = _dual_pairs(complex_, i, flavor)
+    a, b, sign = a[keep], b[keep], sign[keep]
     order = np.lexsort((b, a))
     edges = zip(a[order].tolist(), b[order].tolist(), sign[order].tolist())
     return DualGraph(tuple(complex_.faces(i)), tuple(edges))
@@ -794,56 +783,74 @@ class BalanceResult:
 def signed_balance(complex_: SimplicialComplex, q: int, mode: str) -> BalanceResult:
     """Solvability of ``x_F * x_F' * sign(edge) == target`` on the q-faces.
 
-    ``antiparallel`` mode (target -1) is orientability of the pure
-    q-dimensional part: an orientation exists in which every shared
-    (q-1)-face receives opposite induced orientations.  ``parallel`` mode
-    (target +1) is the orientation condition under which the top eigenvalue
-    q+1 of the (q-1)-up operator is attained.  Decided on the signed double
-    cover of the down dual graph (:func:`_cover_labels`); a solution puts
-    +1 on the first face of each component.
+    The edges are those of the signed down dual graph.  ``antiparallel``
+    mode (target -1) is orientability of the pure q-dimensional part: an
+    orientation exists in which every shared (q-1)-face receives opposite
+    induced orientations.  ``parallel`` mode (target +1) is the orientation
+    condition under which the top eigenvalue q+1 of the (q-1)-up operator
+    is attained.  Decided on a signed double cover of the graph of
+    ``D_{q-1}`` (:func:`_cover_labels`); a solution puts +1 on the first
+    face of each component.
     """
     if mode not in ("antiparallel", "parallel"):
         raise ValueError(f"mode must be 'antiparallel' or 'parallel', got {mode!r}")
-    plus, minus = _cover_labels(complex_, q, -1 if mode == "antiparallel" else 1)
-    if (plus == minus).any():
+    labels = _cover_labels(complex_, q, -1 if mode == "antiparallel" else 1)
+    if labels is None or (labels[0] == labels[1]).any():
         return BalanceResult(False, None)
-    signs = np.where(plus < minus, 1, -1).tolist()
+    signs = np.where(labels[0] < labels[1], 1, -1).tolist()
     return BalanceResult(True, dict(zip(complex_.faces(q), signs)))
 
 
 def _cover_labels(complex_: SimplicialComplex, q: int, target: int):
-    """Component labels of both copies of each q-face in the signed double cover.
+    """Component labels of both copies of each q-face in a signed double cover.
 
-    Face a has the nodes a+ = a and a- = a + n.  An edge of the down dual
-    graph with sign s joins a+ to b+ and a- to b- when ``target * s == 1``,
-    and a+ to b- and a- to b+ otherwise.  Signs x solving the edge
-    equations exist on a component exactly when no face has both nodes in
-    one component of the cover (Harary, Michigan Math. J. 2, 1953); then
-    x_a = +1 on the copy that holds the component's first face.  Returns
-    the labels ``(plus, minus)`` of the two nodes of every face, so
-    ``min(plus[a], minus[a])`` is the first face of a's component.
+    The graph is that of ``D_{q-1}`` (:func:`_components`), each edge signed
+    by its entry.  Node v has the copies v and v + n; an edge of sign +1
+    joins like copies, one of sign -1 unlike ones.  Signs x with
+    ``x_u * x_v * sign == 1`` on every edge exist on a component exactly
+    when no node has both copies in one component of the cover (Harary,
+    Michigan Math. J. 2, 1953).  Eliminating the (q-1)-faces leaves the
+    equations of target +1 on the down dual graph.
+
+    Target -1 reverses the sign of every dual edge: impossible at a
+    (q-1)-face with three cofaces, so this returns None; otherwise negating
+    the second entry of each column with two does it.
+
+    Returns the labels ``(plus, minus)`` of the two copies of every q-face.
+    A label is the smallest node of its component, so ``min(plus[a],
+    minus[a])`` is the first q-face of a's component, and the solution with
+    x = +1 there has x_a = +1 exactly when plus[a] < minus[a].
     """
-    a, b, sign = _dual_pairs(complex_, q, "down")
-    n = complex_.n_faces(q)
-    flip = n * (target * sign != 1)
+    if not 0 <= q <= complex_.dim:
+        raise DimensionError(f"balance dimension {q} out of range 0..{complex_.dim}")
+    table = coboundary_matrix(complex_, q - 1)
+    rows, width = table.index.shape
+    cols = table.index.ravel()
+    negative = table.values.ravel() != 1
+    if target == -1:
+        if (np.bincount(cols) > 2).any():
+            return None
+        second = np.ones(len(cols), dtype=bool)
+        second[np.unique(cols, return_index=True)[1]] = False
+        negative ^= second
+    n = rows + table.n_cols
+    a, b = np.arange(rows).repeat(width), rows + cols
+    flip = n * negative
     labels = _labels(2 * n, np.concatenate([a, a + n]), np.concatenate([b + flip, b + n - flip]))
-    return labels[:n], labels[n:]
+    return labels[:rows], labels[n : n + rows]
 
 
-def _component_balance(complex_: SimplicialComplex, q: int) -> list[tuple[list[int], bool]]:
-    """Every component of the signed down dual graph at q, with its parallel balance.
+def _component_balance(complex_: SimplicialComplex, q: int) -> list[bool]:
+    """The parallel balance of every q-path component, ordered by first face.
 
     One labelling of the double cover with target +1 (:func:`_cover_labels`).
-    Returns ``(members, balanced)`` per component, ordered by first face:
-    the sorted indices of its q-faces, and whether it alone is balanced.
-    A component's edges are those of its own closure, so its balance is
-    that of ``signed_balance(closure_of(component), q, "parallel")``.
+    The components are those of :func:`_components` on ``D_{q-1}``, and a
+    component's edges are those of its own closure, so its flag is
+    ``signed_balance(closure_of(component), q, "parallel").balanced``.
     """
     plus, minus = _cover_labels(complex_, q, 1)
-    return [
-        (members, bool(plus[members[0]] != minus[members[0]]))
-        for members in _grouped(np.minimum(plus, minus))
-    ]
+    first = np.flatnonzero(np.minimum(plus, minus) == np.arange(len(plus)))
+    return (plus[first] != minus[first]).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ rows is solved block by block: the components are labelled from the table
 block is summed straight from the table's entry pairs into the stack of
 its size, all blocks of one size go to one stacked ``eigvalsh`` call, and
 the spectrum is the union.  This is the one builder of component blocks:
-the values are kept per component, in the order of the components of
+the values are kept per component, in the order of the balance flags of
 :func:`hodgelap.core._component_balance`, and the boundary check of
 :mod:`hodgelap.theorems` reads them there, so it never solves again a
 side that ``spectrum`` solved block by block.  The whole side is never

@@ -674,11 +674,12 @@ def _component_top_eigenvalue_present(
     """Per (i+1)-path component: (parallel-balanced, i+2 in the component's block).
 
     Also returns whether i+2 is in the whole normalized up spectrum, and
-    that spectrum.  One labelling of the signed double cover of the down
-    dual graph of the (i+1)-faces yields every component, ordered by its
-    first face, with its balance; no subcomplex is built.  No entry pair of
-    ``B_i`` joins two components, so the side of the up term that
-    :func:`spectrum` solves is a direct sum of one block per component.
+    that spectrum.  One labelling of the signed double cover of the table
+    ``D_i`` yields the balance of every component, ordered by its first
+    face (:func:`~hodgelap.core._component_balance`); no subcomplex is
+    built.  No entry pair of ``B_i`` joins two components, so the side of
+    the up term that :func:`spectrum` solves is a direct sum of one block
+    per component.
     The blocks come from the one builder in :mod:`hodgelap.spectra`, in
     the same order, and a side it solved block by block for the spectrum
     is read, not solved again; nothing is solved here.  A block holds i+2
@@ -692,12 +693,12 @@ def _component_top_eigenvalue_present(
     present = spec.contains(i + 2, tol)
     if lap.up is None:
         return [], present, spec
-    components = _component_balance(complex_, i + 1)
+    balance = _component_balance(complex_, i + 1)
     held = [present]
-    if len(components) > 1:
+    if len(balance) > 1:
         values, cuts = _block_eigvalsh(lap.up, _up_side(lap))
         held = np.logical_or.reduceat(np.abs(values - (i + 2)) <= tol, np.r_[0, cuts]).tolist()
-    return [(balanced, h) for (_, balanced), h in zip(components, held)], present, spec
+    return list(zip(balance, held)), present, spec
 
 
 def _chromatic_outcome(complex_: SimplicialComplex) -> tuple[int | None, str | None]:
@@ -802,11 +803,15 @@ def check_regular_dual(
     1 appears in the i-up spectrum iff it appears in the normalized
     spectrum of the up dual graph, with equal multiplicities.
 
-    Two labellings of the signed double cover of the part's down dual graph
+    Two labellings of the signed double cover of the part's table ``D_i``
     decide the hypotheses: the antiparallel one orientability, and the
     parallel one (:func:`~hodgelap.core._component_balance`) both the
     (i+1)-path components, so connectivity, and parallel balance, which
-    holds when every component is balanced.
+    holds when every component is balanced.  The down dual graph and its
+    normalized spectrum are built only for a connected complex of degree
+    r != 1 that is orientable or balanced, the only case that reads them;
+    the 6-regular 33 x 33 torus at i = 0 is neither, so its report solves
+    no dual spectrum.
     """
     report = CheckReport("regular-dual-spectra", {"complex": name, "i": i})
     if complex_.n_faces(i + 1) == 0:
@@ -818,14 +823,13 @@ def check_regular_dual(
     regular, r_or_witness = is_regular(part, i, _weight_vector(part, scheme, i + 1))
     lam = spectrum(laplacian(part, i + 1, "down", scheme)).values
     orientable = signed_balance(part, i + 1, "antiparallel").balanced
-    components = _component_balance(part, i + 1)
-    parallel = all(balanced for _, balanced in components)
-    connected = len(components) == 1
+    balance = _component_balance(part, i + 1)
+    parallel = all(balance)
+    connected = len(balance) == 1
 
     if regular:
         r = float(r_or_witness)
         report.certificates["degree"] = r
-        dual = dual_graph(part, i + 1, "down")
         if abs(r - 1.0) <= 1e-9:
             report.add(
                 "r=1/constant-spectrum",
@@ -834,10 +838,9 @@ def check_regular_dual(
                 float(np.abs(lam - (i + 2)).max()),
                 tol,
             )
-        elif connected and dual.edges:
-            mu = spectrum(
-                laplacian(dual.to_complex(), 0, "up", scheme)
-            ).values
+        elif connected and part.n_faces(i + 1) > 1 and (orientable or parallel):
+            dual = dual_graph(part, i + 1, "down").to_complex()
+            mu = spectrum(laplacian(dual, 0, "up", scheme)).values
             if orientable:
                 report.add(
                     "orientable-r=2/scaled-dual-spectrum",

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from hodgelap.constructions import FamilySpec, generate
-from hodgelap.core import dual_graph, from_facets
+from hodgelap.core import _components, coboundary_matrix, dual_graph, from_facets
 
 
 @pytest.fixture(scope="session")
@@ -50,5 +50,21 @@ def path_components():
         graph.add_edges_from((a, b) for a, b, _ in dual.edges)
         found = (sorted(dual.nodes[v] for v in comp) for comp in nx.connected_components(graph))
         return sorted(found, key=lambda comp: comp[0])
+
+    return components
+
+
+@pytest.fixture(scope="session")
+def component_rows():
+    """The q-path components of a complex as sorted q-face rows, ordered by first row.
+
+    Returns a function of ``(k, q)`` that groups the row labels of
+    ``_components(coboundary_matrix(k, q - 1), "rows")``; a component's label
+    is its first row.
+    """
+
+    def components(k, q):
+        labels = _components(coboundary_matrix(k, q - 1), "rows")
+        return [np.flatnonzero(labels == first).tolist() for first in np.unique(labels)]
 
     return components

@@ -1,10 +1,14 @@
 """CLI contract: documents, round trips, pipelines, exit codes."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -340,6 +344,25 @@ def test_verify_reports_sorted(capsys):
     rows = [json.loads(line) for line in stdout.strip().splitlines()]
     keys = [r["theorem_id"] for r in rows]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify", "--suite", "join"], EXIT_OK), (["generate", "no-such-family"], EXIT_BAD_DOCUMENT)],
+    ids=["report", "usage-error"],
+)
+def test_a_redirected_stream_is_freed_after_the_call(argv, code):
+    # An in-process caller that hands every call fresh buffers, as a
+    # benchmark or a notebook does, must get them back: the CLI keeps no
+    # reference to a stream it wrote to.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli_main(argv) == code
+    assert err.getvalue()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodgelap import core
 from hodgelap.core import (
@@ -247,27 +247,46 @@ def test_balance_matches_exhaustive_search(random_complexes):
         max_size=8,
     )
 )
-def test_balance_properties_on_generated_complexes(facets, path_components):
+# q = 0 on one, two and three vertices, whose down dual graphs are complete;
+# an edge with three triangles and a vertex with three edges, where no
+# orientation exists; and a tetrahedron's boundary, where every edge has two.
+@example(facets=[[0]])
+@example(facets=[[0], [1]])
+@example(facets=[[0], [1], [2]])
+@example(facets=[[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+@example(facets=[[0, 1], [0, 2], [0, 3]])
+@example(facets=[[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+def test_balance_properties_on_generated_complexes(facets, path_components, component_rows):
     from hodgelap._kernels import exhaustive_balance
 
     k = from_facets(facets)
     for q in range(0, k.dim + 1):
+        balance = core._component_balance(k, q)
+        results = {mode: signed_balance(k, q, mode) for mode in ("antiparallel", "parallel")}
+        # Balance is labelled on the table D_{q-1} itself: no entry pairs of
+        # the down dual graph are built, or left memoized on the table.
+        assert coboundary_matrix(k, q - 1)._pairs == {}, q
         dual = dual_graph(k, q, "down")
-        got = core._component_balance(k, q)
-        assert sorted(j for members, _ in got for j in members) == list(range(k.n_faces(q)))
+        members = component_rows(k, q)
+        assert len(balance) == len(members)
+        assert sorted(j for rows in members for j in rows) == list(range(k.n_faces(q)))
         faces = k.faces(q)
-        assert [[faces[j] for j in members] for members, _ in got] == path_components(k, q)
+        assert [[faces[j] for j in rows] for rows in members] == path_components(k, q)
+        for rows, balanced in zip(members, balance):
+            if len(rows) <= 12:
+                edges = [(rows.index(a), rows.index(b), s) for a, b, s in dual.edges if a in rows]
+                assert balanced == (exhaustive_balance(len(rows), edges, 1) is not None), q
         for mode, target in (("antiparallel", -1), ("parallel", 1)):
-            res = signed_balance(k, q, mode)
+            res = results[mode]
             if len(dual.nodes) <= 12:
                 brute = exhaustive_balance(len(dual.nodes), dual.edges, target)
                 assert res.balanced == (brute is not None), (mode, q)
             if mode == "parallel":
-                assert res.balanced == all(balanced for _, balanced in got)
+                assert res.balanced == all(balance)
             if res.balanced:
                 x = [res.assignment[f] for f in dual.nodes]
                 assert all(x[a] * x[b] * s == target for a, b, s in dual.edges)
-                assert all(x[members[0]] == 1 for members, _ in got)  # each first face
+                assert all(x[rows[0]] == 1 for rows in members)  # each first face
             else:
                 assert res.assignment is None
 
@@ -392,12 +411,13 @@ def test_every_constructor_output_is_closed_and_canonical():
         max_size=12,
     )
 )
-def test_path_connected_components_match_networkx(facets, path_components):
+def test_path_connected_components_match_networkx(facets, path_components, component_rows):
     k = from_facets(facets)
     for i in range(0, k.dim + 1):
         faces = k.faces(i)
-        got = [[faces[j] for j in members] for members, _ in core._component_balance(k, i)]
+        got = [[faces[j] for j in rows] for rows in component_rows(k, i)]
         assert got == path_components(k, i), i
+        assert len(core._component_balance(k, i)) == len(got), i
 
 
 def test_component_splitting_spectral_union(fixtures, path_components):

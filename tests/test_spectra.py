@@ -410,7 +410,7 @@ def _strips():
 
 @pytest.mark.parametrize("of", ["rows", "columns"])
 @pytest.mark.parametrize("kind", ["normalized", "combinatorial", "custom"])
-def test_blocks_are_the_blocks_of_the_whole_side(of, kind):
+def test_blocks_are_the_blocks_of_the_whole_side(of, kind, component_rows):
     # Blocks of many distinct sizes on both sides of B_1.
     k = _strips()
     table = laplacian(k, 1, "up", _scheme(kind, k)).up
@@ -424,11 +424,12 @@ def test_blocks_are_the_blocks_of_the_whole_side(of, kind):
         rows = np.flatnonzero(labels == first)
         assert np.array_equal(block, np.linalg.eigvalsh(gram[np.ix_(rows, rows)]))
     # A component is labelled by its first row, the first triangle of its
-    # strip, so the blocks line up with the components of _component_balance;
-    # on the columns side the edges with no coface come after them.
-    components = _component_balance(k, 2)
-    assert [members[0] for members, _ in components] == firsts[: len(components)].tolist()
-    assert (firsts[len(components) :] >= table.shape[0]).all()
+    # strip, so the blocks line up with the flags of _component_balance, in
+    # first-row order; on the columns side the edges with no coface come
+    # after them.
+    balance = _component_balance(k, 2)
+    assert [rows[0] for rows in component_rows(k, 2)] == firsts[: len(balance)].tolist()
+    assert (firsts[len(balance) :] >= table.shape[0]).all()
 
 
 @pytest.mark.parametrize("i", [0, 1])

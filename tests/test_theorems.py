@@ -426,16 +426,18 @@ def test_a_family_check_on_a_given_complex_equals_one_on_a_generated_one():
             assert check_family(spec, complex_=k).to_dict() == fresh.to_dict(), spec
 
 
-def test_one_pass_balance_matches_each_component_on_the_corpus(path_components):
+def test_one_pass_balance_matches_each_component_on_the_corpus(path_components, component_rows):
     from hodgelap.core import _component_balance, closure_of, signed_balance
 
     for name, k in corpus.full_corpus(seed=0).items():
         for i in range(0, k.dim):
             comps = path_components(k, i + 1)
             faces = k.faces(i + 1)
+            rows = component_rows(k, i + 1)
+            assert [[faces[j] for j in members] for members in rows] == comps, (name, i)
             got = _component_balance(k, i + 1)
-            assert [[faces[j] for j in members] for members, _ in got] == comps, (name, i)
-            for (_, balanced), comp in zip(got, comps):
+            assert len(got) == len(comps), (name, i)
+            for balanced, comp in zip(got, comps):
                 assert balanced == signed_balance(closure_of(comp), i + 1, "parallel").balanced
 
 
@@ -497,7 +499,7 @@ def test_a_spent_chromatic_budget_leaves_a_note_not_an_abort(tmp_path, capsys, m
         max_size=10,
     )
 )
-def test_component_blocks_hold_i_plus_2_exactly_when_balanced(facets):
+def test_component_blocks_hold_i_plus_2_exactly_when_balanced(facets, component_rows):
     from hodgelap.core import _component_balance
     from hodgelap.operators import _gram
 
@@ -505,11 +507,11 @@ def test_component_blocks_hold_i_plus_2_exactly_when_balanced(facets):
     for i in range(k.dim):
         lap = laplacian(k, i, "up", NORM)
         rows_gram = _gram(lap.up, "rows")
-        components = _component_balance(k, i + 1)
+        balance = _component_balance(k, i + 1)
         got, present, _ = theorems._component_top_eigenvalue_present(k, i, 1e-7)
-        assert [b for b, _ in got] == [b for _, b in components]
-        assert present == any(b for _, b in components)
-        for (members, balanced), (_, held) in zip(components, got):
+        assert [b for b, _ in got] == balance
+        assert present == any(balance)
+        for members, balanced, (_, held) in zip(component_rows(k, i + 1), balance, got):
             # The reference block: the rows of the dense symmetric L_i^up
             # that belong to the boundary faces of the members.
             in_block = np.zeros(lap.n, dtype=bool)
