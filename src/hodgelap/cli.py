@@ -3,9 +3,13 @@
 Complex documents are JSON objects with a required ``facets`` list (integer
 vertex lists), an optional ``weights`` map keyed by comma-joined ascending
 vertex strings (it must cover every face of the complex), and an optional
-``name``.  Data goes to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 failed verification, 2 malformed document (with a line/position
-diagnostic when the JSON layer is at fault), 3 numeric failure.
+``name``.  :func:`parse_document` builds a document's complex and custom
+weights once, and every command reads those.  Data goes to stdout,
+diagnostics to stderr.  Exit codes: 0 success, 1 failed verification, 2
+malformed document or option (with a line/position diagnostic when the JSON
+layer is at fault), 3 numeric failure.  Each code has one path: ``verify``
+exits 1 through click's context, and :func:`cli_main` turns a
+:class:`NumericError` into 3 and any other library or click error into 2.
 
 Lines are written with ``print``: ``click.echo`` caches every stream it
 meets, so each buffer that an in-process caller redirects to stays alive.
@@ -16,17 +20,18 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import click
 
 from .constructions import FamilySpec, cartesian_product, cone, duplicate_motif, generate, join, wedge
 from .core import SimplicialComplex, from_facets
+from .corpus import RANDOM_COUNT
 from .errors import DocumentError, HodgelapError, NumericError
 from .operators import WeightScheme, laplacian
-from .spectra import betti, bounds_report, predicted_zero_multiplicity, spectrum
-from .suites import SUITES, run_suites
+from .spectra import DEFAULT_VALUE_TOL, betti, bounds_report, predicted_zero_multiplicity, spectrum
+from .suites import _CORPUS_SUITES, SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -42,52 +47,47 @@ def face_key(face) -> str:
     return ",".join(str(v) for v in face)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexDocument:
-    """Parsed form of the JSON complex interchange format."""
+    """A parsed complex document: its complex, custom weights and name.
 
-    facets: list[list[int]]
-    weights: dict[str, float] | None = None
-    name: str | None = None
-    _complex: SimplicialComplex | None = field(default=None, init=False, repr=False, compare=False)
-    _scheme: WeightScheme | None = field(default=None, init=False, repr=False, compare=False)
+    ``scheme`` is the custom :class:`WeightScheme` of the document's
+    ``weights`` map, or None when it has none.  :func:`parse_document`
+    builds both, once per document.
+    """
+
+    complex_: SimplicialComplex
+    scheme: WeightScheme | None
+    name: str | None
 
     def to_complex(self) -> SimplicialComplex:
-        """The complex generated by the facets, built on the first call."""
-        if self._complex is None:
-            try:
-                self._complex = from_facets(self.facets)
-            except HodgelapError as exc:
-                raise DocumentError(str(exc)) from exc
-        return self._complex
+        """The document's complex."""
+        return self.complex_
 
-    def weight_scheme(self) -> WeightScheme | None:
-        """Custom scheme from the document weights; validates coverage on the first call."""
-        if self.weights is None or self._scheme is not None:
-            return self._scheme
-        complex_ = self.to_complex()
-        known = {face_key(f) for f in complex_.all_faces() if f}
-        mapping = {}
-        for key, value in self.weights.items():
-            if key == "":
-                face = ()
-            else:
-                if key not in known:
-                    raise DocumentError(f"weight key {key!r} is not a face of the complex")
-                face = tuple(int(v) for v in key.split(","))
-            # NaN fails every comparison; an integer too large for a float
-            # fails the bound instead of overflowing in float().
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and 0 < value <= sys.float_info.max):
-                raise DocumentError(f"weight for {key!r} must be a finite positive number")
-            mapping[face] = float(value)
-        missing = known - {face_key(f) for f in mapping if f}
-        if missing:
-            raise DocumentError(
-                f"weights must cover every face; missing {sorted(missing)[:5]}"
-            )
-        self._scheme = WeightScheme.from_map(mapping)
-        return self._scheme
+
+def _custom_scheme(complex_: SimplicialComplex, weights: dict) -> WeightScheme:
+    """Custom scheme from a document's weights, which must cover every face."""
+    known = {face_key(f) for f in complex_.all_faces() if f}
+    mapping = {}
+    for key, value in weights.items():
+        if key == "":
+            face = ()
+        else:
+            if key not in known:
+                raise DocumentError(f"weight key {key!r} is not a face of the complex")
+            face = tuple(int(v) for v in key.split(","))
+        # NaN fails every comparison; an integer too large for a float
+        # fails the bound instead of overflowing in float().
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value <= sys.float_info.max):
+            raise DocumentError(f"weight for {key!r} must be a finite positive number")
+        mapping[face] = float(value)
+    missing = known - {face_key(f) for f in mapping if f}
+    if missing:
+        raise DocumentError(
+            f"weights must cover every face; missing {sorted(missing)[:5]}"
+        )
+    return WeightScheme.from_map(mapping)
 
 
 def parse_document(text: str) -> ComplexDocument:
@@ -118,10 +118,12 @@ def parse_document(text: str) -> ComplexDocument:
     name = raw.get("name")
     if name is not None and not isinstance(name, str):
         raise DocumentError("'name' must be a string")
-    doc = ComplexDocument(facets, weights, name)
-    doc.to_complex()
-    doc.weight_scheme()
-    return doc
+    try:
+        complex_ = from_facets(facets)
+    except HodgelapError as exc:
+        raise DocumentError(str(exc)) from exc
+    scheme = None if weights is None else _custom_scheme(complex_, weights)
+    return ComplexDocument(complex_, scheme, name)
 
 
 def document_dict(complex_: SimplicialComplex, name: str | None = None) -> dict:
@@ -158,12 +160,11 @@ def _emit(data: str, out: str | None):
 
 
 def _scheme_for(doc: ComplexDocument, kind: str) -> WeightScheme:
-    if kind == "custom":
-        scheme = doc.weight_scheme()
-        if scheme is None:
-            raise DocumentError("scheme 'custom' needs a 'weights' map in the document")
-        return scheme
-    return WeightScheme(kind)
+    if kind != "custom":
+        return WeightScheme(kind)
+    if doc.scheme is None:
+        raise DocumentError("scheme 'custom' needs a 'weights' map in the document")
+    return doc.scheme
 
 
 @click.group()
@@ -299,23 +300,28 @@ def cmd_construct(operation, files, faces, motif, output):
 @click.option("--suite", default="all",
               type=click.Choice(("all",) + SUITES), help="which suite to run")
 @click.option("--seed", type=int, default=0, help="seed for the random fixtures")
-@click.option("--tol", type=float, default=None, callback=_check_tolerance,
+@click.option("--tol", type=float, default=DEFAULT_VALUE_TOL, callback=_check_tolerance,
               help="override the eigenvalue tolerance")
-@click.option("--random-count", type=click.IntRange(min=0), default=None,
+@click.option("--random-count", type=click.IntRange(min=0), default=RANDOM_COUNT,
               help="number of random fixtures")
 def cmd_verify(files, suite, seed, tol, random_count):
-    """Run theorem suites; one CheckReport JSON per line, exit 0 iff all pass."""
+    """Run theorem suites; one CheckReport JSON per line, exit 0 iff all pass.
+
+    Each FILE is checked as ``user-<name>``, its ``name`` or else its file
+    stem.  Two files of one name are refused, and so are files given to a
+    suite that does not walk the corpus (``wedge``, ``join``,
+    ``duplication``).
+    """
+    if files and suite not in ("all",) + _CORPUS_SUITES:
+        raise DocumentError(f"--suite {suite} does not read documents")
     extra = {}
     for path in files:
         doc = _load(path)
-        stem = doc.name or path.rsplit("/", 1)[-1].removesuffix(".json")
-        extra[f"user-{stem}"] = doc.to_complex()
-    kwargs = {"seed": seed, "extra": extra or None}
-    if tol is not None:
-        kwargs["tol"] = tol
-    if random_count is not None:
-        kwargs["random_count"] = random_count
-    reports = run_suites([suite], **kwargs)
+        name = "user-" + (doc.name or path.rsplit("/", 1)[-1].removesuffix(".json"))
+        if name in extra:
+            raise DocumentError(f"{path}: an earlier document is also named {name!r}")
+        extra[name] = doc.to_complex()
+    reports = run_suites([suite], seed=seed, extra=extra, tol=tol, random_count=random_count)
     failed = n_na = 0
     for report in reports:
         record = report.to_dict()
@@ -324,34 +330,23 @@ def cmd_verify(files, suite, seed, tol, random_count):
         n_na += record["status"] == "not-applicable"
     print(f"verify: {len(reports)} checks, {failed} failed, {n_na} not applicable", file=sys.stderr)
     if failed:
-        raise _VerifyFailed(failed)
-
-
-class _VerifyFailed(Exception):
-    def __init__(self, count):
-        super().__init__(f"{count} checks failed")
-        self.count = count
+        print(f"error: {failed} checks failed", file=sys.stderr)
+        click.get_current_context().exit(EXIT_VERIFY_FAILED)
 
 
 def cli_main(argv: list[str] | None = None) -> int:
     """Entry point returning the exit code (0/1/2/3 per the contract)."""
     try:
-        main_group.main(args=argv, standalone_mode=False)
-        return EXIT_OK
-    except _VerifyFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except DocumentError as exc:
-        location = ""
-        if exc.line is not None:
-            location = f" (line {exc.line}, column {exc.column})"
-        print(f"error: {exc}{location}", file=sys.stderr)
-        return EXIT_BAD_DOCUMENT
+        # A command returns None, or click's context exit code.
+        return main_group.main(args=argv, standalone_mode=False) or EXIT_OK
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except HodgelapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        location = ""
+        if isinstance(exc, DocumentError) and exc.line is not None:
+            location = f" (line {exc.line}, column {exc.column})"
+        print(f"error: {exc}{location}", file=sys.stderr)
         return EXIT_BAD_DOCUMENT
     except click.ClickException as exc:
         exc.show(sys.stderr)

@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import hodgelap
 from hodgelap import cli
 from hodgelap.cli import (
-    ComplexDocument,
     EXIT_BAD_DOCUMENT,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -58,15 +57,19 @@ def test_parse_document_diagnostics():
 
 
 def test_document_weights_validation():
-    doc = ComplexDocument([[0, 1]], weights={"0": 1.0, "1": 2.0, "0,1": 1.0})
-    scheme = doc.weight_scheme()
-    assert scheme.custom[(0, 1)] == 1.0
-    with pytest.raises(DocumentError):
-        ComplexDocument([[0, 1]], weights={"0": 1.0}).weight_scheme()
-    with pytest.raises(DocumentError):
-        ComplexDocument([[0, 1]], weights={"0": 1.0, "1": 1.0, "0,1": -1.0}).weight_scheme()
-    with pytest.raises(DocumentError):
-        ComplexDocument([[0, 1]], weights={"0": 1.0, "1": 1.0, "0,1": 1.0, "5": 1.0}).weight_scheme()
+    def parse(weights):
+        return parse_document(json.dumps({"facets": [[0, 1]], "weights": weights}))
+
+    doc = parse({"0": 1.0, "1": 2, "0,1": 1.0})
+    assert doc.scheme.custom == {(0,): 1.0, (1,): 2.0, (0, 1): 1.0}
+    assert all(type(w) is float for w in doc.scheme.custom.values())
+    assert parse_document('{"facets": [[0, 1]]}').scheme is None
+    with pytest.raises(DocumentError, match="cover every face"):
+        parse({"0": 1.0})
+    with pytest.raises(DocumentError, match="finite positive"):
+        parse({"0": 1.0, "1": 1.0, "0,1": -1.0})
+    with pytest.raises(DocumentError, match="not a face"):
+        parse({"0": 1.0, "1": 1.0, "0,1": 1.0, "5": 1.0})
 
 
 def test_generate_then_spectrum_pipeline(tmp_path, capsys):
@@ -318,6 +321,41 @@ def test_verify_with_user_complex(tmp_path, capsys):
     assert any("user-user" in line for line in stdout.splitlines())
 
 
+def test_verify_refuses_two_documents_of_one_name(tmp_path, capsys):
+    # A filled and a hollow triangle, both filed as user-t.
+    for folder, facets in (("a", [[0, 1, 2]]), ("b", [[0, 1], [1, 2], [0, 2]])):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "t.json").write_text(json.dumps({"facets": facets}))
+    args = ["--suite", "hodge", "--random-count", "0"]
+    code, stdout, err = run_cli(
+        ["verify", str(tmp_path / "a" / "t.json"), str(tmp_path / "b" / "t.json")] + args, capsys
+    )
+    assert code == EXIT_BAD_DOCUMENT and stdout == ""
+    assert "'user-t'" in err and "Traceback" not in err
+    (tmp_path / "b" / "t.json").rename(tmp_path / "b" / "u.json")
+    code, stdout, _ = run_cli(
+        ["verify", str(tmp_path / "a" / "t.json"), str(tmp_path / "b" / "u.json")] + args, capsys
+    )
+    assert code == EXIT_OK
+    names = {json.loads(line)["inputs"]["complex"] for line in stdout.splitlines()}
+    assert {"user-t", "user-u"} <= names
+
+
+@pytest.mark.parametrize("suite", ["wedge", "join", "duplication", "all"])
+def test_verify_takes_documents_only_for_suites_that_read_them(tmp_path, capsys, suite):
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps({"facets": [[0, 1, 2]]}))
+    code, stdout, err = run_cli(
+        ["verify", str(path), "--suite", suite, "--random-count", "0"], capsys
+    )
+    if suite == "all":
+        assert code == EXIT_OK
+        assert any('"complex": "user-tri"' in line for line in stdout.splitlines())
+    else:
+        assert code == EXIT_BAD_DOCUMENT and stdout == ""
+        assert err == f"error: --suite {suite} does not read documents\n"
+
+
 def test_verify_a_cycle_longer_than_the_recursion_limit(tmp_path, capsys):
     # Shuffled labels make the greedy bound 3, so the search for a
     # 2-coloring descends through all 1200 vertices.
@@ -336,6 +374,18 @@ def test_verify_impossible_tolerance_fails(capsys):
     )
     assert code == EXIT_VERIFY_FAILED
     assert "failed" in err
+
+
+def test_a_failed_verify_exits_1_after_its_summary(capsys):
+    code, stdout, err = run_cli(["verify", "--suite", "duplication", "--tol", "0"], capsys)
+    assert code == EXIT_VERIFY_FAILED
+    statuses = [json.loads(line)["status"] for line in stdout.splitlines()]
+    failed, n_na = statuses.count("fail"), statuses.count("not-applicable")
+    assert failed
+    assert err == (
+        f"verify: {len(statuses)} checks, {failed} failed, {n_na} not applicable\n"
+        f"error: {failed} checks failed\n"
+    )
 
 
 def test_verify_reports_sorted(capsys):
