@@ -7,9 +7,10 @@ vertex strings (it must cover every face of the complex), and an optional
 weights once, and every command reads those.  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 failed verification, 2
 malformed document or option (with a line/position diagnostic when the JSON
-layer is at fault), 3 numeric failure.  Each code has one path: ``verify``
-exits 1 through click's context, and :func:`cli_main` turns a
-:class:`NumericError` into 3 and any other library or click error into 2.
+layer is at fault) or a lost corpus worker, 3 numeric failure.  Each code
+has one path: ``verify`` exits 1 through click's context, and
+:func:`cli_main` turns a :class:`NumericError` into 3 and any other library
+or click error into 2.
 
 Lines are written with ``print``: ``click.echo`` caches every stream it
 meets, so each buffer that an in-process caller redirects to stays alive.
@@ -31,7 +32,7 @@ from .corpus import RANDOM_COUNT
 from .errors import DocumentError, HodgelapError, NumericError
 from .operators import WeightScheme, laplacian
 from .spectra import DEFAULT_VALUE_TOL, betti, bounds_report, predicted_zero_multiplicity, spectrum
-from .suites import _CORPUS_SUITES, SUITES, run_suites
+from .suites import _DOCUMENT_SUITES, SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -309,10 +310,10 @@ def cmd_verify(files, suite, seed, tol, random_count):
 
     Each FILE is checked as ``user-<name>``, its ``name`` or else its file
     stem.  Two files of one name are refused, and so are files given to a
-    suite that does not walk the corpus (``wedge``, ``join``,
+    suite that checks no documents (``families``, ``wedge``, ``join``,
     ``duplication``).
     """
-    if files and suite not in ("all",) + _CORPUS_SUITES:
+    if files and suite not in ("all",) + _DOCUMENT_SUITES:
         raise DocumentError(f"--suite {suite} does not read documents")
     extra = {}
     for path in files:

@@ -60,6 +60,7 @@ single assignments only).
 from __future__ import annotations
 
 import functools
+import heapq
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -861,10 +862,11 @@ def _component_balance(complex_: SimplicialComplex, q: int) -> list[bool]:
 def chromatic_number_1skel(complex_: SimplicialComplex) -> int:
     """Exact chromatic number of the 1-skeleton.
 
-    Backtracking over k-colorings between a greedy-clique lower bound and a
-    greedy-coloring upper bound, in DSATUR order, with first-new-color
-    symmetry breaking.  A loop, not a recursion: only ``_CHROMATIC_BUDGET``
-    search nodes bound it, past which it raises :class:`ResourceError`.
+    Backtracking over k-colorings between a greedy-clique lower bound and
+    the upper bound of a DSATUR greedy coloring, in DSATUR order, with
+    first-new-color symmetry breaking; when the bounds meet, no search runs.
+    A loop, not a recursion: only ``_CHROMATIC_BUDGET`` search nodes bound
+    it, past which it raises :class:`ResourceError`.
     """
     n = complex_.n_faces(0)
     if not n:
@@ -882,14 +884,27 @@ def chromatic_number_1skel(complex_: SimplicialComplex) -> int:
             clique.append(v)
     lower = max(1, len(clique))
 
-    greedy = {}
-    for v in order:
-        used = {greedy[u] for u in adj[v] if u in greedy}
+    # DSATUR (Brelaz, CACM 1979): color next the vertex whose neighbors show
+    # the most colors, then the one of highest degree, with its smallest free
+    # color.  The heap keeps stale entries; a vertex's freshest entry comes
+    # first, and the others are skipped once it is colored.
+    greedy = [-1] * n
+    seen: list[set[int]] = [set() for _ in range(n)]
+    heap = [(0, -len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if greedy[v] >= 0:
+            continue
         c = 0
-        while c in used:
+        while c in seen[v]:
             c += 1
         greedy[v] = c
-    upper = max(greedy.values()) + 1 if greedy else 1
+        for u in adj[v]:
+            if greedy[u] < 0 and c not in seen[u]:
+                seen[u].add(c)
+                heapq.heappush(heap, (-len(seen[u]), -len(adj[u]), u))
+    upper = max(greedy) + 1
 
     budget = _CHROMATIC_BUDGET
 

@@ -41,6 +41,10 @@ class NumericError(HodgelapError):
     """The eigensolver failed to converge or produced invalid output."""
 
 
+class WorkerError(HodgelapError):
+    """A forked worker of the corpus walk ended without sending its reports."""
+
+
 class DocumentError(HodgelapError):
     """A complex document could not be parsed.
 

@@ -341,7 +341,7 @@ def test_verify_refuses_two_documents_of_one_name(tmp_path, capsys):
     assert {"user-t", "user-u"} <= names
 
 
-@pytest.mark.parametrize("suite", ["wedge", "join", "duplication", "all"])
+@pytest.mark.parametrize("suite", ["families", "wedge", "join", "duplication", "all"])
 def test_verify_takes_documents_only_for_suites_that_read_them(tmp_path, capsys, suite):
     path = tmp_path / "tri.json"
     path.write_text(json.dumps({"facets": [[0, 1, 2]]}))
@@ -357,9 +357,10 @@ def test_verify_takes_documents_only_for_suites_that_read_them(tmp_path, capsys,
 
 
 def test_verify_a_cycle_longer_than_the_recursion_limit(tmp_path, capsys):
-    # Shuffled labels make the greedy bound 3, so the search for a
-    # 2-coloring descends through all 1200 vertices.
-    n = 1200
+    # An odd cycle: the clique bound is 2 and the DSATUR coloring takes 3,
+    # so the search for a 2-coloring descends through all 1201 vertices
+    # before it fails.
+    n = 1201
     label = np.random.default_rng(0).permutation(n).tolist()
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"facets": [[label[j], label[(j + 1) % n]] for j in range(n)]}))

@@ -328,10 +328,20 @@ def test_chromatic_number_examples():
     assert chromatic_number_1skel(from_facets([[0], [1]])) == 1
 
 
-def test_chromatic_number_of_a_torus_deeper_than_the_recursion_limit():
+def test_chromatic_number_of_a_torus_deeper_than_the_recursion_limit(monkeypatch):
     # 1089 vertices: a search that recursed once per colored vertex would
-    # pass the interpreter's default recursion limit of 1000.
-    assert chromatic_number_1skel(_grid_surface(33, 33, False)) == 3
+    # pass the interpreter's default recursion limit of 1000.  On the torus
+    # the DSATUR coloring meets the triangle bound, so no search runs at
+    # all; on an odd cycle of 1201 shuffled labels the bounds are 2 and 3,
+    # and the failing search for a 2-coloring descends through every vertex.
+    torus = _grid_surface(33, 33, False)
+    label = np.random.default_rng(0).permutation(1201).tolist()
+    cycle = from_facets([[label[j], label[(j + 1) % 1201]] for j in range(1201)])
+    assert chromatic_number_1skel(cycle) == 3
+    monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 0)
+    assert chromatic_number_1skel(torus) == 3
+    with pytest.raises(ResourceError):
+        chromatic_number_1skel(cycle)
 
 
 def test_chromatic_number_budget(monkeypatch):
