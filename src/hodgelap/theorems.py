@@ -25,8 +25,8 @@ import numpy as np
 from .core import (
     Face,
     SimplicialComplex,
+    _chromatic_bounds,
     _component_balance,
-    chromatic_number_1skel,
     dual_graph,
     is_regular,
     motif as make_motif,
@@ -702,18 +702,28 @@ def _component_top_eigenvalue_present(
 
 
 def _chromatic_outcome(complex_: SimplicialComplex) -> tuple[int | None, str | None]:
-    """The chromatic number of the 1-skeleton, or the note of a spent budget.
+    """The chromatic number of the 1-skeleton, or a note on why it is not needed.
 
-    Searched once per complex, since every i asks the same question.  A
-    spent budget is like a hypothesis that fails: the condition is left
-    undecided, and the rest of the report stands.
+    The condition chi = i+2 needs (i+1)-faces, so i+2 <= dim+1, while a
+    dim-face is a (dim+1)-clique, so chi >= dim+1: it can hold only for
+    chi = dim+1.  So :func:`~hodgelap.core._chromatic_bounds` searches only
+    when its lower bound is dim+1.  When a larger clique leaves the bounds
+    apart, chi is not needed: the note names both bounds, and the
+    condition is not triggered at any i.  Decided once per complex, since
+    every i asks the same question.  A spent budget is like a hypothesis
+    that fails: the condition is left undecided, and the rest of the
+    report stands.
     """
     key = "chromatic"
     if key not in complex_._memo:
+        ceiling = complex_.dim + 1
         try:
-            complex_._memo[key] = (chromatic_number_1skel(complex_), None)
+            lower, upper = _chromatic_bounds(complex_, ceiling)
         except ResourceError as exc:
             complex_._memo[key] = (None, f"chromatic condition not decided: {exc}")
+        else:
+            note = f"chromatic condition not triggered ({lower} <= chi <= {upper}, above dim+1 = {ceiling})"
+            complex_._memo[key] = (upper, None) if lower == upper else (None, note)
     return complex_._memo[key]
 
 
@@ -730,7 +740,10 @@ def check_boundary_eigenvalue(
     component of the signed down dual is parallel-balanced -- asserted in
     both directions, per component and for the whole complex.
     (b) If the chromatic number of the 1-skeleton is exactly i+2 (and
-    (i+1)-faces exist), then i+2 is in the spectrum.
+    (i+1)-faces exist), then i+2 is in the spectrum.  A dim-face is a
+    (dim+1)-clique, so chi >= dim+1 >= i+2: the condition can hold only
+    for chi = dim+1, and a greedy clique past dim+1 rules it out without a
+    search (:func:`_chromatic_outcome`).
     (c) Duplicating a single-vertex i-motif whose closed star is
     parallel-balanced at dimension i+1 puts i+1 into the duplicated
     complex's spectrum.  Checked only with ``duplication_fixtures``: it
@@ -745,9 +758,9 @@ def check_boundary_eigenvalue(
         report.add_bool(f"component-{c}/balance-iff-i+2", balanced, present)
     report.certificates["component_balance"] = [b for b, _ in per_comp]
 
-    chi, undecided = _chromatic_outcome(complex_)
-    if undecided:
-        report.notes.append(undecided)
+    chi, note = _chromatic_outcome(complex_)
+    if note:
+        report.notes.append(note)
     report.certificates["chromatic_number"] = chi
     if chi == i + 2 and complex_.n_faces(i + 1) > 0:
         report.add_bool("chromatic-number-forces-i+2", True, present_whole)

@@ -358,7 +358,7 @@ def test_verify_takes_documents_only_for_suites_that_read_them(tmp_path, capsys,
 
 def test_verify_a_cycle_longer_than_the_recursion_limit(tmp_path, capsys):
     # An odd cycle: the clique bound is 2 and the DSATUR coloring takes 3,
-    # so the search for a 2-coloring descends through all 1201 vertices
+    # so the search for a 2-coloring backtracks through all 1201 vertices
     # before it fails.
     n = 1201
     label = np.random.default_rng(0).permutation(n).tolist()

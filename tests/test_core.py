@@ -333,7 +333,7 @@ def test_chromatic_number_of_a_torus_deeper_than_the_recursion_limit(monkeypatch
     # pass the interpreter's default recursion limit of 1000.  On the torus
     # the DSATUR coloring meets the triangle bound, so no search runs at
     # all; on an odd cycle of 1201 shuffled labels the bounds are 2 and 3,
-    # and the failing search for a 2-coloring descends through every vertex.
+    # and the failing search for a 2-coloring backtracks through every vertex.
     torus = _grid_surface(33, 33, False)
     label = np.random.default_rng(0).permutation(1201).tolist()
     cycle = from_facets([[label[j], label[(j + 1) % 1201]] for j in range(1201)])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hodgelap
 from hodgelap import corpus, spectra, theorems
 from hodgelap.constructions import FamilySpec, generate
-from hodgelap.core import from_facets
+from hodgelap.core import chromatic_number_1skel, from_facets
 from hodgelap.operators import WeightScheme, laplacian
 from hodgelap.spectra import spectrum
 from hodgelap.suites import run_suites
@@ -449,12 +450,12 @@ def test_the_chromatic_number_is_searched_once_per_complex(monkeypatch):
 
     searches = []
 
-    def counting(complex_):
+    def counting(complex_, ceiling):
         searches.append(complex_)
-        return core.chromatic_number_1skel(complex_)
+        return core._chromatic_bounds(complex_, ceiling)
 
     k = from_facets([[0, 1, 2], [1, 2, 3], [3, 4]])
-    monkeypatch.setattr(theorems, "chromatic_number_1skel", counting)
+    monkeypatch.setattr(theorems, "_chromatic_bounds", counting)
     monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 100)
     reports = [check_boundary_eigenvalue(k, i, duplication_fixtures=False) for i in (0, 1)]
     assert len(searches) == 1
@@ -470,28 +471,141 @@ def test_the_chromatic_number_is_searched_once_per_complex(monkeypatch):
         assert "chromatic condition not decided" in r.notes[0]
 
 
+# The Groetzsch graph: the Mycielskian of C_5, triangle-free with chromatic
+# number 4.
+GROETZSCH = (
+    [[j, (j + 1) % 5] for j in range(5)]
+    + [[j, 5 + (j + d) % 5] for j in range(5) for d in (1, 4)]
+    + [[5 + j, 10] for j in range(5)]
+)
+BOUNDS_NOTE = re.compile(r"chromatic condition not triggered \((\d+) <= chi <= (\d+), above dim\+1 = (\d+)\)")
+
+
 def test_a_spent_chromatic_budget_leaves_a_note_not_an_abort(tmp_path, capsys, monkeypatch):
     from hodgelap import core
     from hodgelap.cli import cli_main
 
-    # G(40, 1/2) needs hundreds of search nodes; every corpus complex needs
-    # at most 13, so under a budget of 20 only the user complex runs out.
+    # The Groetzsch graph leaves chi = i+2 = 2 open (clique bound 2, DSATUR
+    # coloring 4), and the search needs 28 backtracks to rule out 3 colors;
+    # every corpus complex needs at most 13, so under a budget of 20 only
+    # the user complex runs out.
+    path = tmp_path / "groetzsch.json"
+    path.write_text(json.dumps({"facets": GROETZSCH, "name": "groetzsch"}))
+    monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 20)
+    code = cli_main(["verify", str(path), "--suite", "boundary", "--random-count", "0"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code in (0, 1)
+    user = [r for r in records if r["inputs"]["complex"] == "user-groetzsch"]
+    assert len(user) == 1
+    assert user[0]["certificates"]["chromatic_number"] is None
+    assert any("chromatic condition not decided" in note for note in user[0]["notes"])
+    names = [check["name"] for check in user[0]["checks"]]
+    assert "balance-iff-i+2-present" in names and "component-0/balance-iff-i+2" in names
+    others = [r for r in records if r["inputs"]["complex"] != "user-groetzsch"]
+    assert others and all(type(r["certificates"]["chromatic_number"]) is int for r in others)
+
+
+def test_a_clique_past_dim_plus_1_decides_the_chromatic_condition_from_the_bounds(
+    tmp_path, capsys, monkeypatch
+):
+    from hodgelap import core
+    from hodgelap.cli import cli_main
+
+    # G(40, 1/2) holds cliques larger than dim+1 = 2, so chi = i+2 = 2 is
+    # ruled out: no search runs, even with no budget, and the note names
+    # both bounds.
     rng = np.random.default_rng(0)
     edges = [[a, b] for a in range(40) for b in range(a + 1, 40) if rng.random() < 0.5]
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({"facets": edges, "name": "dense"}))
-    monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 20)
+    monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 0)
     code = cli_main(["verify", str(path), "--suite", "boundary", "--random-count", "0"])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code in (0, 1)
     dense = [r for r in records if r["inputs"]["complex"] == "user-dense"]
     assert len(dense) == 1
     assert dense[0]["certificates"]["chromatic_number"] is None
-    assert any("chromatic condition not decided" in note for note in dense[0]["notes"])
+    notes = [note for note in dense[0]["notes"] if "chromatic" in note]
+    assert len(notes) == 1
+    lower, upper, ceiling = map(int, BOUNDS_NOTE.fullmatch(notes[0]).groups())
+    assert ceiling == 2 < lower < upper
     names = [check["name"] for check in dense[0]["checks"]]
-    assert "balance-iff-i+2-present" in names and "component-0/balance-iff-i+2" in names
-    others = [r for r in records if r["inputs"]["complex"] != "user-dense"]
-    assert others and all(type(r["certificates"]["chromatic_number"]) is int for r in others)
+    assert "balance-iff-i+2-present" in names
+    assert "chromatic-number-forces-i+2" not in names
+
+
+def test_a_dense_complex_decides_the_chromatic_condition_without_a_search(monkeypatch):
+    from hodgelap import core
+
+    # 700 random triangles on 80 vertices: the greedy clique passes
+    # dim+1 = 3, so the bounds rule out chi = i+2 at every i.  A search
+    # would close the bounds, and under a budget of 0 its first backtrack
+    # would leave the condition undecided.
+    rng = np.random.default_rng(0)
+    k = from_facets([t for t in rng.integers(0, 80, (700, 3)).tolist() if len(set(t)) == 3])
+    calls = []
+
+    def counting(complex_, ceiling):
+        bounds = core._chromatic_bounds(complex_, ceiling)
+        calls.append((ceiling, bounds))
+        return bounds
+
+    monkeypatch.setattr(theorems, "_chromatic_bounds", counting)
+    monkeypatch.setattr(core, "_CHROMATIC_BUDGET", 0)
+    start = time.perf_counter()
+    reports = [check_boundary_eigenvalue(k, i, "dense") for i in (0, 1)]
+    assert time.perf_counter() - start < 20
+    [(ceiling, (lower, upper))] = calls
+    assert ceiling == 3 < lower < upper
+    for r in reports:
+        assert r.certificates["chromatic_number"] is None
+        assert f"chromatic condition not triggered ({lower} <= chi <= {upper}, above dim+1 = 3)" in r.notes
+        assert not any("not decided" in note for note in r.notes)
+        assert not any("chromatic" in it.name for it in r.items)
+
+
+def _oracle_chromatic_number(n: int, edges: set[tuple[int, int]]) -> int:
+    """Fewest colors of a proper coloring, by exhaustion over every coloring up to renaming."""
+
+    def colorings(prefix: list[int]):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for c in range(max(prefix, default=-1) + 2):
+            yield from colorings(prefix + [c])
+
+    return min(max(c) + 1 for c in colorings([]) if all(c[a] != c[b] for a, b in edges))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    facets=st.integers(2, 4).flatmap(
+        lambda top: st.lists(
+            st.lists(st.integers(0, 6), min_size=1, max_size=top, unique=True),
+            min_size=1,
+            max_size=16,
+        )
+    )
+)
+# Where the greedy clique passes dim+1 and DSATUR's coloring is not optimal,
+# no search runs: a graph of clique number and chromatic number 4 whose
+# greedy clique is a triangle, and a 2-complex whose bounds are 4 and 5.
+@example(facets=[[0, 1], [0, 2], [0, 4], [0, 6], [1, 2], [1, 5], [2, 4], [2, 6], [4, 6]])
+@example(facets=[[2, 4, 5], [1, 4, 6], [1, 2, 6], [0, 2, 3], [1, 2, 5], [0, 5, 6]])
+def test_chromatic_bounds_agree_with_an_exhaustive_oracle(facets):
+    k = from_facets(facets)
+    index = {v: j for j, v in enumerate(k.vertices())}
+    chi = _oracle_chromatic_number(len(index), {(index[a], index[b]) for a, b in k.faces(1)})
+    assert chromatic_number_1skel(k) == chi
+    for i in range(k.dim):
+        report = check_boundary_eigenvalue(k, i)
+        bounds = [BOUNDS_NOTE.fullmatch(note) for note in report.notes]
+        bounds = [tuple(map(int, m.groups())) for m in bounds if m]
+        if report.certificates["chromatic_number"] is None:
+            [(lower, upper, ceiling)] = bounds
+            assert ceiling == k.dim + 1 < lower <= chi <= upper and chi != i + 2
+        else:
+            assert not bounds and report.certificates["chromatic_number"] == chi
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
