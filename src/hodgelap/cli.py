@@ -32,7 +32,7 @@ from .corpus import RANDOM_COUNT
 from .errors import DocumentError, HodgelapError, NumericError
 from .operators import WeightScheme, laplacian
 from .spectra import DEFAULT_VALUE_TOL, betti, bounds_report, predicted_zero_multiplicity, spectrum
-from .suites import _DOCUMENT_SUITES, SUITES, run_suites
+from .suites import _DOCUMENT_SUITES, SUITES, _entries
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -300,7 +300,7 @@ def cmd_construct(operation, files, faces, motif, output):
 @click.argument("files", nargs=-1, type=str)
 @click.option("--suite", default="all",
               type=click.Choice(("all",) + SUITES), help="which suite to run")
-@click.option("--seed", type=int, default=0, help="seed for the random fixtures")
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="seed for the random fixtures")
 @click.option("--tol", type=float, default=DEFAULT_VALUE_TOL, callback=_check_tolerance,
               help="override the eigenvalue tolerance")
 @click.option("--random-count", type=click.IntRange(min=0), default=RANDOM_COUNT,
@@ -322,14 +322,15 @@ def cmd_verify(files, suite, seed, tol, random_count):
         if name in extra:
             raise DocumentError(f"{path}: an earlier document is also named {name!r}")
         extra[name] = doc.to_complex()
-    reports = run_suites([suite], seed=seed, extra=extra, tol=tol, random_count=random_count)
+    # Each line was encoded by the process that checked its report.
+    entries = _entries([suite], seed, extra, tol, random_count)
     failed = n_na = 0
-    for report in reports:
-        record = report.to_dict()
-        print(json.dumps(record, default=str))
-        failed += record["status"] == "fail"
-        n_na += record["status"] == "not-applicable"
-    print(f"verify: {len(reports)} checks, {failed} failed, {n_na} not applicable", file=sys.stderr)
+    for _, line, report in entries:
+        print(line)
+        status = report.status
+        failed += status == "fail"
+        n_na += status == "not-applicable"
+    print(f"verify: {len(entries)} checks, {failed} failed, {n_na} not applicable", file=sys.stderr)
     if failed:
         print(f"error: {failed} checks failed", file=sys.stderr)
         click.get_current_context().exit(EXIT_VERIFY_FAILED)

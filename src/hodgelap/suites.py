@@ -3,32 +3,39 @@
 Each suite yields :class:`CheckReport` objects; ``run_suites`` aggregates
 them deterministically (sorted by theorem id, then input hash).  The corpus
 suites ``families``, ``hodge``, ``bounds``, ``boundary`` and ``regular``
-take the (name, complex) entries to check.  ``run_suites`` builds the corpus
-once and walks its distinct complexes: equal entries share one object,
-which gets every selected corpus suite's checks before it is dropped, so
-its memo tables (coboundaries, ranks, Betti numbers, weights, pure parts,
-solved sides) are built once for all five.  A complex filed under several
-names is checked once for each distinct value of what a suite reads from
-the name (whether the boundary suite also runs its duplication checks,
-whether the name is in the regular suite's set); every other name gets a
-copy of those reports under its own name.  The distinct complexes do not
-depend on each other, so the walk runs on every CPU the process may use:
-their groups are dealt round-robin into one shard per CPU, this process
-checks one shard and a child made with ``os.fork`` checks each other, and
-the children pickle their reports back through pipes.  The reports are put
-back in group order, so the result, and the CLI's report stream, are the
-same byte for byte on any number of CPUs.  The CLI ``verify`` subcommand
-is a thin wrapper over :func:`run_suites`.
+take the (name, complex) entries to check; ``wedge``, ``join`` and
+``duplication`` build their own instances.  ``run_suites`` runs every
+selected suite in one walk over units of work: one per distinct corpus
+complex when a corpus suite is selected, then one per other suite.  Equal
+corpus entries share one object, which gets every selected corpus suite's
+checks before it is dropped, so its memo tables (coboundaries, ranks,
+Betti numbers, weights, pure parts, solved sides) are built once for all
+five.  A complex filed under several names is checked once for each
+distinct value of what a suite reads from the name (whether the boundary
+suite also runs its duplication checks, whether the name is in the regular
+suite's set); every other name gets a copy of those reports under its own
+name.  The units do not depend on each other, so the walk runs on every
+CPU the process may use: they are dealt in turn into one shard per CPU,
+this process checks one shard and a child made with ``os.fork`` checks
+each other.  The process that checks a unit also encodes each of its
+reports: its sort key and its line of the CLI's report stream, which the
+children pickle back with the reports through pipes.  The entries are put
+back in unit order and sorted on their keys, so the result, and the CLI's
+report stream, are the same byte for byte on any number of CPUs.  The CLI
+``verify`` subcommand prints the lines of :func:`_entries`, and
+:func:`run_suites` returns their reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import os
 import pickle
 import signal
 import threading
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -214,7 +221,7 @@ def _renamed(report: CheckReport, name: str) -> CheckReport:
 
 
 def _worker_count() -> int:
-    """How many processes walk the corpus: one per CPU this process may use.
+    """How many processes run the walk: one per CPU this process may use.
 
     One where the platform has no ``os.fork``, or where the process runs
     other Python threads: a lock such a thread holds at the fork would stay
@@ -258,19 +265,30 @@ def _check_group(
     return reports
 
 
-def _check_shard(groups: list, check) -> tuple[list[list[CheckReport]], Exception | None]:
-    """``check`` on each group of ``groups`` in order, one report list per group.
+# A report with its sort key and its line of the ``verify`` report stream.
+_Entry = tuple[tuple[str, str], str, CheckReport]
 
-    Each group leaves ``groups`` as it is taken, so its complex and memo
-    tables are dropped once it is done.  The walk stops at the first check
-    that raises, and returns that error beside the lists made before it.
+
+def _encoded(report: CheckReport) -> _Entry:
+    """``report`` with its key ``(theorem_id, input_hash())`` and its stream line."""
+    line = json.dumps(report.to_dict(), default=str)
+    return (report.theorem_id, report.input_hash()), line, report
+
+
+def _check_shard(units: list) -> tuple[list[list[_Entry]], Exception | None]:
+    """Each unit of ``units`` in order, one list of encoded reports per unit.
+
+    A unit is called with no arguments and gives the reports to encode.
+    Each unit leaves ``units`` as it is taken, so a group's complex and
+    memo tables are dropped once it is done.  The walk stops at the first
+    unit that raises, and returns that error beside the lists made before it.
     """
-    groups.reverse()
+    units.reverse()
     done = []
-    while groups:
-        k, names = groups.pop()
+    while units:
+        unit = units.pop()
         try:
-            done.append(check(k, names))
+            done.append([_encoded(report) for report in unit()])
         except Exception as exc:  # handed to the parent, which raises it
             return done, exc
     return done, None
@@ -286,8 +304,8 @@ def _by_fields(obj):
     return type(obj), tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
 
 
-def _fork_shard(groups: list, shard: int, workers: int, check) -> tuple[int, int]:
-    """Fork a child that checks every ``workers``-th group from ``shard`` on.
+def _fork_shard(units: list, shard: int, workers: int) -> tuple[int, int]:
+    """Fork a child that checks every ``workers``-th unit from ``shard`` on.
 
     The child pickles what :func:`_check_shard` returns into a pipe and
     ends with ``os._exit``, never returning to the caller.  Returns the
@@ -305,17 +323,17 @@ def _fork_shard(groups: list, shard: int, workers: int, check) -> tuple[int, int
         return pid, read
     parent, code = os.getppid(), 1
 
-    def check_while_parent_lives(k, names):
+    def while_parent_lives(unit):
         # A parent ended by a signal cannot reap its children; they end too.
         if os.getppid() != parent:
             os._exit(code)
-        return check(k, names)
+        return unit()
 
     try:
         os.close(read)
-        mine = groups[shard::workers]
-        groups.clear()
-        done, error = _check_shard(mine, check_while_parent_lives)
+        mine = [functools.partial(while_parent_lives, unit) for unit in units[shard::workers]]
+        units.clear()
+        done, error = _check_shard(mine)
         try:
             head = pickle.dumps((len(done), error), pickle.HIGHEST_PROTOCOL)
             pickle.loads(head)
@@ -325,16 +343,16 @@ def _fork_shard(groups: list, shard: int, workers: int, check) -> tuple[int, int
             pipe.write(head)
             pickler = pickle.Pickler(pipe, pickle.HIGHEST_PROTOCOL)
             pickler.dispatch_table = {CheckReport: _by_fields, CheckItem: _by_fields}
-            for reports in done:
-                pickler.dump(reports)
-                # One pickle per group keeps the reader's memo table small.
+            for entries in done:
+                pickler.dump(entries)
+                # One pickle per unit keeps the reader's memo table small.
                 pickler.clear_memo()
         code = 0
     finally:
         os._exit(code)
 
 
-def _receive(read: int) -> tuple[list[list[CheckReport]], Exception | None] | None:
+def _receive(read: int) -> tuple[list[list[_Entry]], Exception | None] | None:
     """What a child of :func:`_fork_shard` sent through ``read``; None if it was cut short."""
     with open(read, "rb", closefd=False) as pipe:
         try:
@@ -361,41 +379,50 @@ def _walk(
     extra: dict[str, SimplicialComplex] | None,
     random_count: int,
     tol: float,
-) -> list[CheckReport]:
-    """The reports of the corpus ``suites``, walking each distinct complex once.
+) -> list[_Entry]:
+    """The encoded reports of ``suites``, in the order of the units that made them.
 
-    The corpus names (and the user documents of ``extra``) are grouped by
-    their object, in order of first appearance, and the groups are dealt
-    round-robin into one shard per worker (:func:`_worker_count`).  This
-    process checks shard 0 and a forked child checks each other shard;
-    the report lists come back in group order, so the result does not
-    depend on the number of workers.  Should a check raise, the error of
-    the first failing group is raised, as in one process.
+    When a corpus suite is selected, the corpus names (and the user
+    documents of ``extra``) are grouped by their object, in order of first
+    appearance, and each group is a unit that gets every selected corpus
+    suite's checks; each other suite is one unit after them.  The units
+    are dealt in turn into one shard per worker (:func:`_worker_count`,
+    never more than the units, so a lone non-corpus suite stays in this
+    process).  This process checks shard 0 and a forked child checks each
+    other shard; the lists come back in unit order, so the result does not
+    depend on the number of workers.  Should a unit raise, the error of
+    the first failing unit is raised, as in one process.
     """
-    fixtures = corpus.full_corpus(seed, random_count)
-    user = set(extra or ())
-    fixtures.update(extra or {})
-    by_id: dict[int, tuple[SimplicialComplex, list[str]]] = {}
-    for name, k in fixtures.items():
-        by_id.setdefault(id(k), (k, []))[1].append(name)
-    fixtures.clear()
-    groups = list(by_id.values())
-    by_id.clear()
-    n_groups = len(groups)
-    workers = min(_worker_count(), n_groups)
-    check = functools.partial(_check_group, suites=suites, user=user, seed=seed, tol=tol)
+    walked = [name for name in suites if name in _CORPUS_SUITES]
+    units = []
+    if walked:
+        fixtures = corpus.full_corpus(seed, random_count)
+        user = set(extra or ())
+        fixtures.update(extra or {})
+        by_id: dict[int, tuple[SimplicialComplex, list[str]]] = {}
+        for name, k in fixtures.items():
+            by_id.setdefault(id(k), (k, []))[1].append(name)
+        fixtures.clear()
+        units = [functools.partial(_check_group, k, names,
+                                   suites=walked, user=user, seed=seed, tol=tol)
+                 for k, names in by_id.values()]
+        by_id.clear()
+    units += (functools.partial(_SUITE_FUNCS[name], seed=seed, tol=tol)
+              for name in suites if name not in walked)
+    n_units = len(units)
+    workers = min(_worker_count(), n_units)
     children: dict[int, tuple[int, int]] = {}  # shard -> (pid, read end), until reaped
     outcomes = {}
     try:
         for shard in range(1, workers):
             try:
-                children[shard] = _fork_shard(groups, shard, workers, check)
+                children[shard] = _fork_shard(units, shard, workers)
             except OSError:  # no process to spare: this one checks the rest
                 break
-        own = {shard: groups[shard::workers] for shard in range(workers) if shard not in children}
-        groups.clear()
+        own = {shard: units[shard::workers] for shard in range(workers) if shard not in children}
+        units.clear()
         for shard in own:
-            outcomes[shard] = _check_shard(own[shard], check)
+            outcomes[shard] = _check_shard(own[shard])
         for shard in list(children):
             outcome = _receive(children[shard][1])
             code = _reap(*children.pop(shard))
@@ -411,8 +438,27 @@ def _walk(
               for shard, (done, error) in outcomes.items() if error is not None]
     if errors:
         raise min(errors, key=lambda pair: pair[0])[1]
-    return [report for index in range(n_groups)
-            for report in outcomes[index % workers][0][index // workers]]
+    return [entry for index in range(n_units)
+            for entry in outcomes[index % workers][0][index // workers]]
+
+
+def _entries(
+    names: Iterable[str],
+    seed: int,
+    extra: dict[str, SimplicialComplex] | None,
+    tol: float,
+    random_count: int,
+) -> list[_Entry]:
+    """The encoded reports of the requested suites, sorted on their keys."""
+    selected = list(SUITES) if "all" in names else [n for n in SUITES if n in set(names)]
+    unknown = set(names) - set(SUITES) - {"all"}
+    if unknown:
+        raise ValueError(f"unknown suites: {sorted(unknown)}")
+    entries = _walk(selected, seed, extra, random_count, tol)
+    # Each suite has its own theorem ids and each report names its input,
+    # so the order of the walk does not change the sorted order.
+    entries.sort(key=itemgetter(0))
+    return entries
 
 
 def run_suites(
@@ -424,20 +470,10 @@ def run_suites(
 ) -> list[CheckReport]:
     """Run the requested suites and return reports in deterministic order.
 
-    The corpus suites (``families``, ``hodge``, ``bounds``, ``boundary``,
-    ``regular``) share one walk over the distinct corpus complexes and the
-    user documents of ``extra``; the others build their own instances.
+    Every selected suite runs in one walk (:func:`_walk`): the corpus
+    suites (``families``, ``hodge``, ``bounds``, ``boundary``, ``regular``)
+    share one unit per distinct complex of the corpus and of the user
+    documents of ``extra``, and each other suite builds its own instances
+    in a unit of its own.
     """
-    selected = list(SUITES) if "all" in names else [n for n in SUITES if n in set(names)]
-    unknown = set(names) - set(SUITES) - {"all"}
-    if unknown:
-        raise ValueError(f"unknown suites: {sorted(unknown)}")
-    walked = [name for name in selected if name in _CORPUS_SUITES]
-    # Each suite has its own theorem ids and each report names its input,
-    # so the order of the walk does not change the sorted order.
-    reports = _walk(walked, seed, extra, random_count, tol) if walked else []
-    for name in selected:
-        if name not in walked:
-            reports.extend(_SUITE_FUNCS[name](seed=seed, extra=extra, tol=tol))
-    reports.sort(key=lambda r: (r.theorem_id, r.input_hash()))
-    return reports
+    return [report for _, _, report in _entries(names, seed, extra, tol, random_count)]

@@ -489,6 +489,24 @@ def test_verify_rejects_bad_tolerance_and_count(capsys, args, option):
     assert option in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--suite", "hodge"], ["--suite", "boundary", "--random-count", "0"]],
+    ids=["hodge", "boundary"],
+)
+def test_verify_rejects_a_negative_seed_with_one_line(args):
+    src = str(Path(hodgelap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "hodgelap", "verify", "--seed", "-1"] + args,
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == EXIT_BAD_DOCUMENT and run.stdout == ""
+    assert "Traceback" not in run.stderr
+    errors = [line for line in run.stderr.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: Invalid value for '--seed': -1 is not in the range x>=0."]
+
+
 def test_verify_accepts_a_zero_tolerance_and_count(capsys):
     code, stdout, _ = run_cli(["verify", "--suite", "join", "--random-count", "0"], capsys)
     assert code == EXIT_OK and stdout

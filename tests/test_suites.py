@@ -1,4 +1,4 @@
-"""The corpus walk on several processes: one stream, every group once, no child left."""
+"""The walk on several processes: one stream, every unit once, no child left."""
 
 import json
 import os
@@ -34,7 +34,7 @@ def _groups(seed, random_count):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Set how many processes walk the corpus."""
+    """Set how many processes run the walk."""
     return lambda n: monkeypatch.setattr(suites, "_worker_count", lambda: n)
 
 
@@ -50,8 +50,7 @@ def test_one_and_two_workers_give_one_stream(seed, workers):
 def test_a_user_document_gets_one_stream_on_any_number_of_workers(workers):
     def run():
         extra = {"user-t": from_facets([[0, 1, 2], [1, 2, 3], [3, 4]])}
-        return _stream(run_suites(["hodge", "bounds", "boundary", "regular"], extra=extra,
-                                  random_count=3))
+        return _stream(run_suites(["all"], extra=extra, random_count=3))
 
     workers(1)
     alone = run()
@@ -60,6 +59,49 @@ def test_a_user_document_gets_one_stream_on_any_number_of_workers(workers):
         workers(n)
         assert run() == alone, n
     _no_child_left()
+
+
+@pytest.mark.parametrize("names", [["wedge"], ["join"], ["duplication"],
+                                   ["wedge", "join", "duplication"]])
+def test_the_other_suites_get_one_stream_on_any_number_of_workers(names, workers):
+    workers(1)
+    alone = [r.to_dict() for r in run_suites(names)]
+    assert alone
+    for n in (2, 3):
+        workers(n)
+        assert [r.to_dict() for r in run_suites(names)] == alone, n
+    _no_child_left()
+
+
+def test_verify_prints_one_stream_on_any_number_of_workers(workers, capsys):
+    streams = []
+    for n in (1, 2, 3):
+        workers(n)
+        assert cli_main(["verify", "--suite", "all", "--seed", "0"]) == 0
+        streams.append(capsys.readouterr())
+        _no_child_left()
+    assert streams[0].out.count("\n") == 2486
+    assert streams[0].err == "verify: 2486 checks, 0 failed, 40 not applicable\n"
+    assert streams[1] == streams[0] and streams[2] == streams[0]
+
+
+@pytest.mark.parametrize("suite", ["join", "wedge"])
+def test_a_lone_non_corpus_suite_stays_in_this_process(suite, workers, monkeypatch, capsys):
+    forks = []
+
+    def fork():
+        forks.append(os.getpid())
+        raise AssertionError("forked")
+
+    def full_corpus(*args):
+        raise AssertionError("built the corpus")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(corpus, "full_corpus", full_corpus)
+    workers(3)
+    assert cli_main(["verify", "--suite", suite, "--seed", "0"]) == 0
+    assert capsys.readouterr().out
+    assert forks == []
 
 
 def test_every_group_lands_in_exactly_one_shard(workers, monkeypatch):
@@ -112,17 +154,17 @@ def test_a_process_with_other_threads_does_not_fork():
     assert suites._worker_count() == len(os.sched_getaffinity(0))
 
 
-def _fail_in(monkeypatch, where, error):
-    """Make the Hodge check raise ``error()`` in the child only or in this process only."""
+def _fail_in(monkeypatch, where, error, check="check_hodge_and_duality"):
+    """Make ``check`` raise ``error()`` in the child only or in this process only."""
     parent = os.getpid()
-    check = suites.check_hodge_and_duality
+    original = getattr(suites, check)
 
-    def failing(k, name, **kwargs):
+    def failing(*args, **kwargs):
         if (os.getpid() == parent) == (where == "parent"):
             error()
-        return check(k, name, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(suites, "check_hodge_and_duality", failing)
+    monkeypatch.setattr(suites, check, failing)
 
 
 def _numeric():
@@ -134,6 +176,20 @@ def test_a_numeric_error_in_one_worker_exits_3(where, workers, monkeypatch, caps
     _fail_in(monkeypatch, where, _numeric)
     workers(2)
     code = cli_main(["verify", "--suite", "hodge", "--random-count", "0"])
+    out, err = capsys.readouterr()
+    _no_child_left()
+    assert code == EXIT_NUMERIC and out == ""
+    assert err == "numeric error: eigensolver failed: forced\n"
+
+
+def test_a_numeric_error_in_a_suite_unit_of_a_child_exits_3(workers, monkeypatch, capsys):
+    # With --suite all the units are the corpus groups, then wedge, join
+    # and duplication; deal join to a child.
+    join = len(_groups(0, 0)) + 1
+    n = next(n for n in (2, 3, 4) if join % n)
+    _fail_in(monkeypatch, "child", _numeric, check="check_join")
+    workers(n)
+    code = cli_main(["verify", "--suite", "all", "--random-count", "0"])
     out, err = capsys.readouterr()
     _no_child_left()
     assert code == EXIT_NUMERIC and out == ""
@@ -198,3 +254,29 @@ def test_the_first_failing_group_names_the_error_on_any_number_of_workers(worker
         _no_child_left()
     assert messages == [f"eigensolver failed on {_groups(0, 0)[5][0]}"] * 3
 
+
+
+def test_a_failing_group_wins_over_a_later_failing_suite_unit(workers, monkeypatch):
+    # The last corpus group and the join unit after it fail; they land in
+    # different shards on two and three workers, in one on one worker.
+    last = _groups(0, 0)[-1][0]
+    check = suites.check_hodge_and_duality
+
+    def fail_last(k, name, **kwargs):
+        if name == last:
+            raise NumericError(f"eigensolver failed on {name}")
+        return check(k, name, **kwargs)
+
+    def fail_join(*args, **kwargs):
+        raise NumericError("eigensolver failed on a join")
+
+    monkeypatch.setattr(suites, "check_hodge_and_duality", fail_last)
+    monkeypatch.setattr(suites, "check_join", fail_join)
+    messages = []
+    for n in (1, 2, 3):
+        workers(n)
+        with pytest.raises(NumericError) as info:
+            run_suites(["hodge", "join"], random_count=0)
+        messages.append(str(info.value))
+        _no_child_left()
+    assert messages == [f"eigensolver failed on {last}"] * 3
