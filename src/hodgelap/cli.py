@@ -26,7 +26,8 @@ from itertools import chain
 
 import click
 
-from .constructions import FamilySpec, cartesian_product, cone, duplicate_motif, generate, join, wedge
+from .constructions import (FAMILIES, FamilySpec, cartesian_product, cone, duplicate_motif,
+                            generate, join, wedge)
 from .core import SimplicialComplex, from_facets
 from .corpus import RANDOM_COUNT
 from .errors import DocumentError, HodgelapError, NumericError
@@ -174,7 +175,7 @@ def main_group():
 
 
 @main_group.command("generate")
-@click.argument("family", type=click.Choice(["simplex", "circuit", "path", "star", "moebius-circuit"]))
+@click.argument("family", type=click.Choice(FAMILIES))
 @click.option("--i", "i", type=int, default=None, help="order parameter (circuit, path, star)")
 @click.option("--m", "m", type=int, default=None, help="length parameter (circuit, path, star)")
 @click.option("--n", "n", type=int, default=None, help="vertex count (simplex)")

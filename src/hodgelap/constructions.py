@@ -43,6 +43,7 @@ from .core import (
     Face,
     Motif,
     SimplicialComplex,
+    _refuse_past_budget,
     closure_of,
     from_facets,
     motif as make_motif,
@@ -98,12 +99,20 @@ class FamilySpec:
 
 
 def generate(spec: FamilySpec) -> SimplicialComplex:
-    """Build the complex of a family instance."""
+    """Build the complex of a family instance.
+
+    A closure past the budget is refused before any facet is listed, from
+    its face count, the empty face included: 2^n for a simplex, and for
+    each subset of the i-1 centers a face of the ring, path or star graph,
+    so 2^(i-1) (2m+1) for a circuit and 2^(i-1) (2m+2) for a path or star.
+    """
     if spec.family == "simplex":
+        _refuse_past_budget(spec.n, 1, spec.n)
         return from_facets([list(range(spec.n))])
     if spec.family == "moebius-circuit":
         return from_facets([[j % 5, (j + 1) % 5, (j + 2) % 5] for j in range(5)])
     i, m = spec.i, spec.m
+    _refuse_past_budget(i + 1, 2 * m + (1 if spec.family == "circuit" else 2), i - 1)
     centers = list(range(i - 1))
     if spec.family == "circuit":
         ring = [i - 1 + k for k in range(m)]

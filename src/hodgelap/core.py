@@ -284,6 +284,21 @@ def _closure_bound(faces: list[Face]) -> int:
     )
 
 
+def _refuse_past_budget(largest: int, faces: int, doublings: int = 0) -> None:
+    """Raise :class:`ResourceError` if a closure of ``faces * 2**doublings`` faces is too large.
+
+    Too large is past ``_CLOSURE_BUDGET``.  ``largest`` is the vertex count
+    of the largest face given.  The power of two is not worked out past
+    the budget's bit length, where ``faces >= 1`` times it is past the
+    budget already.
+    """
+    if faces << min(doublings, _CLOSURE_BUDGET.bit_length()) > _CLOSURE_BUDGET:
+        raise ResourceError(
+            f"the closure would have more than {_CLOSURE_BUDGET} faces; "
+            f"the largest face given has {largest} vertices"
+        )
+
+
 def _relabel(faces: list, flat: list) -> tuple[list, dict[int, np.ndarray]]:
     """The sorted vertex labels and, per face size, the faces as rows of ids.
 
@@ -467,11 +482,8 @@ def _from_lists(facets: list[list]) -> SimplicialComplex:
         _check_facets(facets)
     sizes = Counter(map(len, facets))
     subsets = sum(count << size for size, count in sizes.items())
-    if subsets > _CLOSURE_BUDGET and _closure_bound(facets) > _CLOSURE_BUDGET:
-        raise ResourceError(
-            f"the closure would have more than {_CLOSURE_BUDGET} faces; "
-            f"the largest face given has {max(sizes)} vertices"
-        )
+    if subsets > _CLOSURE_BUDGET:
+        _refuse_past_budget(max(sizes), _closure_bound(facets))
     if subsets > _SMALL_CLOSURE:
         return _closure(*_relabel(facets, flat))
     return _small_closure(facets)

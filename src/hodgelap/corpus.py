@@ -201,7 +201,7 @@ def full_corpus(seed: int = 0, random_count: int = RANDOM_COUNT) -> dict[str, Si
     """Families + named fixtures + constructions + seeded random complexes.
 
     Entries that are equal complexes share one object, the first built, so
-    they share its memo tables (coboundaries, ranks, Betti numbers, weights).
+    they share its memo tables (coboundaries, ranks, weights).
     """
     from .constructions import cartesian_product, cone, duplicate_motif, join, wedge
 

@@ -331,6 +331,26 @@ def laplacian(
     return LaplacianMatrix(up, down, w_i)
 
 
+def _entrywise_weights(complex_: SimplicialComplex, scheme: WeightScheme) -> dict[Face, float]:
+    """The weights of :func:`entrywise_laplacian`, read from no table.
+
+    The normalized weights are summed top-down over face tuples, each face
+    adding its weight to the degree of each of its boundary faces; the
+    other schemes read no table anyway (:func:`_weights`).
+    """
+    if scheme.kind != NORMALIZED:
+        return _weights(complex_, scheme)
+    wmap: dict[Face, float] = {}
+    degree: dict[Face, float] = {}
+    for d in range(complex_.dim, -2, -1):
+        for f in complex_.faces(d):
+            w = wmap[f] = degree.get(f, 1.0)
+            for k in range(len(f)):
+                e = f[:k] + f[k + 1 :]
+                degree[e] = degree.get(e, 0.0) + w
+    return wmap
+
+
 def entrywise_laplacian(
     complex_: SimplicialComplex, i: int, direction: str, scheme: WeightScheme
 ) -> np.ndarray:
@@ -340,10 +360,12 @@ def entrywise_laplacian(
     faces sharing a coface is the product of their boundary signs times
     w(coface)/w(row face).  The down operator mirrors this one dimension
     below, with the asymmetric factor w(col face)/w(shared face).  Used to
-    cross-check the Gram assembly, so it reads no memoized weight map,
-    weighted table or solve.
+    cross-check the Gram assembly, so it reads no boundary table, memoized
+    weight map, weighted table or solve: its weights are those of
+    :func:`_entrywise_weights`, and the faces that share a boundary face
+    are found by a subset test.
     """
-    wmap = _weights(complex_, scheme)
+    wmap = _entrywise_weights(complex_, scheme)
     faces = complex_.faces(i)
     n = len(faces)
     out = np.zeros((n, n))
@@ -363,8 +385,8 @@ def entrywise_laplacian(
                 e = fa[:k] + fa[k + 1 :]
                 out[a, a] += wmap[fa] / wmap[e]
                 se = boundary_sign(fa, e)
-                for fb in complex_.cofaces(e):
-                    if fb != fa and len(set(fa) & set(fb)) == len(fa) - 1:
+                for fb in faces:
+                    if fb != fa and set(e) < set(fb):
                         b = complex_.index(fb)
                         out[a, b] += se * boundary_sign(fb, e) * wmap[fb] / wmap[e]
     return out

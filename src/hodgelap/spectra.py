@@ -356,10 +356,10 @@ def _coboundary_rank(complex_: SimplicialComplex, j: int) -> int:
 
 
 def betti(complex_: SimplicialComplex) -> BettiProfile:
-    """Reduced Betti numbers from exact integer ranks of the coboundaries."""
-    key = "betti"
-    if key in complex_._memo:
-        return complex_._memo[key]
+    """Reduced Betti numbers from exact integer ranks of the coboundaries.
+
+    The profile is not memoized; the ranks are, so a second call is cheap.
+    """
     d = complex_.dim
     ranks = {j: _coboundary_rank(complex_, j) for j in range(-1, d + 1)}
     ranks[d + 1] = 0
@@ -368,9 +368,7 @@ def betti(complex_: SimplicialComplex) -> BettiProfile:
         complex_.n_faces(j) - ranks[j] - ranks[j - 1] for j in range(-1, d + 1)
     )
     dims = tuple(complex_.n_faces(j) for j in range(-1, d + 1))
-    profile = BettiProfile(reduced, dims)
-    complex_._memo[key] = profile
-    return profile
+    return BettiProfile(reduced, dims)
 
 
 def predicted_zero_multiplicity_formulas(

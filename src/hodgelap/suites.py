@@ -1,34 +1,35 @@
 """Verification suites: run the theorem checks over the fixture corpus.
 
-Each suite yields :class:`CheckReport` objects; ``run_suites`` aggregates
-them deterministically (sorted by theorem id, then input hash).  The corpus
-suites ``families``, ``hodge``, ``bounds``, ``boundary`` and ``regular``
-take the (name, complex) entries to check; ``wedge``, ``join`` and
-``duplication`` build their own instances.  ``run_suites`` runs every
-selected suite in one walk over units of work: one per distinct corpus
-complex when a corpus suite is selected, then one per other suite.  Equal
-corpus entries share one object, which gets every selected corpus suite's
-checks before it is dropped, so its memo tables (coboundaries, ranks,
-Betti numbers, weights, pure parts, solved sides) are built once for all
-five.  A complex filed under several names is checked once for each
-distinct value of what a suite reads from the name (whether the boundary
-suite also runs its duplication checks, whether the name is in the regular
-suite's set); every other name gets a copy of those reports under its own
-name.  The units do not depend on each other, so the walk runs on every
-CPU the process may use: they are dealt in turn into one shard per CPU,
-this process checks one shard and a child made with ``os.fork`` checks
-each other.  The process that checks a unit also encodes each of its
-reports: its sort key and its line of the CLI's report stream, which the
-children pickle back with the reports through pipes.  The entries are put
-back in unit order and sorted on their keys, so the result, and the CLI's
-report stream, are the same byte for byte on any number of CPUs.  The CLI
-``verify`` subcommand prints the lines of :func:`_entries`, and
-:func:`run_suites` returns their reports.
+Each suite is one check in the table ``_SUITES``, which gives
+:class:`CheckReport` objects; ``run_suites`` aggregates them
+deterministically (sorted by theorem id, then input hash).  The check of a
+corpus suite, ``families``, ``hodge``, ``bounds``, ``boundary`` or
+``regular``, takes one complex, a name it is filed under and what the
+suite reads from that name (:func:`_reading`); ``wedge``, ``join`` and
+``duplication`` build their own instances and take the tolerance alone.
+``run_suites`` runs every selected suite in one walk over units of work:
+one per distinct corpus complex when a corpus suite is selected, then one
+per other suite.  Equal corpus entries share one object, which gets every
+selected corpus suite's checks before it is dropped, so its memo tables
+(coboundaries, ranks, weights, pure parts, solved sides) are built once
+for all five.  A complex filed under several names is checked once for
+each distinct reading of a name, the one value that both decides this and
+is handed to the check; every other name gets a copy of those reports
+under its own name.  The units do not depend on each other, so the walk
+runs on every CPU the process may use: they are dealt in turn into one
+shard per CPU, this process checks one shard and a child made with
+``os.fork`` checks each other.  The process that checks a unit also
+encodes each of its reports: its sort key and its line of the CLI's report
+stream, which the children pickle back with the reports through pipes.  A
+report and its items have slots, so an unpickled one is as compact as one
+built here.  The entries are put back in unit order and sorted on their
+keys, so the result, and the CLI's report stream, are the same byte for
+byte on any number of CPUs.  The CLI ``verify`` subcommand prints the
+lines of :func:`_entries`, and :func:`run_suites` returns their reports.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import os
@@ -82,32 +83,12 @@ def _family_checks() -> Mapping[str, tuple[FamilySpec, ...]]:
     })
 
 
-def suite_families(entries, tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
-    for name, k in entries:
-        for spec in _family_checks()[name]:
-            yield check_family(spec, k, tol)
-
-
-def suite_hodge(
-    entries, seed: int = 0, tol: float = DEFAULT_VALUE_TOL, **_
-) -> Iterable[CheckReport]:
-    for name, k in entries:
-        yield check_hodge_and_duality(k, name, tol=tol, seed=seed)
-
-
-def suite_bounds(entries, seed: int = 0, **_) -> Iterable[CheckReport]:
-    for name, k in entries:
-        for i in range(0, k.dim):
-            for kind in ("combinatorial", "normalized", "custom"):
-                yield check_bounds(k, i, kind, name, seed=seed)
-
-
-def suite_wedge(tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
+def suite_wedge(tol: float) -> Iterable[CheckReport]:
     for name, k1, k2, f1, f2, i in corpus.wedge_instances():
         yield check_wedge(k1, k2, f1, f2, i, name, tol=tol)
 
 
-def suite_join(tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
+def suite_join(tol: float) -> Iterable[CheckReport]:
     for name, k1, k2 in corpus.join_instances():
         yield check_join(k1, k2, name, tol=tol)
     for name, k in corpus.cone_instances():
@@ -116,9 +97,33 @@ def suite_join(tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
         yield check_graph_product(g1, g2, name, tol=tol)
 
 
-def suite_duplication(tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
+def suite_duplication(tol: float) -> Iterable[CheckReport]:
     for name, k, verts in corpus.duplication_instances():
         yield check_duplication(k, verts, name, tol=tol)
+
+
+# Each suite's check, in SUITES order.  A corpus suite's check takes one
+# complex, a name it is filed under, what the suite reads from that name
+# (:func:`_reading`), the seed and the tolerance; each other suite builds
+# its own instances and takes the tolerance alone.
+_SUITES = {
+    "families": lambda k, name, specs, seed, tol: [check_family(spec, k, tol) for spec in specs],
+    "hodge": lambda k, name, _, seed, tol: [check_hodge_and_duality(k, name, tol=tol, seed=seed)],
+    "bounds": lambda k, name, _, seed, tol: [
+        check_bounds(k, i, kind, name, seed=seed)
+        for i in range(k.dim) for kind in ("combinatorial", "normalized", "custom")
+    ],
+    "wedge": suite_wedge,
+    "join": suite_join,
+    "duplication": suite_duplication,
+    "boundary": lambda k, name, run_dup, seed, tol: [
+        check_boundary_eigenvalue(k, i, name, tol=tol, duplication_fixtures=run_dup)
+        for i in range(k.dim)
+    ],
+    "regular": lambda k, name, _, seed, tol: [check_regular_dual(k, i, name, tol=tol)
+                                              for i in range(k.dim)],
+}
+SUITES = tuple(_SUITES)
 
 
 @functools.cache
@@ -129,20 +134,6 @@ def _duplication_fixture_names() -> frozenset[str]:
     return frozenset(names)
 
 
-def _runs_duplication(name: str, k: SimplicialComplex) -> bool:
-    """Small standard and duplication fixtures also get the duplication checks."""
-    return k.n_faces(0) <= 8 and name in _duplication_fixture_names()
-
-
-def suite_boundary(entries, tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
-    for name, k in entries:
-        run_dup = _runs_duplication(name, k)
-        for i in range(0, k.dim):
-            yield check_boundary_eigenvalue(
-                k, i, name, tol=tol, duplication_fixtures=run_dup
-            )
-
-
 @functools.cache
 def _regular_fixture_names() -> frozenset[str]:
     """The corpus names the regular suite checks: standard and small family fixtures."""
@@ -151,36 +142,19 @@ def _regular_fixture_names() -> frozenset[str]:
     return frozenset(names)
 
 
-def suite_regular(entries, tol: float = DEFAULT_VALUE_TOL, **_) -> Iterable[CheckReport]:
-    for name, k in entries:
-        for i in range(0, k.dim):
-            yield check_regular_dual(k, i, name, tol=tol)
+def _reading(suite: str, name: str, k: SimplicialComplex, user: set[str]) -> Hashable:
+    """What the check of corpus ``suite`` on ``k`` reads from ``name``; None skips the name.
 
-
-_SUITE_FUNCS = {
-    "families": suite_families,
-    "hodge": suite_hodge,
-    "bounds": suite_bounds,
-    "wedge": suite_wedge,
-    "join": suite_join,
-    "duplication": suite_duplication,
-    "boundary": suite_boundary,
-    "regular": suite_regular,
-}
-SUITES = tuple(_SUITE_FUNCS)
-
-
-def _setting(suite: str, name: str, k: SimplicialComplex, user: set[str]) -> Hashable:
-    """What the reports of ``suite`` on ``k`` read from ``name``; None skips the entry.
-
-    Entries of one complex with equal settings get equal reports but for
-    the name in their inputs.  The family reports name their spec, not the
-    complex, so every family fixture is its own setting.
+    The families suite reads the specs of a family fixture, the boundary
+    suite whether a small standard or duplication fixture also gets the
+    duplication checks, and the regular suite whether the name is in its
+    set or is a user document's.  Names of one complex with equal readings
+    get equal reports but for the name in their inputs.
     """
     if suite == "families":
-        return name if name in _family_checks() and name not in user else None
+        return None if name in user else _family_checks().get(name)
     if suite == "boundary":
-        return _runs_duplication(name, k)
+        return k.n_faces(0) <= 8 and name in _duplication_fixture_names()
     if suite == "regular":
         return True if name in user or name in _regular_fixture_names() else None
     return True
@@ -244,21 +218,20 @@ def _check_group(
 ) -> list[CheckReport]:
     """The reports of the corpus ``suites`` on ``k``, filed under each of ``names``.
 
-    ``k`` gets its checks once per suite and setting (:func:`_setting`);
-    the other names get renamed copies of those reports.
+    ``k`` gets each suite's check once per value that :func:`_reading`
+    reads from a name, which is also what the check is given; the other
+    names get renamed copies of those reports.
     """
     reports: list[CheckReport] = []
     done: dict[tuple[str, Hashable], list[CheckReport]] = {}
     for name in names:
         for suite in suites:
-            setting = _setting(suite, name, k, user)
-            if setting is None:
+            reading = _reading(suite, name, k, user)
+            if reading is None:
                 continue
-            first = done.get((suite, setting))
+            first = done.get((suite, reading))
             if first is None:
-                first = done[(suite, setting)] = list(
-                    _SUITE_FUNCS[suite]([(name, k)], seed=seed, tol=tol)
-                )
+                first = done[(suite, reading)] = _SUITES[suite](k, name, reading, seed, tol)
                 reports += first
             else:
                 reports += (_renamed(report, name) for report in first)
@@ -292,16 +265,6 @@ def _check_shard(units: list) -> tuple[list[list[_Entry]], Exception | None]:
         except Exception as exc:  # handed to the parent, which raises it
             return done, exc
     return done, None
-
-
-def _by_fields(obj):
-    """Pickle a dataclass instance as a call of its constructor.
-
-    Unpickled by default, an instance gets a dict of its own; built by its
-    constructor, it keeps the compact attribute layout that instances made
-    here have, and a shard's reports take about a seventh less memory.
-    """
-    return type(obj), tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
 
 
 def _fork_shard(units: list, shard: int, workers: int) -> tuple[int, int]:
@@ -342,7 +305,6 @@ def _fork_shard(units: list, shard: int, workers: int) -> tuple[int, int]:
         with open(write, "wb") as pipe:
             pipe.write(head)
             pickler = pickle.Pickler(pipe, pickle.HIGHEST_PROTOCOL)
-            pickler.dispatch_table = {CheckReport: _by_fields, CheckItem: _by_fields}
             for entries in done:
                 pickler.dump(entries)
                 # One pickle per unit keeps the reader's memo table small.
@@ -385,13 +347,14 @@ def _walk(
     When a corpus suite is selected, the corpus names (and the user
     documents of ``extra``) are grouped by their object, in order of first
     appearance, and each group is a unit that gets every selected corpus
-    suite's checks; each other suite is one unit after them.  The units
-    are dealt in turn into one shard per worker (:func:`_worker_count`,
-    never more than the units, so a lone non-corpus suite stays in this
-    process).  This process checks shard 0 and a forked child checks each
-    other shard; the lists come back in unit order, so the result does not
-    depend on the number of workers.  Should a unit raise, the error of
-    the first failing unit is raised, as in one process.
+    suite's checks (:func:`_check_group`); each other suite's check, given
+    the tolerance, is one unit after them.  The units are dealt in turn
+    into one shard per worker (:func:`_worker_count`, never more than the
+    units, so a lone non-corpus suite stays in this process).  This process
+    checks shard 0 and a forked child checks each other shard; the lists
+    come back in unit order, so the result does not depend on the number
+    of workers.  Should a unit raise, the error of the first failing unit
+    is raised, as in one process.
     """
     walked = [name for name in suites if name in _CORPUS_SUITES]
     units = []
@@ -407,8 +370,7 @@ def _walk(
                                    suites=walked, user=user, seed=seed, tol=tol)
                  for k, names in by_id.values()]
         by_id.clear()
-    units += (functools.partial(_SUITE_FUNCS[name], seed=seed, tol=tol)
-              for name in suites if name not in walked)
+    units += (functools.partial(_SUITES[name], tol) for name in suites if name not in walked)
     n_units = len(units)
     workers = min(_worker_count(), n_units)
     children: dict[int, tuple[int, int]] = {}  # shard -> (pid, read end), until reaped
@@ -473,7 +435,8 @@ def run_suites(
     Every selected suite runs in one walk (:func:`_walk`): the corpus
     suites (``families``, ``hodge``, ``bounds``, ``boundary``, ``regular``)
     share one unit per distinct complex of the corpus and of the user
-    documents of ``extra``, and each other suite builds its own instances
-    in a unit of its own.
+    documents of ``extra``, in which each suite reads each name once
+    (:func:`_reading`), and each other suite builds its own instances in a
+    unit of its own.
     """
     return [report for _, _, report in _entries(names, seed, extra, tol, random_count)]

@@ -2,9 +2,11 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -632,6 +634,54 @@ def test_huge_complexes_exit_2(args, capsys):
     code, stdout, stderr = run_cli(args, capsys)
     assert code == EXIT_BAD_DOCUMENT
     assert stdout == "" and "more than" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["simplex", "--n", "100000000"], ["circuit", "--i", "1", "--m", "100000000"],
+     ["path", "--i", "1", "--m", "100000000"], ["star", "--i", "1", "--m", "100000000"]],
+    ids=["simplex", "circuit", "path", "star"],
+)
+def test_an_oversized_family_is_refused_before_its_facets_are_listed(args):
+    # Under a 1 GiB address space, listing 10^8 facets ends in a MemoryError.
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from hodgelap.cli import main\n"
+        "main()\n"
+    )
+    src = str(Path(hodgelap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, "generate", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == EXIT_BAD_DOCUMENT and run.stdout == ""
+    assert run.stderr.splitlines() == [
+        f"error: the closure would have more than {1 << 20} faces; "
+        f"the largest face given has {args[2] if args[0] == 'simplex' else 2} vertices"
+    ]
+
+
+def _ci_streams():
+    """Each ``hodgelap verify --suite S --seed N`` of CI's smoke step, with its md5 digest."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    smoke = workflow.read_text().split("- name: Smoke-run", 1)[1].split("- name:", 1)[0]
+    return re.findall(
+        r'hodgelap verify --suite (\w+) --seed (\d+) > "(\S+)"\n\s*echo "([0-9a-f]{32})  \3"',
+        smoke,
+    )
+
+
+def test_the_ci_streams_keep_their_digests(capsys):
+    streams = _ci_streams()
+    assert len(streams) == 11
+    for suite, seed, _, digest in streams:
+        assert cli_main(["verify", "--suite", suite, "--seed", seed]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.md5(out.encode()).hexdigest() == digest, (suite, seed)
+        with pytest.raises(ChildProcessError):  # no child left
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hodgelap.errors import WeightError
 from hodgelap.operators import (
     CoboundaryMatrix,
     WeightScheme,
+    _entrywise_weights,
     _gram,
     _weights,
     coboundary_matrix,
@@ -183,7 +184,7 @@ def test_spectrum_solves_the_smaller_side_on_k4_skeleton():
     # on the 4x4 Gram of B_1's rows, down_1 on the 4x4 Gram of B_0's columns.
     k = from_facets([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     for scheme in SCHEMES + [deterministic_custom_scheme(k, 0)]:
-        sqrt_w = np.sqrt([_weights(k, scheme)[f] for f in k.faces(1)])
+        sqrt_w = np.sqrt([_entrywise_weights(k, scheme)[f] for f in k.faces(1)])
         for direction in ("up", "down"):
             lap = laplacian(k, 1, direction, scheme)
             b = (lap.up if direction == "up" else lap.down).matrix.toarray()
@@ -204,11 +205,16 @@ def test_entrywise_equals_product_form(fixtures, random_complexes):
     for k in pool:
         schemes = SCHEMES + [deterministic_custom_scheme(k, 7)]
         for scheme in schemes:
+            oracle_w = _entrywise_weights(k, scheme)
             for i in range(-1, k.dim + 1):
                 for direction in ("up", "down", "full"):
-                    a = laplacian(k, i, direction, scheme).matrix
+                    lap = laplacian(k, i, direction, scheme)
                     b = entrywise_laplacian(k, i, direction, scheme)
-                    assert np.abs(a - b).max() <= 1e-12
+                    assert np.abs(lap.matrix - b).max() <= 1e-12
+                # Every entry is a ratio of weights, blind to weights all
+                # scaled alike, so the weights are compared on their own.
+                w = [oracle_w[f] for f in k.faces(i)]
+                np.testing.assert_allclose(lap.weights, w, rtol=1e-12)
 
 
 def test_spectra_nonnegative(fixtures, random_complexes):

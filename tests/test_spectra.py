@@ -14,6 +14,7 @@ from hodgelap.errors import NumericError
 from hodgelap.operators import (
     LaplacianMatrix,
     WeightScheme,
+    _entrywise_weights,
     _gram,
     _weights,
     coboundary_matrix,
@@ -522,7 +523,7 @@ def test_writing_into_a_spectrum_leaves_the_solve_memo_intact(facets, memo):
 
 def _oracle_spectrum(k, i, direction, scheme):
     """eigvalsh of the W^{1/2}-conjugated entrywise operator, with no table or memo."""
-    sqrt_w = np.sqrt([_weights(k, scheme)[f] for f in k.faces(i)])
+    sqrt_w = np.sqrt([_entrywise_weights(k, scheme)[f] for f in k.faces(i)])
     oracle = entrywise_laplacian(k, i, direction, scheme)
     return np.linalg.eigvalsh(oracle * sqrt_w[:, None] / sqrt_w[None, :])
 
